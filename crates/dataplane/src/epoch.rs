@@ -7,8 +7,9 @@
 //! instants plus an `O(1)` `(node, epoch) → entry` table — so the
 //! packet-replay engine can replace one binary search per hop
 //! ([`FibHistory::at`](crate::fib::FibHistory::at)) with a monotone
-//! epoch cursor, and so batched walks can be memoized per launch epoch
-//! (see [`walk_all_batched`](crate::replay::walk_all_batched)).
+//! epoch cursor, and so one walk per launch epoch can stand for every
+//! packet that repeats it (see
+//! [`replay_fleet`](crate::replay::replay_fleet)).
 //!
 //! The index owns the same grouped delta stream
 //! ([`NetworkFib::changes_by_time`]) that the incremental loop census

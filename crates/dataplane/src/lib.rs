@@ -22,11 +22,13 @@
 //! [`epoch::EpochIndex`]: the prefix's FIB history is cut into
 //! *epochs* at its change instants, walks read an `O(1)`
 //! `(node, epoch)` table behind monotone cursors instead of doing a
-//! per-hop binary search, and walks confined to one epoch are memoized
-//! per `(source, epoch, TTL)` ([`replay::walk_all_batched`]). Fates
-//! are bit-identical to the per-packet walk (property-tested); the
-//! same index hands its change stream to the loop census
-//! ([`loopscan::loop_census_deltas`]) so one pass serves both.
+//! per-hop binary search, and one walk per `(source, epoch)` stands for
+//! every packet of the source's arithmetic send schedule that finishes
+//! inside the epoch ([`replay::replay_fleet`]). The resulting
+//! [`packet::FateTally`] equals the tally of per-packet walks
+//! (property-tested); the same index hands its change stream to the
+//! loop census ([`loopscan::loop_census_deltas`]) so one pass serves
+//! both.
 //!
 //! ## Example
 //!
@@ -60,10 +62,10 @@ pub mod source;
 pub use epoch::EpochIndex;
 pub use fib::{FibDeltas, FibHistory, NetworkFib};
 pub use loopscan::{find_loops, loop_census, loop_census_deltas, loop_census_full, LoopRecord};
-pub use packet::{Packet, PacketFate, DEFAULT_TTL};
+pub use packet::{FateTally, Packet, PacketFate, DEFAULT_TTL};
 pub use replay::{
-    generate_packets, walk_all, walk_all_batched, walk_all_batched_stats, walk_indexed_batch,
-    walk_packet, walk_packet_traced, ReplayStats,
+    generate_packets, replay_fleet, walk_all, walk_all_batched, walk_all_batched_stats,
+    walk_indexed_batch, walk_packet, walk_packet_traced, ReplayStats,
 };
 pub use source::{paper_sources, CbrSource};
 
@@ -74,10 +76,10 @@ pub mod prelude {
     pub use crate::loopscan::{
         find_loops, loop_census, loop_census_deltas, loop_census_full, LoopRecord,
     };
-    pub use crate::packet::{Packet, PacketFate, DEFAULT_TTL};
+    pub use crate::packet::{FateTally, Packet, PacketFate, DEFAULT_TTL};
     pub use crate::replay::{
-        generate_packets, walk_all, walk_all_batched, walk_all_batched_stats, walk_indexed_batch,
-        walk_packet, walk_packet_traced, ReplayStats,
+        generate_packets, replay_fleet, walk_all, walk_all_batched, walk_all_batched_stats,
+        walk_indexed_batch, walk_packet, walk_packet_traced, ReplayStats,
     };
     pub use crate::source::{paper_sources, CbrSource};
 }

@@ -77,9 +77,98 @@ impl PacketFate {
     }
 }
 
+/// The fates of a fleet in aggregate: every input the paper's metrics
+/// (§4.2) take from the data plane. The fleet replay
+/// ([`replay_fleet`](crate::replay::replay_fleet)) fills one without
+/// materializing a fate per packet.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FateTally {
+    /// Packets delivered.
+    pub delivered: u64,
+    /// Packets dropped for lack of a route.
+    pub no_route: u64,
+    /// Packets dropped by TTL exhaustion.
+    pub ttl_exhausted: u64,
+    /// The earliest TTL exhaustion, if any.
+    pub first_exhaustion: Option<SimTime>,
+    /// The latest TTL exhaustion, if any.
+    pub last_exhaustion: Option<SimTime>,
+}
+
+impl FateTally {
+    /// Tallies a slice of fates.
+    pub fn from_fates(fates: &[PacketFate]) -> Self {
+        let mut tally = FateTally::default();
+        for fate in fates {
+            tally.record(fate);
+        }
+        tally
+    }
+
+    /// Counts one packet's fate.
+    pub fn record(&mut self, fate: &PacketFate) {
+        self.record_run(fate, 1, fate.at());
+    }
+
+    /// Counts `count ≥ 1` packets that all ended like `first`, at
+    /// instants from `first.at()` up to `last_at`.
+    pub fn record_run(&mut self, first: &PacketFate, count: u64, last_at: SimTime) {
+        match *first {
+            PacketFate::Delivered { .. } => self.delivered += count,
+            PacketFate::NoRoute { .. } => self.no_route += count,
+            PacketFate::TtlExhausted { at, .. } => {
+                self.ttl_exhausted += count;
+                self.first_exhaustion = Some(self.first_exhaustion.map_or(at, |f| f.min(at)));
+                self.last_exhaustion =
+                    Some(self.last_exhaustion.map_or(last_at, |l| l.max(last_at)));
+            }
+        }
+    }
+
+    /// Total packets counted.
+    pub fn packets(&self) -> u64 {
+        self.delivered + self.no_route + self.ttl_exhausted
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tally_counts_runs_and_tracks_exhaustion_span() {
+        let x = |ms| PacketFate::TtlExhausted {
+            at: SimTime::from_millis(ms),
+            node: NodeId::new(2),
+        };
+        let mut tally = FateTally::from_fates(&[
+            PacketFate::Delivered {
+                at: SimTime::ZERO,
+                hops: 1,
+            },
+            x(500),
+        ]);
+        tally.record_run(&x(100), 3, SimTime::from_millis(300));
+        tally.record_run(
+            &PacketFate::NoRoute {
+                at: SimTime::ZERO,
+                node: NodeId::new(1),
+            },
+            2,
+            SimTime::from_secs(9),
+        );
+        assert_eq!(
+            tally,
+            FateTally {
+                delivered: 1,
+                no_route: 2,
+                ttl_exhausted: 4,
+                first_exhaustion: Some(SimTime::from_millis(100)),
+                last_exhaustion: Some(SimTime::from_millis(500)),
+            }
+        );
+        assert_eq!(tally.packets(), 7);
+    }
 
     #[test]
     fn fate_predicates() {

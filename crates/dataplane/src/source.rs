@@ -71,6 +71,21 @@ impl CbrSource {
         self.interval
     }
 
+    /// The `k`-th send instant (from zero) of a window opening at
+    /// `start`: the same instant the `k`-th step of
+    /// [`send_times`](Self::send_times) yields, without iterating.
+    pub fn send_time(&self, start: SimTime, k: u64) -> SimTime {
+        start + self.phase + self.interval * k
+    }
+
+    /// How many send instants of a window opening at `start` fall
+    /// strictly before `t`. `sends_before(start, end)` is the length of
+    /// `send_times(start, end)`.
+    pub fn sends_before(&self, start: SimTime, t: SimTime) -> u64 {
+        t.checked_duration_since(start + self.phase)
+            .map_or(0, |d| d.as_nanos().div_ceil(self.interval.as_nanos()))
+    }
+
     /// The send instants within `[start, end)`.
     pub fn send_times(&self, start: SimTime, end: SimTime) -> SendTimes {
         SendTimes {
@@ -157,6 +172,24 @@ mod tests {
         );
         let count = s.send_times(SimTime::ZERO, SimTime::from_secs(10)).count();
         assert_eq!(count, 100, "10 pkt/s for 10 s");
+    }
+
+    #[test]
+    fn arithmetic_agrees_with_the_iterator() {
+        let s = CbrSource::new(
+            NodeId::new(1),
+            SimDuration::from_nanos(7),
+            SimDuration::from_nanos(3),
+        );
+        let start = SimTime::from_nanos(10);
+        for end in 0..60 {
+            let end = SimTime::from_nanos(end);
+            let times: Vec<SimTime> = s.send_times(start, end).collect();
+            assert_eq!(s.sends_before(start, end), times.len() as u64, "{end}");
+            for (k, &t) in times.iter().enumerate() {
+                assert_eq!(s.send_time(start, k as u64), t);
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Checks, per line: it parses as a JSON object; it carries a known
 //! `kind`, a `seed`, and a timestamp `t`; loop events carry a
 //! non-empty `nodes` array; `measure_summary` lines carry the replay
-//! counters and satisfy `memo_hits + walks == packets`. Across the
+//! counters and satisfy `memo_hits + walks == packets` and
+//! `walks <= hops`, `hops + hops_skipped <= walks × (TTL + 1)`. Across the
 //! file: every `loop_offset` is
 //! preceded by at least as many `loop_onset`s for the same seed, and
 //! the `run_summary` loop counts of each seed sum to the number of
@@ -312,12 +313,28 @@ fn check_line(
             let packets = field("packets")?;
             let memo_hits = field("memo_hits")?;
             let walks = field("walks")?;
+            let hops = field("hops")?;
+            let hops_skipped = field("hops_skipped")?;
             field("epochs")?;
-            field("sim_ms")?;
-            field("measure_ms")?;
+            for name in ["sim_ms", "measure_ms"] {
+                // Fractional milliseconds derived from ns timers.
+                let ms = raw.get(name).and_then(|v| v.as_f64());
+                if !ms.is_some_and(|ms| ms.is_finite() && ms >= 0.0) {
+                    return Err(err(format!("measure_summary missing \"{name}\"")));
+                }
+            }
             if memo_hits + walks != packets {
                 return Err(err(format!(
                     "measure_summary accounting broken: {memo_hits} memo + {walks} walks != {packets} packets"
+                )));
+            }
+            // An executed walk makes at least one table lookup and,
+            // hop by hop, at most one per TTL decrement plus the last.
+            let hop_by_hop = hops + hops_skipped;
+            let most = walks * (u64::from(bgpsim_dataplane::DEFAULT_TTL) + 1);
+            if hops < walks || hop_by_hop > most {
+                return Err(err(format!(
+                    "measure_summary hop accounting broken: {hops} hops + {hops_skipped} skipped outside [{walks}, {most}] for {walks} walks"
                 )));
             }
         }

@@ -26,6 +26,7 @@ use bgpsim_sim::{
 };
 use bgpsim_topology::{algo, generators, Graph, NodeId};
 use bgpsim_trace::{RunCounters, TraceEvent, TraceHandle};
+use std::time::Instant;
 
 /// The topology families used in the paper's evaluation (§4.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -488,7 +489,7 @@ impl ScenarioSpec {
     /// greater than one; the record is byte-identical either way.
     pub fn run(&self) -> ScenarioResult {
         let (experiment, destination, failure) = self.build_experiment();
-        let sim_started = std::time::Instant::now();
+        let sim_started = Instant::now();
         let (record, shard_queue_hiwater) = if self.shards > 1 {
             let (record, stats) = experiment.run_sharded_stats(self.shards);
             (record, stats.queue_hiwater)
@@ -497,17 +498,36 @@ impl ScenarioSpec {
             let hiwater = record.max_queue_depth;
             (record, hiwater)
         };
-        let sim_wall_ms = sim_started.elapsed().as_millis() as u64;
-        let measure_started = std::time::Instant::now();
+        self.measured(
+            destination,
+            failure,
+            record,
+            shard_queue_hiwater,
+            sim_started,
+        )
+    }
+
+    /// The measurement half of every run entry: times the simulation
+    /// that started at `sim_started` and the measurement it feeds.
+    fn measured(
+        &self,
+        destination: NodeId,
+        failure: FailureEvent,
+        record: RunRecord,
+        shard_queue_hiwater: u64,
+        sim_started: Instant,
+    ) -> ScenarioResult {
+        let sim_wall_ns = sim_started.elapsed().as_nanos() as u64;
+        let measure_started = Instant::now();
         let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
-        let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
+        let measure_wall_ns = measure_started.elapsed().as_nanos() as u64;
         ScenarioResult {
             destination,
             failure,
             record,
             measurement,
-            sim_wall_ms,
-            measure_wall_ms,
+            sim_wall_ns,
+            measure_wall_ns,
             shard_queue_hiwater,
         }
     }
@@ -522,7 +542,7 @@ impl ScenarioSpec {
     /// budget is exhausted before quiescence.
     pub fn run_budgeted(&self, limit: &RunBudget) -> Result<ScenarioResult, Box<BudgetExceeded>> {
         let (experiment, destination, failure) = self.build_experiment();
-        let sim_started = std::time::Instant::now();
+        let sim_started = Instant::now();
         let (record, shard_queue_hiwater) = if self.shards > 1 {
             let (record, stats) = experiment.run_sharded_budgeted(self.shards, limit)?;
             (record, stats.queue_hiwater)
@@ -531,19 +551,13 @@ impl ScenarioSpec {
             let hiwater = record.max_queue_depth;
             (record, hiwater)
         };
-        let sim_wall_ms = sim_started.elapsed().as_millis() as u64;
-        let measure_started = std::time::Instant::now();
-        let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
-        let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
-        Ok(ScenarioResult {
+        Ok(self.measured(
             destination,
             failure,
             record,
-            measurement,
-            sim_wall_ms,
-            measure_wall_ms,
             shard_queue_hiwater,
-        })
+            sim_started,
+        ))
     }
 
     /// Runs this scenario's warm-up to quiescence and captures the
@@ -606,22 +620,16 @@ impl ScenarioSpec {
         limit: &RunBudget,
     ) -> Result<ScenarioResult, Box<BudgetExceeded>> {
         let (experiment, destination, failure) = self.build_experiment();
-        let sim_started = std::time::Instant::now();
+        let sim_started = Instant::now();
         let record = experiment.resume_from_budgeted(snap, limit)?;
-        let sim_wall_ms = sim_started.elapsed().as_millis() as u64;
-        let measure_started = std::time::Instant::now();
-        let measurement = measure_run(&record, destination, Prefix::new(0), self.seed);
-        let measure_wall_ms = measure_started.elapsed().as_millis() as u64;
         let shard_queue_hiwater = record.max_queue_depth;
-        Ok(ScenarioResult {
+        Ok(self.measured(
             destination,
             failure,
             record,
-            measurement,
-            sim_wall_ms,
-            measure_wall_ms,
             shard_queue_hiwater,
-        })
+            sim_started,
+        ))
     }
 
     /// Like [`into_job`](Self::into_job), but the job draws its warm-up
@@ -698,8 +706,8 @@ fn partial_counters(record: &RunRecord) -> RunCounters {
         loops: loop_census(&record.fib, Prefix::new(0)).len() as u64,
         max_queue_depth: record.max_queue_depth,
         wall_ms: 0,
-        sim_ms: 0,
-        measure_ms: 0,
+        sim_ns: 0,
+        measure_ns: 0,
         replay_packets: 0,
         replay_memo_hits: 0,
         peak_rss_kb: bgpsim_trace::peak_rss_kb(),
@@ -741,10 +749,10 @@ pub struct ScenarioResult {
     pub record: RunRecord,
     /// Full measurement (paper metrics + loop census).
     pub measurement: RunMeasurement,
-    /// Wall-clock spent in the control-plane simulation, milliseconds.
-    pub sim_wall_ms: u64,
-    /// Wall-clock spent in the measurement pipeline, milliseconds.
-    pub measure_wall_ms: u64,
+    /// Wall-clock spent in the control-plane simulation, nanoseconds.
+    pub sim_wall_ns: u64,
+    /// Wall-clock spent in the measurement pipeline, nanoseconds.
+    pub measure_wall_ns: u64,
     /// High-water mark of any single worker's event queue: equal to
     /// `record.max_queue_depth` for serial runs, the per-shard maximum
     /// for sharded runs.
@@ -764,8 +772,8 @@ impl ScenarioResult {
             loops: self.measurement.census.len() as u64,
             max_queue_depth: self.record.max_queue_depth,
             wall_ms: 0,
-            sim_ms: self.sim_wall_ms,
-            measure_ms: self.measure_wall_ms,
+            sim_ns: self.sim_wall_ns,
+            measure_ns: self.measure_wall_ns,
             replay_packets: self.measurement.replay.packets,
             replay_memo_hits: self.measurement.replay.memo_hits,
             peak_rss_kb: bgpsim_trace::peak_rss_kb(),
@@ -791,12 +799,14 @@ impl ScenarioResult {
         tracer.emit(|| TraceEvent::MeasureSummary {
             seed,
             t: self.record.convergence_end().map_or(0, |t| t.as_nanos()),
-            sim_ms: self.sim_wall_ms,
-            measure_ms: self.measure_wall_ms,
+            sim_ns: self.sim_wall_ns,
+            measure_ns: self.measure_wall_ns,
             packets: self.measurement.replay.packets,
             memo_hits: self.measurement.replay.memo_hits,
             walks: self.measurement.replay.walks,
             epochs: self.measurement.replay.epochs,
+            hops: self.measurement.replay.hops,
+            hops_skipped: self.measurement.replay.hops_skipped,
         });
     }
 }

@@ -44,7 +44,7 @@ pub use exploration::{exploration_stats, ExplorationStats};
 pub use export::{to_csv, to_json, MetricsRow};
 pub use loop_stats::{summarize, LoopCensusSummary};
 pub use pipeline::{measure_run, RunMeasurement};
-pub use report::{compute_metrics, PaperMetrics};
+pub use report::{compute_metrics, metrics_from_tally, PaperMetrics};
 pub use timeline::{build_timeline, render_timeline, TimelineEvent};
 
 /// Commonly used types, for glob import.
@@ -55,6 +55,6 @@ pub mod prelude {
     pub use crate::export::{to_csv, to_json, MetricsRow};
     pub use crate::loop_stats::{summarize, LoopCensusSummary};
     pub use crate::pipeline::{measure_run, RunMeasurement};
-    pub use crate::report::{compute_metrics, PaperMetrics};
+    pub use crate::report::{compute_metrics, metrics_from_tally, PaperMetrics};
     pub use crate::timeline::{build_timeline, render_timeline, TimelineEvent};
 }

@@ -1,24 +1,23 @@
 //! One-call measurement pipeline.
 //!
 //! Runs the study's full measurement procedure on a completed
-//! control-plane run: build the traffic fleet, generate the packets
-//! sent during convergence, replay them against the recorded FIB
-//! history, and compute the paper metrics (plus the loop census
-//! extension).
+//! control-plane run: build the traffic fleet, replay the packets it
+//! sends during convergence against the recorded FIB history, and
+//! compute the paper metrics (plus the loop census extension).
 //!
 //! The replay and the loop census share one
 //! [`EpochIndex`](bgpsim_dataplane::EpochIndex) built from
-//! the run's FIB history: packets walk the index's `(node, epoch)`
-//! table (batched, memoized — see `bgpsim-dataplane::replay`) and the
-//! census consumes the index's delta stream, so the whole measurement
-//! makes a single pass over the recorded history. The naive per-packet
-//! [`walk_all`](bgpsim_dataplane::walk_all) is kept as the oracle and
-//! cross-checked in tests and CI.
+//! the run's FIB history: the fleet replay walks the index's
+//! `(node, epoch)` table once per `(source, epoch)` and counts the rest
+//! of each source's send schedule arithmetically (see
+//! `bgpsim-dataplane::replay`), and the census consumes the index's
+//! delta stream, so the whole measurement makes a single pass over the
+//! recorded history and never materializes a packet. The naive
+//! per-packet [`walk_all`](bgpsim_dataplane::walk_all) is kept as the
+//! oracle and cross-checked in tests and CI.
 
 use bgpsim_core::Prefix;
-use bgpsim_dataplane::{
-    generate_packets, paper_sources, walk_indexed_batch, LoopRecord, ReplayStats, DEFAULT_TTL,
-};
+use bgpsim_dataplane::{paper_sources, replay_fleet, LoopRecord, ReplayStats, DEFAULT_TTL};
 use bgpsim_netsim::rng::SimRng;
 use bgpsim_netsim::time::SimDuration;
 use bgpsim_sim::RunRecord;
@@ -26,7 +25,7 @@ use bgpsim_topology::NodeId;
 
 use crate::churn::ChurnSummary;
 use crate::loop_stats::{summarize, LoopCensusSummary};
-use crate::report::{compute_metrics, PaperMetrics};
+use crate::report::{convergence_window, metrics_from_tally, PaperMetrics};
 
 /// Everything measured about one run.
 #[derive(Debug, Clone)]
@@ -59,12 +58,24 @@ pub fn measure_run(
     let mut traffic_rng = SimRng::new(traffic_seed).fork(0xDA7A);
     let sources = paper_sources(record.node_count, destination, &mut traffic_rng);
     let (start, end) = record.replay_window();
-    let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
     let link_delay = SimDuration::from_millis(2);
     // One index serves both the packet replay and the loop census.
     let index = record.fib.epoch_index(prefix);
-    let (fates, replay) = walk_indexed_batch(&index, &packets, link_delay);
-    let metrics = compute_metrics(record, &packets, &fates);
+    let (tally, replay) = replay_fleet(&index, &sources, DEFAULT_TTL, start, end, link_delay);
+    // Sends inside the closed convergence window, per source: those
+    // before its end (inclusive, capped by the replay window) minus
+    // those before its start.
+    let packets_during_convergence = convergence_window(record).map_or(0, |(fail, conv_end)| {
+        let close = end.min(conv_end + SimDuration::from_nanos(1));
+        sources
+            .iter()
+            .map(|s| {
+                s.sends_before(start, close)
+                    .saturating_sub(s.sends_before(start, fail))
+            })
+            .sum()
+    });
+    let metrics = metrics_from_tally(record, &tally, packets_during_convergence);
     let census = index.loop_census();
     let census_summary = summarize(&census);
     RunMeasurement {

@@ -10,7 +10,7 @@
 //!   convergence ≈ the probability that a packet sent during
 //!   convergence encounters a loop.
 
-use bgpsim_dataplane::{Packet, PacketFate};
+use bgpsim_dataplane::{FateTally, Packet, PacketFate};
 use bgpsim_netsim::time::{SimDuration, SimTime};
 use bgpsim_sim::RunRecord;
 
@@ -55,7 +55,9 @@ impl PaperMetrics {
 /// packets replayed against it.
 ///
 /// `packets` and `fates` must be parallel arrays (as produced by
-/// [`bgpsim_dataplane::walk_all`]).
+/// [`bgpsim_dataplane::walk_all`]). This is [`metrics_from_tally`] over
+/// the tally of `fates`; the measurement pipeline calls the same
+/// builder with a tally it never materialized fates for.
 ///
 /// # Panics
 ///
@@ -70,35 +72,41 @@ pub fn compute_metrics(
         fates.len(),
         "packets and fates must be parallel"
     );
-    let mut ttl_exhaustions = 0u64;
-    let mut delivered = 0u64;
-    let mut no_route = 0u64;
-    let mut first_exhaustion: Option<SimTime> = None;
-    let mut last_exhaustion: Option<SimTime> = None;
-    for fate in fates {
-        match fate {
-            PacketFate::TtlExhausted { at, .. } => {
-                ttl_exhaustions += 1;
-                first_exhaustion = Some(first_exhaustion.map_or(*at, |f| f.min(*at)));
-                last_exhaustion = Some(last_exhaustion.map_or(*at, |l| l.max(*at)));
-            }
-            PacketFate::Delivered { .. } => delivered += 1,
-            PacketFate::NoRoute { .. } => no_route += 1,
-        }
-    }
-    let overall_looping_duration = match (first_exhaustion, last_exhaustion) {
-        (Some(f), Some(l)) => Some(l - f),
-        _ => None,
-    };
-    let packets_during_convergence = match (record.failure_at, record.convergence_end()) {
-        (Some(fail), Some(end)) => packets
+    let packets_during_convergence = match convergence_window(record) {
+        Some((fail, end)) => packets
             .iter()
             .filter(|p| p.sent_at >= fail && p.sent_at <= end)
             .count() as u64,
-        _ => 0,
+        None => 0,
     };
+    metrics_from_tally(
+        record,
+        &FateTally::from_fates(fates),
+        packets_during_convergence,
+    )
+}
+
+/// The closed interval `[failure, convergence end]` whose packets the
+/// looping ratio is taken over; `None` if no failure fired or it
+/// triggered no updates.
+pub(crate) fn convergence_window(record: &RunRecord) -> Option<(SimTime, SimTime)> {
+    record.failure_at.zip(record.convergence_end())
+}
+
+/// Builds the paper metrics from a run record, the aggregate fates of
+/// the fleet replayed against it, and the number of those packets sent
+/// inside `[failure, convergence end]`.
+pub fn metrics_from_tally(
+    record: &RunRecord,
+    tally: &FateTally,
+    packets_during_convergence: u64,
+) -> PaperMetrics {
+    let overall_looping_duration = tally
+        .first_exhaustion
+        .zip(tally.last_exhaustion)
+        .map(|(first, last)| last - first);
     let looping_ratio = if packets_during_convergence > 0 {
-        ttl_exhaustions as f64 / packets_during_convergence as f64
+        tally.ttl_exhausted as f64 / packets_during_convergence as f64
     } else {
         0.0
     };
@@ -108,12 +116,12 @@ pub fn compute_metrics(
     PaperMetrics {
         convergence_time: record.convergence_time(),
         overall_looping_duration,
-        ttl_exhaustions,
+        ttl_exhaustions: tally.ttl_exhausted,
         packets_during_convergence,
         looping_ratio,
-        delivered,
-        no_route,
-        packets_total: packets.len() as u64,
+        delivered: tally.delivered,
+        no_route: tally.no_route,
+        packets_total: tally.packets(),
         messages_after_failure,
     }
 }

@@ -1122,7 +1122,7 @@ impl Runner {
         // and the batched replay's memo effectiveness; jobs without the
         // instrumentation (or all-cached batches) leave these at zero.
         let c = s.counters;
-        if c.sim_ms + c.measure_ms > 0 || c.replay_packets > 0 {
+        if c.sim_ns + c.measure_ns > 0 || c.replay_packets > 0 {
             let memo_pct = if c.replay_packets == 0 {
                 0.0
             } else {
@@ -1130,8 +1130,8 @@ impl Runner {
             };
             line.push_str(&format!(
                 ", sim {:.1}s / measure {:.1}s, {} packets replayed ({:.1}% memo)",
-                c.sim_ms as f64 / 1e3,
-                c.measure_ms as f64 / 1e3,
+                c.sim_ns as f64 / 1e9,
+                c.measure_ns as f64 / 1e9,
                 c.replay_packets,
                 memo_pct,
             ));

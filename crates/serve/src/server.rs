@@ -621,6 +621,7 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         "{{\"jobs_submitted\":{},\"jobs_active\":{},\"queue_depth\":{},\"draining\":{},\"requests\":{},\
          \"peak_rss_kb\":{},\
          \"runner\":{{\"jobs\":{},\"cache_hits\":{},\"executed\":{},\"hit_rate_percent\":{:.3},\
+         \"sim_ms\":{:.3},\"measure_ms\":{:.3},\
          \"worker_crashes\":{},\"worker_retries\":{},\"jobs_poisoned\":{}}},\
          \"breaker\":{{\"state\":{},\"crashes\":{},\"trips\":{}}},\
          \"clients\":[{}]}}",
@@ -634,6 +635,8 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         runner.cache_hits,
         runner.executed,
         runner.hit_rate_percent(),
+        bgpsim_trace::ns_to_ms(runner.counters.sim_ns),
+        bgpsim_trace::ns_to_ms(runner.counters.measure_ns),
         runner.worker_crashes,
         runner.worker_retries,
         runner.jobs_poisoned,

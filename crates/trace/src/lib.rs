@@ -150,18 +150,24 @@ pub enum TraceEvent {
         /// Simulation time the measurement covers up to (end of
         /// convergence), nanoseconds; zero when no failure fired.
         t: u64,
-        /// Wall-clock spent in the control-plane simulation, ms.
-        sim_ms: u64,
-        /// Wall-clock spent in the measurement pipeline, ms.
-        measure_ms: u64,
+        /// Wall-clock spent in the control-plane simulation, ns
+        /// (rendered as fractional `sim_ms`).
+        sim_ns: u64,
+        /// Wall-clock spent in the measurement pipeline, ns (rendered
+        /// as fractional `measure_ms`).
+        measure_ns: u64,
         /// Packets replayed.
         packets: u64,
-        /// Packets served from the replay memo.
+        /// Packets accounted for without a walk of their own.
         memo_hits: u64,
         /// Walks actually executed (`packets - memo_hits`).
         walks: u64,
         /// FIB epoch boundaries the replay index covered.
         epochs: u64,
+        /// Table lookups the executed walks made.
+        hops: u64,
+        /// Table lookups they skipped by jumping in-epoch cycle turns.
+        hops_skipped: u64,
     },
     /// Sharded-run synchronization summary, emitted once per sharded
     /// run after the deterministic cross-shard merge. Carries the
@@ -490,21 +496,25 @@ impl serde::Serialize for TraceEvent {
             TraceEvent::MeasureSummary {
                 seed,
                 t,
-                sim_ms,
-                measure_ms,
+                sim_ns,
+                measure_ns,
                 packets,
                 memo_hits,
                 walks,
                 epochs,
+                hops,
+                hops_skipped,
             } => {
                 put("seed", Value::UInt(*seed));
                 put("t", Value::UInt(*t));
-                put("sim_ms", Value::UInt(*sim_ms));
-                put("measure_ms", Value::UInt(*measure_ms));
+                put("sim_ms", Value::Float(ns_to_ms(*sim_ns)));
+                put("measure_ms", Value::Float(ns_to_ms(*measure_ns)));
                 put("packets", Value::UInt(*packets));
                 put("memo_hits", Value::UInt(*memo_hits));
                 put("walks", Value::UInt(*walks));
                 put("epochs", Value::UInt(*epochs));
+                put("hops", Value::UInt(*hops));
+                put("hops_skipped", Value::UInt(*hops_skipped));
             }
             TraceEvent::ShardSummary {
                 seed,
@@ -642,9 +652,12 @@ impl serde::Serialize for TraceEvent {
 /// Aggregated hot-path totals for one run.
 ///
 /// All fields are integers so the type stays `Eq` (the runner folds it
-/// into its `Eq` statistics) and serializes without float formatting
-/// concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+/// into its `Eq` statistics). The two phase timers are kept and summed
+/// in nanoseconds — a paper-scale measure phase is ~2 ms and a
+/// quick-scale job far less, so per-job milliseconds sum to noise — and
+/// serialize as `sim_ns`/`measure_ns` plus fractional `sim_ms`/
+/// `measure_ms` derived from them (ignored when reading back).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Deserialize)]
 pub struct RunCounters {
     /// Scheduled events dispatched by the engine.
     pub events: u64,
@@ -660,12 +673,10 @@ pub struct RunCounters {
     pub max_queue_depth: u64,
     /// Host wall-clock time spent in the run, milliseconds.
     pub wall_ms: u64,
-    /// Wall-clock spent in the control-plane simulation, milliseconds
-    /// (a component of `wall_ms`).
-    pub sim_ms: u64,
-    /// Wall-clock spent in the measurement pipeline, milliseconds
-    /// (a component of `wall_ms`).
-    pub measure_ms: u64,
+    /// Wall-clock spent in the control-plane simulation, nanoseconds.
+    pub sim_ns: u64,
+    /// Wall-clock spent in the measurement pipeline, nanoseconds.
+    pub measure_ns: u64,
     /// Packets replayed by the measurement pipeline.
     pub replay_packets: u64,
     /// Replayed packets whose fate came from the batched-replay memo.
@@ -694,13 +705,42 @@ impl RunCounters {
         self.loops += other.loops;
         self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
         self.wall_ms += other.wall_ms;
-        self.sim_ms += other.sim_ms;
-        self.measure_ms += other.measure_ms;
+        self.sim_ns += other.sim_ns;
+        self.measure_ns += other.measure_ns;
         self.replay_packets += other.replay_packets;
         self.replay_memo_hits += other.replay_memo_hits;
         self.peak_rss_kb = self.peak_rss_kb.max(other.peak_rss_kb);
         self.shard_queue_hiwater = self.shard_queue_hiwater.max(other.shard_queue_hiwater);
     }
+}
+
+impl serde::Serialize for RunCounters {
+    fn to_value(&self) -> Value {
+        let uint = |name: &str, v: u64| (name.to_string(), Value::UInt(v));
+        let ms = |name: &str, ns: u64| (name.to_string(), Value::Float(ns_to_ms(ns)));
+        Value::Object(vec![
+            uint("events", self.events),
+            uint("updates_sent", self.updates_sent),
+            uint("withdrawals_sent", self.withdrawals_sent),
+            uint("decisions", self.decisions),
+            uint("loops", self.loops),
+            uint("max_queue_depth", self.max_queue_depth),
+            uint("wall_ms", self.wall_ms),
+            ms("sim_ms", self.sim_ns),
+            ms("measure_ms", self.measure_ns),
+            uint("sim_ns", self.sim_ns),
+            uint("measure_ns", self.measure_ns),
+            uint("replay_packets", self.replay_packets),
+            uint("replay_memo_hits", self.replay_memo_hits),
+            uint("peak_rss_kb", self.peak_rss_kb),
+            uint("shard_queue_hiwater", self.shard_queue_hiwater),
+        ])
+    }
+}
+
+/// Nanoseconds as fractional milliseconds, for rendering.
+pub fn ns_to_ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
 }
 
 /// Peak resident-set size of the current process in KiB.
@@ -1066,12 +1106,14 @@ mod tests {
             TraceEvent::MeasureSummary {
                 seed: 1,
                 t: 2,
-                sim_ms: 3,
-                measure_ms: 4,
+                sim_ns: 3_000_000,
+                measure_ns: 4_500_000,
                 packets: 100,
                 memo_hits: 90,
                 walks: 10,
                 epochs: 7,
+                hops: 25,
+                hops_skipped: 120,
             },
             TraceEvent::FaultInjected {
                 seed: 1,
@@ -1158,8 +1200,8 @@ mod tests {
                 loops: 2,
                 max_queue_depth: 6,
                 wall_ms: 12,
-                sim_ms: 8,
-                measure_ms: 4,
+                sim_ns: 8_250_000,
+                measure_ns: 4_000_000,
                 replay_packets: 40,
                 replay_memo_hits: 30,
                 peak_rss_kb: 2048,
@@ -1174,6 +1216,10 @@ mod tests {
             raw.get("replay_memo_hits").and_then(|v| v.as_u64()),
             Some(30)
         );
+        // The phase timers travel in ns; ms is derived when rendering.
+        assert_eq!(raw.get("sim_ns").and_then(|v| v.as_u64()), Some(8_250_000));
+        assert_eq!(raw.get("sim_ms").and_then(|v| v.as_f64()), Some(8.25));
+        assert_eq!(raw.get("measure_ms").and_then(|v| v.as_f64()), Some(4.0));
     }
 
     #[test]
@@ -1222,8 +1268,8 @@ mod tests {
             loops: 5,
             max_queue_depth: 6,
             wall_ms: 7,
-            sim_ms: 5,
-            measure_ms: 2,
+            sim_ns: 5_400_000,
+            measure_ns: 2_700_000,
             replay_packets: 8,
             replay_memo_hits: 3,
             peak_rss_kb: 1024,
@@ -1240,7 +1286,16 @@ mod tests {
         total.merge(&a);
         assert_eq!(total.events, 1);
         assert_eq!(total.wall_ms, 7);
-        assert_eq!(total.sim_ms, 5);
+        assert_eq!(total.sim_ns, 5_400_000);
+        // Sub-millisecond jobs add up instead of truncating to zero.
+        let mut sum = RunCounters::default();
+        for _ in 0..170 {
+            sum.merge(&RunCounters {
+                sim_ns: 400_000,
+                ..Default::default()
+            });
+        }
+        assert_eq!(ns_to_ms(sum.sim_ns), 68.0);
         assert_eq!(total.replay_packets, 8);
         assert_eq!(total.replay_memo_hits, 3);
         assert_eq!(total.max_queue_depth, 9, "merge keeps the maximum depth");

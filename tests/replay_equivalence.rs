@@ -152,13 +152,9 @@ fn converged_network_delivers_everything() {
     assert!(replayed.iter().all(|f| f.is_delivered()));
 }
 
-/// The batched replay stays an exact oracle match on a flap-train run
-/// (`bgpsim-faults`): the link down/up train packs many FIB epochs into
-/// the replay window, stressing epoch-crossing walks and memo
-/// invalidation far harder than a single failure does.
-#[test]
-fn batched_matches_naive_on_flap_train() {
-    let result = Scenario::new(TopologySpec::BClique(4), EventKind::Flap)
+/// Three 45 s flaps of the B-Clique-4 `T_long` link.
+fn flap_train_scenario() -> Scenario {
+    Scenario::new(TopologySpec::BClique(4), EventKind::Flap)
         .with_flap(FlapProfile {
             period: SimDuration::from_secs(45),
             count: 3,
@@ -166,7 +162,15 @@ fn batched_matches_naive_on_flap_train() {
             loss: 0.0,
         })
         .with_seed(21)
-        .run();
+}
+
+/// The batched replay stays an exact oracle match on a flap-train run
+/// (`bgpsim-faults`): the link down/up train packs many FIB epochs into
+/// the replay window, stressing epoch-crossing walks and memo
+/// invalidation far harder than a single failure does.
+#[test]
+fn batched_matches_naive_on_flap_train() {
+    let result = flap_train_scenario().run();
     let record = &result.record;
     assert!(record.faults_injected >= 6, "flap train fired");
     let prefix = Prefix::new(0);
@@ -186,27 +190,47 @@ fn batched_matches_naive_on_flap_train() {
     );
 }
 
-/// `measure_run` (which routes through the batched replay) produces the
-/// same metrics as recomputing them with the naive per-packet walk.
+/// `measure_run` (which routes through the fleet replay and never
+/// materializes a packet) produces the same metrics as recomputing them
+/// with the naive per-packet walk, and the same replay counters as the
+/// per-packet batched entry point — on every topology family × both
+/// failure events, plus one flap train.
 #[test]
 fn measure_run_agrees_with_naive_oracle() {
-    let scenario = Scenario::new(TopologySpec::Clique(8), EventKind::TDown).with_seed(1);
-    let result = scenario.run();
-    let record = &result.record;
+    let mut scenarios = Vec::new();
+    for topology in [
+        TopologySpec::Clique(8),
+        TopologySpec::BClique(5),
+        TopologySpec::InternetLike {
+            n: 29,
+            topo_seed: 5,
+        },
+    ] {
+        for event in [EventKind::TDown, EventKind::TLong] {
+            scenarios.push(Scenario::new(topology.clone(), event).with_seed(1));
+        }
+    }
+    scenarios.push(flap_train_scenario());
     let prefix = Prefix::new(0);
-    // Reproduce the pipeline's fleet exactly (same fork tag, window).
-    let mut rng = SimRng::new(1).fork(0xDA7A);
-    let sources = paper_sources(record.node_count, result.destination, &mut rng);
-    let (start, end) = record.replay_window();
-    let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
-    let fates = walk_all(&record.fib, &packets, SimDuration::from_millis(2));
-    let oracle = compute_metrics(record, &packets, &fates);
-    assert_eq!(result.measurement.metrics, oracle);
-    assert_eq!(
-        result.measurement.replay.packets,
-        packets.len() as u64,
-        "pipeline replayed the same fleet"
-    );
+    let delay = SimDuration::from_millis(2);
+    for scenario in scenarios {
+        let label = format!("{:?} {:?}", scenario.topology, scenario.event);
+        let result = scenario.run();
+        let record = &result.record;
+        // Reproduce the pipeline's fleet exactly (same fork tag, window).
+        let mut rng = SimRng::new(scenario.seed).fork(0xDA7A);
+        let sources = paper_sources(record.node_count, result.destination, &mut rng);
+        let (start, end) = record.replay_window();
+        let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
+        assert!(!packets.is_empty(), "{label}");
+        let fates = walk_all(&record.fib, &packets, delay);
+        let oracle = compute_metrics(record, &packets, &fates);
+        assert_eq!(result.measurement.metrics, oracle, "{label}");
+        let (batched, stats) = walk_indexed_batch(&record.fib.epoch_index(prefix), &packets, delay);
+        assert_eq!(batched, fates, "{label}");
+        assert_eq!(result.measurement.replay, stats, "{label}");
+        assert_eq!(stats.packets, packets.len() as u64, "{label}");
+    }
 }
 
 /// The walk time of a delivered packet equals hops × link delay.
