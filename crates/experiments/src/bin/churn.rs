@@ -14,7 +14,7 @@
 //! and bit-identical with or without `--forked` (which shares each
 //! seed's warm-up across all flap periods).
 
-use bgpsim_experiments::binopts::{BinOptions, USAGE};
+use bgpsim_experiments::binopts::{dispatch_worker, BinOptions, USAGE};
 use bgpsim_experiments::churn::{self, ChurnOptions};
 
 const CHURN_USAGE: &str = "usage: churn [quick|paper] [--flap-period <s>]... [--flaps <n>] \
@@ -89,6 +89,7 @@ fn parse_churn_flags(args: Vec<String>) -> (ChurnOptions, Vec<String>) {
 }
 
 fn main() {
+    dispatch_worker();
     let (churn_opts, rest) = parse_churn_flags(std::env::args().skip(1).collect());
     let opts = match BinOptions::parse(rest) {
         Ok(opts) => opts,

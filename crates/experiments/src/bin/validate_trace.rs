@@ -235,7 +235,9 @@ fn check_line(
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| err("job_retry missing numeric \"attempt\"".into()))?;
             if attempt < 2 {
-                return Err(err("job_retry \"attempt\" must be >= 2 (it follows a crash)".into()));
+                return Err(err(
+                    "job_retry \"attempt\" must be >= 2 (it follows a crash)".into(),
+                ));
             }
             raw.get("backoff_ms")
                 .and_then(|v| v.as_u64())

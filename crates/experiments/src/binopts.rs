@@ -47,6 +47,18 @@ pub struct BinOptions {
 pub const USAGE: &str = "usage: [quick|paper] [--trace <file.jsonl>] [--bench <file.json>] \
      [--jobs <n>] [--cache-dir <dir>] [--forked] [--shards <k>]";
 
+/// Answers the supervisor's `<exe> worker` re-exec: when the first
+/// argument is `worker`, runs [`worker::run`](crate::worker::run) and
+/// exits instead of returning. Every binary that can enable isolation
+/// (`--isolate`, `BGPSIM_ISOLATE=1`) calls this before parsing its own
+/// arguments; [`BinOptions::from_cli`] does it for the figure binaries.
+pub fn dispatch_worker() {
+    if std::env::args().nth(1).as_deref() == Some("worker") {
+        crate::worker::run();
+        std::process::exit(0);
+    }
+}
+
 impl BinOptions {
     /// Parses an argument list (without the program name).
     pub fn parse<I>(args: I) -> Result<Self, String>
@@ -93,8 +105,10 @@ impl BinOptions {
     }
 
     /// Parses the process arguments; on error prints the problem plus
-    /// [`USAGE`] to stderr and exits with status 2.
+    /// [`USAGE`] to stderr and exits with status 2. A leading `worker`
+    /// argument never returns (see [`dispatch_worker`]).
     pub fn from_cli() -> Self {
+        dispatch_worker();
         match BinOptions::parse(std::env::args().skip(1)) {
             Ok(opts) => opts,
             Err(err) => {

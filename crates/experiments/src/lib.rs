@@ -37,6 +37,7 @@ pub mod jobspec;
 pub mod scenario;
 pub mod shards;
 pub mod sweep;
+pub mod worker;
 
 /// The execution subsystem all sweeps run on: worker pool, run cache,
 /// progress and journal (re-exported from `bgpsim-runner`). Configure

@@ -578,18 +578,18 @@ mod tests {
         // the oldest two.
         for spec in ["a", "b", "c"] {
             cache.store(spec, &sample_metrics()).unwrap();
-            std::fs::write(cache.entry_path(spec), format!("{{ corrupt {spec} {:40}", ""))
-                .unwrap();
+            std::fs::write(
+                cache.entry_path(spec),
+                format!("{{ corrupt {spec} {:40}", ""),
+            )
+            .unwrap();
             assert!(cache.lookup(spec).is_none());
         }
         let remaining: Vec<_> = std::fs::read_dir(cache.quarantine_dir())
             .unwrap()
             .flatten()
             .collect();
-        let total: u64 = remaining
-            .iter()
-            .map(|e| e.metadata().unwrap().len())
-            .sum();
+        let total: u64 = remaining.iter().map(|e| e.metadata().unwrap().len()).sum();
         assert!(
             total <= 64,
             "quarantine dir must fit the cap after GC, got {total} bytes"

@@ -1295,7 +1295,10 @@ mod tests {
             "WAL intent precedes execution: {intent}"
         );
         let line = lines.next().unwrap();
-        assert!(line.contains("\"event\":\"job_done\""), "journal line: {line}");
+        assert!(
+            line.contains("\"event\":\"job_done\""),
+            "journal line: {line}"
+        );
         assert!(line.contains("\"label\":\"late\""), "journal line: {line}");
         assert!(line.contains("\"timed_out\":true"), "journal line: {line}");
         assert!(line.contains("\"cached\":false"), "journal line: {line}");
@@ -1521,9 +1524,7 @@ mod tests {
             .with_isolation_config(sh_worker(&format!(
                 "cat >/dev/null; printf '%s\\n' '{verdict}'"
             )));
-        let out = runner
-            .run_jobs(vec![payload_job("iso", "fp-iso")])
-            .unwrap();
+        let out = runner.run_jobs(vec![payload_job("iso", "fp-iso")]).unwrap();
         assert_eq!(out[0], metrics_for(5));
         // Second submission: served from cache, no worker spawned.
         let runner2 = Runner::new(1)

@@ -125,7 +125,9 @@ pub fn recover_journal(path: &Path, cache: Option<&RunCache>) -> RecoveryReport 
         let fingerprint = serde::value::field(&v, "fingerprint")
             .ok()
             .and_then(Value::as_str);
-        let label = serde::value::field(&v, "label").ok().and_then(Value::as_str);
+        let label = serde::value::field(&v, "label")
+            .ok()
+            .and_then(Value::as_str);
         let (key, cacheable) = match (fingerprint, label) {
             (Some(fp), _) => (fp.to_string(), true),
             (None, Some(l)) => (format!("label:{l}"), false),

@@ -25,6 +25,7 @@
 
 use std::io::{Read, Write};
 use std::process::{Command, ExitStatus, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bgpsim_metrics::PaperMetrics;
@@ -55,7 +56,9 @@ pub struct IsolationConfig {
     pub backoff: Duration,
     /// Kill a worker whose resident set exceeds this many KiB.
     pub max_rss_kb: Option<u64>,
-    /// Supervision poll interval (child exit, deadline, RSS, cancel).
+    /// Watchdog cadence: how often a running child is checked against
+    /// the deadline, the RSS cap and cancellation. A child's *exit* is
+    /// noticed without waiting for it (see `run_attempt`).
     pub poll: Duration,
     /// Override of the worker command line (tests). `None` means
     /// `current_exe() worker`.
@@ -234,7 +237,9 @@ fn decode_response(stdout: &str) -> Result<Result<JobOutput, AttemptFailure>, St
         })?;
     let counters = match serde::value::field(&v, "counters") {
         Ok(Value::Null) | Err(_) => None,
-        Ok(c) => Some(<RunCounters as serde::Deserialize>::from_value(c).map_err(|e| e.to_string())?),
+        Ok(c) => {
+            Some(<RunCounters as serde::Deserialize>::from_value(c).map_err(|e| e.to_string())?)
+        }
     };
     let mut output = JobOutput::from(metrics.to_metrics());
     output.counters = counters;
@@ -281,17 +286,27 @@ fn describe_exit(status: ExitStatus, stderr: &str) -> String {
     msg
 }
 
+/// Reads `stream` to EOF off-thread; `eof`, when given, is signalled
+/// once the stream has closed (the supervisor's wake-up).
 fn drain_thread<R: Read + Send + 'static>(
     stream: Option<R>,
+    eof: Option<mpsc::Sender<()>>,
 ) -> std::thread::JoinHandle<String> {
     std::thread::spawn(move || {
         let mut buf = String::new();
         if let Some(mut stream) = stream {
             let _ = stream.read_to_string(&mut buf);
         }
+        if let Some(eof) = eof {
+            let _ = eof.send(());
+        }
         buf
     })
 }
+
+/// First re-check delay once a child has closed stdout but is not yet
+/// waitable; doubles per check up to `IsolationConfig::poll`.
+const LINGER_BACKOFF: Duration = Duration::from_micros(100);
 
 /// Environment the parent scrubs from workers so a child never
 /// re-enters supervision, re-opens the parent's journal/trace files,
@@ -356,9 +371,11 @@ pub(crate) fn run_attempt(
         let _ = stdin.write_all(b"\n");
     }
     // Drain both pipes off-thread so a chatty child cannot deadlock
-    // against a blocked supervisor.
-    let stdout = drain_thread(child.stdout.take());
-    let stderr = drain_thread(child.stderr.take());
+    // against a blocked supervisor. The stdout drain doubles as the
+    // completion signal: a worker closes stdout by exiting.
+    let (eof_tx, eof_rx) = mpsc::channel();
+    let stdout = drain_thread(child.stdout.take(), Some(eof_tx));
+    let stderr = drain_thread(child.stderr.take(), None);
 
     enum Reaped {
         Exited(ExitStatus),
@@ -367,6 +384,12 @@ pub(crate) fn run_attempt(
         Cancelled,
         WaitFailed(String),
     }
+    // The loop wakes on stdout EOF, so a finished worker is reaped at
+    // once; `poll` is only the watchdog cadence for cancel, the wall
+    // deadline, the RSS cap, and a child whose exit EOF cannot announce
+    // (a grandchild still holds the pipe's write end).
+    let mut stdout_closed = false;
+    let mut linger = LINGER_BACKOFF.min(config.poll);
     let reaped = loop {
         match child.try_wait() {
             Ok(Some(status)) => break Reaped::Exited(status),
@@ -396,7 +419,22 @@ pub(crate) fn run_attempt(
                 }
             }
         }
-        std::thread::sleep(config.poll);
+        if stdout_closed {
+            // Closed stdout but still alive: usually the kernel is
+            // between closing the descriptors and making the exit
+            // waitable; a child that lingers on purpose is re-checked
+            // with a growing delay, never blocked on, so the deadline
+            // above still gets it.
+            std::thread::sleep(linger);
+            linger = (linger * 2).min(config.poll);
+        } else {
+            // A dead drain thread (disconnect) means the pipe is done
+            // too; only a timeout leaves the flag down.
+            stdout_closed = !matches!(
+                eof_rx.recv_timeout(config.poll),
+                Err(mpsc::RecvTimeoutError::Timeout)
+            );
+        }
     };
     // Only a self-exited child gets its pipes drained to completion: a
     // killed child may leave grandchildren holding the write ends, and
@@ -569,6 +607,127 @@ mod tests {
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "supervisor must kill the worker, not wait for it"
+        );
+    }
+
+    fn sh_worker(script: String, poll: Duration) -> IsolationConfig {
+        IsolationConfig {
+            worker_cmd: Some(vec!["/bin/sh".into(), "-c".into(), script]),
+            poll,
+            ..Default::default()
+        }
+    }
+
+    fn payload() -> WorkerPayload {
+        WorkerPayload {
+            scenario: "{}".into(),
+            seed: 1,
+        }
+    }
+
+    #[test]
+    fn finished_worker_is_reaped_without_waiting_for_a_poll_tick() {
+        let verdict = encode_success(&sample_metrics(), None);
+        let config = sh_worker(format!("echo '{verdict}'"), Duration::from_millis(200));
+        // Best of a few, so a descheduled test thread cannot fail it;
+        // a loop that sleeps a tick past the exit takes >= 200 ms every
+        // time.
+        let fastest = (0..5)
+            .map(|_| {
+                let started = Instant::now();
+                let output = run_attempt(&config, &payload(), None, None, None).unwrap();
+                assert_eq!(output.metrics, sample_metrics());
+                started.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < Duration::from_millis(10),
+            "reaping took {fastest:?} with a 200 ms poll"
+        );
+    }
+
+    #[test]
+    fn worker_that_closes_stdout_and_lingers_is_killed_at_the_deadline() {
+        let verdict = encode_success(&sample_metrics(), None);
+        let config = sh_worker(
+            format!("echo '{verdict}'; exec >&- 2>&-; exec sleep 30"),
+            Duration::from_millis(15),
+        );
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(150);
+        match run_attempt(&config, &payload(), None, Some(deadline), None) {
+            Err(AttemptFailure::Timeout("wall")) => {}
+            other => panic!("expected wall timeout, got {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(
+            took >= Duration::from_millis(150) && took < Duration::from_secs(10),
+            "killed after {took:?}"
+        );
+    }
+
+    #[test]
+    fn worker_exit_is_noticed_while_a_grandchild_holds_the_pipe() {
+        let verdict = encode_success(&sample_metrics(), None);
+        // The backgrounded sleep inherits stdout, so EOF arrives only
+        // when *it* exits — after the deadline. The worker itself is
+        // long gone by then and must be reaped as exited on a tick,
+        // not shot as overdue.
+        let config = sh_worker(
+            format!("sleep 0.4 & echo '{verdict}'"),
+            Duration::from_millis(15),
+        );
+        let deadline = Instant::now() + Duration::from_millis(150);
+        let output = run_attempt(&config, &payload(), None, Some(deadline), None).unwrap();
+        assert_eq!(output.metrics, sample_metrics());
+    }
+
+    #[test]
+    fn cancellation_fires_while_waiting_for_eof() {
+        let config = sh_worker("exec sleep 30".into(), Duration::from_millis(15));
+        let token = CancelToken::new();
+        let started = Instant::now();
+        let outcome = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(60));
+                token.cancel();
+            });
+            run_attempt(&config, &payload(), None, None, Some(&token))
+        });
+        match outcome {
+            Err(AttemptFailure::Cancelled) => {}
+            other => panic!("expected cancellation, got {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(
+            took >= Duration::from_millis(60) && took < Duration::from_secs(10),
+            "cancelled after {took:?}"
+        );
+    }
+
+    #[test]
+    fn rss_cap_fires_while_waiting_for_eof() {
+        // Under the cap at spawn (a shell is ~2 MB), over it once the
+        // 20 MB string exists: the kill can only come from a tick.
+        // The trailing `:` keeps the shell (and its string) alive
+        // instead of exec-ing into `sleep`.
+        let script = "sleep 0.1; x=$(head -c 20000000 /dev/zero | tr '\\0' a); sleep 5; :";
+        let config = IsolationConfig {
+            max_rss_kb: Some(10_000),
+            ..sh_worker(script.into(), Duration::from_millis(15))
+        };
+        let started = Instant::now();
+        match run_attempt(&config, &payload(), None, None, None) {
+            Err(AttemptFailure::Crash(detail)) => {
+                assert!(detail.contains("exceeded the 10000 KiB limit"), "{detail}");
+            }
+            other => panic!("expected an RSS kill, got {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(
+            took >= Duration::from_millis(100) && took < Duration::from_secs(4),
+            "killed after {took:?}"
         );
     }
 

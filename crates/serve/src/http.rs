@@ -259,6 +259,10 @@ pub fn reason_phrase(status: u16) -> &'static str {
 
 /// Writes a complete (non-streaming) response.
 ///
+/// Head and body leave in one `write_all`: written separately they
+/// become two TCP segments, and a keep-alive client's delayed ACK of
+/// the first holds the second back ~40 ms.
+///
 /// # Errors
 ///
 /// Propagates socket write failures.
@@ -269,8 +273,9 @@ pub fn write_response<W: Write>(
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
+    let mut message = Vec::with_capacity(160 + body.len());
     write!(
-        writer,
+        message,
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
         status,
         reason_phrase(status),
@@ -278,10 +283,11 @@ pub fn write_response<W: Write>(
         if keep_alive { "keep-alive" } else { "close" },
     )?;
     for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        write!(message, "{name}: {value}\r\n")?;
     }
-    write!(writer, "\r\n")?;
-    writer.write_all(body.as_bytes())?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body.as_bytes());
+    writer.write_all(&message)?;
     writer.flush()
 }
 
@@ -303,20 +309,21 @@ impl<'a, W: Write> ChunkedBody<'a, W> {
         content_type: &str,
         keep_alive: bool,
     ) -> io::Result<Self> {
-        write!(
-            writer,
+        let head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n\r\n",
             status,
             reason_phrase(status),
             content_type,
             if keep_alive { "keep-alive" } else { "close" },
-        )?;
+        );
+        writer.write_all(head.as_bytes())?;
         writer.flush()?;
         Ok(ChunkedBody { writer })
     }
 
-    /// Writes one chunk (skipped when empty — an empty chunk would
-    /// terminate the stream).
+    /// Writes one chunk — size line, data and CRLF in one `write_all`
+    /// (skipped when empty: an empty chunk would terminate the
+    /// stream).
     ///
     /// # Errors
     ///
@@ -325,9 +332,11 @@ impl<'a, W: Write> ChunkedBody<'a, W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.writer, "{:x}\r\n", data.len())?;
-        self.writer.write_all(data)?;
-        write!(self.writer, "\r\n")?;
+        let mut chunk = Vec::with_capacity(data.len() + 20);
+        write!(chunk, "{:x}\r\n", data.len())?;
+        chunk.extend_from_slice(data);
+        chunk.extend_from_slice(b"\r\n");
+        self.writer.write_all(&chunk)?;
         self.writer.flush()
     }
 
@@ -337,7 +346,7 @@ impl<'a, W: Write> ChunkedBody<'a, W> {
     ///
     /// Propagates socket write failures.
     pub fn finish(self) -> io::Result<()> {
-        write!(self.writer, "0\r\n\r\n")?;
+        self.writer.write_all(b"0\r\n\r\n")?;
         self.writer.flush()
     }
 }
@@ -521,6 +530,47 @@ mod tests {
         assert!(text.contains("retry-after: 1\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"id\":1}"));
+    }
+
+    /// Counts `write` calls; each one is a segment on a no-delay socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_and_each_chunk_leave_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_response(
+            &mut out,
+            200,
+            &[("retry-after", "1")],
+            "{\"ok\":true}",
+            true,
+        )
+        .unwrap();
+        assert_eq!(out.writes, 1);
+
+        let mut out = CountingWriter::default();
+        let mut body = ChunkedBody::start(&mut out, 200, "application/x-ndjson", true).unwrap();
+        body.write_chunk(b"line one\n").unwrap();
+        body.write_chunk(b"line two\n").unwrap();
+        body.finish().unwrap();
+        assert_eq!(out.writes, 4, "head, two chunks, terminator");
+        assert!(out.bytes.ends_with(b"9\r\nline two\n\r\n0\r\n\r\n"));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! therefore receive byte-identical streams, whether their runs
 //! executed or came out of the shared run cache.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
 
 use bgpsim_runner::JobHandle;
@@ -83,6 +83,8 @@ pub struct JobEntry {
     progress: Condvar,
     /// Guards the one-time release of the client's active-job slot.
     released: std::sync::atomic::AtomicBool,
+    /// The registry to tell when this job turns terminal.
+    registry: Weak<RegistryState>,
 }
 
 /// A point-in-time view of a job for the status endpoint.
@@ -109,7 +111,14 @@ pub struct JobSnapshot {
 }
 
 impl JobEntry {
-    fn new(id: u64, client: String, label: String, total_runs: usize, spec_version: u32) -> Self {
+    fn new(
+        id: u64,
+        client: String,
+        label: String,
+        total_runs: usize,
+        spec_version: u32,
+        registry: Weak<RegistryState>,
+    ) -> Self {
         JobEntry {
             id,
             client,
@@ -127,6 +136,16 @@ impl JobEntry {
             }),
             progress: Condvar::new(),
             released: std::sync::atomic::AtomicBool::new(false),
+            registry,
+        }
+    }
+
+    /// Hands the job to the registry's retention queue. Called by the
+    /// one transition that made the job terminal, after the job lock
+    /// is released.
+    fn retire(&self) {
+        if let Some(registry) = self.registry.upgrade() {
+            registry.retire(self.id);
         }
     }
 
@@ -162,22 +181,30 @@ impl JobEntry {
         while inner.revealed < inner.slots.len() && inner.slots[inner.revealed].is_some() {
             inner.revealed += 1;
         }
-        if inner.done_runs == self.total_runs && !inner.status.is_terminal() {
+        let finished = inner.done_runs == self.total_runs && !inner.status.is_terminal();
+        if finished {
             inner.status = JobStatus::Done;
         }
         drop(inner);
         self.progress.notify_all();
+        if finished {
+            self.retire();
+        }
     }
 
     /// Moves the job to a terminal failure/cancellation state.
     pub fn finish_with(&self, status: JobStatus) {
         debug_assert!(status.is_terminal());
         let mut inner = self.inner.lock().expect("job lock");
-        if !inner.status.is_terminal() {
+        let finished = !inner.status.is_terminal();
+        if finished {
             inner.status = status;
         }
         drop(inner);
         self.progress.notify_all();
+        if finished {
+            self.retire();
+        }
     }
 
     /// Requests cancellation. Returns `false` when the job was already
@@ -193,6 +220,7 @@ impl JobEntry {
         // at its next watchdog poll point.
         self.handle.cancel();
         self.progress.notify_all();
+        self.retire();
         true
     }
 
@@ -237,14 +265,58 @@ impl JobEntry {
     }
 }
 
-/// The id-indexed registry of every submission the daemon has seen.
+/// How many terminal jobs stay readable after they finish. A client
+/// reads its results right after (or while) the job runs; older ids
+/// answer like ids that never existed.
+pub const RETAINED_TERMINAL_JOBS: usize = 256;
+
+#[derive(Debug, Default)]
+struct Retained {
+    jobs: HashMap<u64, Arc<JobEntry>>,
+    /// Ids of the terminal jobs in `jobs`, oldest completion first.
+    finished: VecDeque<u64>,
+}
+
+impl Retained {
+    /// Every job in `jobs` is either queued in `finished` or active.
+    fn active(&self) -> usize {
+        self.jobs.len() - self.finished.len()
+    }
+}
+
+#[derive(Debug, Default)]
+struct RegistryState {
+    retained: Mutex<Retained>,
+    /// Notified each time a job turns terminal.
+    retired: Condvar,
+}
+
+impl RegistryState {
+    fn retire(&self, id: u64) {
+        let mut retained = self.retained.lock().expect("registry lock");
+        retained.finished.push_back(id);
+        if retained.finished.len() > RETAINED_TERMINAL_JOBS {
+            if let Some(oldest) = retained.finished.pop_front() {
+                retained.jobs.remove(&oldest);
+            }
+        }
+        drop(retained);
+        self.retired.notify_all();
+    }
+}
+
+/// The id-indexed registry of submissions.
 ///
-/// Entries are retained after completion so results remain readable;
-/// the daemon's lifetime is bounded by its drain, not by job count.
+/// Queued and running jobs are always present. Finished jobs stay
+/// readable until [`RETAINED_TERMINAL_JOBS`] later completions have
+/// pushed them out, so the daemon's memory is bounded by its admission
+/// limits plus that constant, not by the number of jobs it has served.
+/// An evicted id is indistinguishable from one never issued; ids are
+/// never reused.
 #[derive(Debug, Default)]
 pub struct JobRegistry {
     next_id: AtomicU64,
-    jobs: Mutex<HashMap<u64, Arc<JobEntry>>>,
+    state: Arc<RegistryState>,
 }
 
 impl JobRegistry {
@@ -252,7 +324,7 @@ impl JobRegistry {
     pub fn new() -> Self {
         JobRegistry {
             next_id: AtomicU64::new(1),
-            jobs: Mutex::new(HashMap::new()),
+            state: Arc::default(),
         }
     }
 
@@ -272,28 +344,34 @@ impl JobRegistry {
             label,
             total_runs,
             spec_version,
+            Arc::downgrade(&self.state),
         ));
-        self.jobs
+        self.state
+            .retained
             .lock()
             .expect("registry lock")
+            .jobs
             .insert(id, Arc::clone(&entry));
         entry
     }
 
-    /// Looks up a job by id.
+    /// Looks up a job by id; `None` for ids never issued or evicted.
     pub fn get(&self, id: u64) -> Option<Arc<JobEntry>> {
-        self.jobs.lock().expect("registry lock").get(&id).cloned()
+        let retained = self.state.retained.lock().expect("registry lock");
+        retained.jobs.get(&id).cloned()
     }
 
-    /// Jobs currently in a non-terminal state.
-    pub fn active(&self) -> Vec<Arc<JobEntry>> {
-        self.jobs
-            .lock()
-            .expect("registry lock")
-            .values()
-            .filter(|entry| !entry.snapshot().status.is_terminal())
-            .cloned()
-            .collect()
+    /// How many jobs are queued or running.
+    pub fn active_count(&self) -> usize {
+        self.state.retained.lock().expect("registry lock").active()
+    }
+
+    /// Blocks until no job is queued or running.
+    pub fn wait_idle(&self) {
+        let mut retained = self.state.retained.lock().expect("registry lock");
+        while retained.active() > 0 {
+            retained = self.state.retired.wait(retained).expect("registry lock");
+        }
     }
 }
 
@@ -345,11 +423,92 @@ mod tests {
         let a = registry.create("x", "a".into(), 1, 1);
         let b = registry.create("x", "b".into(), 1, 1);
         assert_ne!(a.id, b.id);
-        assert_eq!(registry.active().len(), 2);
+        assert_eq!(registry.active_count(), 2);
         a.complete_run(0, "done".into(), false, 0);
-        assert_eq!(registry.active().len(), 1);
+        assert_eq!(registry.active_count(), 1);
         assert!(registry.get(b.id).is_some());
         assert!(registry.get(9999).is_none());
+    }
+
+    #[test]
+    fn only_the_most_recent_terminal_jobs_stay_readable() {
+        let registry = JobRegistry::new();
+        // Terminal by each of the three routes.
+        let ids: Vec<u64> = (0..RETAINED_TERMINAL_JOBS + 3)
+            .map(|i| {
+                let job = registry.create("x", format!("job {i}"), 1, 1);
+                match i % 3 {
+                    0 => job.complete_run(0, "line".into(), false, 0),
+                    1 => job.finish_with(JobStatus::Failed("boom".into())),
+                    _ => assert!(job.cancel()),
+                }
+                job.id
+            })
+            .collect();
+        let (evicted, retained) = ids.split_at(3);
+        for id in evicted {
+            assert!(registry.get(*id).is_none(), "job {id} should be evicted");
+        }
+        for id in retained {
+            let job = registry.get(*id).expect("recent terminal job is retained");
+            assert!(job.snapshot().status.is_terminal());
+        }
+        assert_eq!(registry.active_count(), 0);
+        // A second terminal call on an already-terminal job (a cancel
+        // racing the last run) must not enqueue it twice.
+        let last = registry.get(*ids.last().unwrap()).unwrap();
+        last.finish_with(JobStatus::Cancelled);
+        assert!(!last.cancel());
+        assert!(registry.get(retained[0]).is_some());
+        // Ids keep counting up past the evicted ones.
+        let next = registry.create("x", "next".into(), 1, 1);
+        assert_eq!(next.id, ids.last().unwrap() + 1);
+    }
+
+    #[test]
+    fn queued_and_running_jobs_outlive_any_number_of_completions() {
+        let registry = JobRegistry::new();
+        let queued = registry.create("x", "queued".into(), 1, 1);
+        let running = registry.create("x", "running".into(), 2, 1);
+        running.mark_running();
+        running.complete_run(0, "first".into(), false, 0);
+        for i in 0..3 * RETAINED_TERMINAL_JOBS {
+            let job = registry.create("x", format!("filler {i}"), 1, 1);
+            job.complete_run(0, "line".into(), true, 0);
+        }
+        assert_eq!(registry.active_count(), 2);
+        assert_eq!(
+            registry.get(queued.id).unwrap().snapshot().status,
+            JobStatus::Queued
+        );
+        assert_eq!(
+            registry.get(running.id).unwrap().snapshot().status,
+            JobStatus::Running
+        );
+        // Once they finish they queue behind the fillers, newest of all.
+        running.complete_run(1, "second".into(), false, 0);
+        assert!(queued.cancel());
+        assert_eq!(registry.active_count(), 0);
+        assert!(registry.get(queued.id).is_some());
+        assert!(registry.get(running.id).is_some());
+    }
+
+    #[test]
+    fn wait_idle_returns_when_the_last_active_job_finishes() {
+        let registry = JobRegistry::new();
+        registry.wait_idle(); // nothing active: returns at once
+        let job = registry.create("x", "a".into(), 1, 1);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                started_tx.send(()).unwrap();
+                registry.wait_idle();
+                registry.active_count()
+            });
+            started_rx.recv().unwrap();
+            job.complete_run(0, "line".into(), false, 0);
+            assert_eq!(waiter.join().unwrap(), 0);
+        });
     }
 
     #[test]

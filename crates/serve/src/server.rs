@@ -175,13 +175,9 @@ impl Server {
     /// called; status/results/stats requests keep working.
     pub fn drain(&self) {
         self.shared.admission.start_drain();
-        loop {
-            let queue_empty = self.shared.queue.lock().expect("queue lock").is_empty();
-            if queue_empty && self.shared.registry.active().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Runs still queued once every job is terminal belong to
+        // cancelled or failed jobs; the executors discard them at pickup.
+        self.shared.registry.wait_idle();
         self.shared.runner.flush_journal();
         bgpsim_trace::flush_global();
     }
@@ -237,6 +233,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // Idle keep-alive connections die after a quiet period so handler
     // threads cannot accumulate forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    // Every response and chunk is one complete write; nothing is gained
+    // by letting Nagle hold one back for the previous one's ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -626,7 +625,7 @@ fn stats_body(shared: &Arc<Shared>) -> String {
          \"breaker\":{{\"state\":{},\"crashes\":{},\"trips\":{}}},\
          \"clients\":[{}]}}",
         shared.jobs_submitted.load(Ordering::Relaxed),
-        shared.registry.active().len(),
+        shared.registry.active_count(),
         shared.admission.queue_depth(),
         shared.admission.is_draining(),
         shared.requests.load(Ordering::Relaxed),

@@ -322,6 +322,42 @@ fn quota_and_queue_rejections_are_429_with_retry_after() {
 }
 
 #[test]
+fn a_job_pushed_out_of_retention_answers_like_an_unknown_one() {
+    let (server, addr, _dir) = boot("retention", 1, AdmissionLimits::default());
+    // The same spec over and over: one executes, the rest are cache
+    // hits, each terminal before the next is submitted.
+    let ids: Vec<u64> = (0..bgpsim_serve::jobs::RETAINED_TERMINAL_JOBS + 1)
+        .map(|_| {
+            let resp = post(&addr, "/v1/jobs", "alice", QUICK_SPEC);
+            assert_eq!(resp.status, 201, "submit failed: {}", resp.text());
+            let id = field(&resp.text(), "id").expect("submit returns an id");
+            let stream = get(&addr, &format!("/v1/jobs/{id}/results"));
+            assert_eq!(stream.status, 200);
+            id
+        })
+        .collect();
+    let (oldest, newest) = (ids[0], ids[ids.len() - 1]);
+    let unknown = get(&addr, "/v1/jobs/4000000000");
+    assert_eq!(unknown.status, 404);
+    for tail in ["", "/results"] {
+        let evicted = get(&addr, &format!("/v1/jobs/{oldest}{tail}"));
+        assert_eq!(evicted.status, 404);
+        assert_eq!(evicted.text(), unknown.text());
+        for id in [ids[1], newest] {
+            let kept = get(&addr, &format!("/v1/jobs/{id}{tail}"));
+            assert_eq!(kept.status, 200, "job {id}{tail}: {}", kept.text());
+        }
+    }
+    let stats = get(&addr, "/v1/stats");
+    assert_eq!(field(&stats.text(), "jobs_active"), Some(0));
+    assert_eq!(
+        field(&stats.text(), "jobs_submitted"),
+        Some(ids.len() as u64)
+    );
+    server.shutdown();
+}
+
+#[test]
 fn drain_refuses_new_work_and_leaves_a_clean_journal() {
     let (server, addr, dir) = boot("drain", 2, AdmissionLimits::default());
 

@@ -231,8 +231,9 @@ mod tests {
 
     #[test]
     fn parse_accepts_full_grammar() {
-        let set = FailpointSet::parse("cache_write:torn@2,journal_fsync:err,worker_run:abort#seed=3")
-            .unwrap();
+        let set =
+            FailpointSet::parse("cache_write:torn@2,journal_fsync:err,worker_run:abort#seed=3")
+                .unwrap();
         assert_eq!(set.specs.len(), 3);
         assert_eq!(set.specs[0].action, FailpointAction::Torn);
         assert_eq!(set.specs[0].nth, Some(2));
@@ -252,8 +253,14 @@ mod tests {
     #[test]
     fn unconditional_spec_fires_every_time() {
         let set = FailpointSet::parse("journal_fsync:err").unwrap();
-        assert_eq!(set.eval("journal_fsync", ""), Some((FailpointAction::Err, 1)));
-        assert_eq!(set.eval("journal_fsync", ""), Some((FailpointAction::Err, 2)));
+        assert_eq!(
+            set.eval("journal_fsync", ""),
+            Some((FailpointAction::Err, 1))
+        );
+        assert_eq!(
+            set.eval("journal_fsync", ""),
+            Some((FailpointAction::Err, 2))
+        );
         assert!(set.eval("cache_write", "").is_none());
     }
 
@@ -262,7 +269,10 @@ mod tests {
         let set = FailpointSet::parse("cache_write:torn@3").unwrap();
         assert!(set.eval("cache_write", "a").is_none());
         assert!(set.eval("cache_write", "b").is_none());
-        assert_eq!(set.eval("cache_write", "c"), Some((FailpointAction::Torn, 3)));
+        assert_eq!(
+            set.eval("cache_write", "c"),
+            Some((FailpointAction::Torn, 3))
+        );
         assert!(set.eval("cache_write", "d").is_none());
     }
 

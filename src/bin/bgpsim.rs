@@ -14,18 +14,14 @@ use bgpsim::cli::{
 use bgpsim::metrics::MetricsRow;
 use bgpsim::netsim::time::SimDuration;
 use bgpsim::prelude::*;
-use bgpsim::runner::supervisor::{decode_request, encode_failure, encode_success};
 use bgpsim::runner::{recover_journal, RunCache, RunnerConfig};
-use bgpsim::trace::failpoint::{self, FailpointAction};
 
 use bgpsim::serve::{AdmissionLimits, ServeConfig, Server};
 
 fn main() {
+    // The hidden `bgpsim worker` mode (isolated-job child) never returns.
+    bgpsim::experiments::binopts::dispatch_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("worker") {
-        worker();
-        return;
-    }
     if args.first().map(String::as_str) == Some("recover") {
         let opts = match parse_recover_args(&args[1..]) {
             Ok(opts) => opts,
@@ -68,68 +64,6 @@ fn main() {
     };
     run(&opts);
     bgpsim::trace::flush_global();
-}
-
-/// The hidden `bgpsim worker` mode: executes exactly one scenario run
-/// on behalf of a supervising runner and reports the verdict on
-/// stdout (wire protocol v1, see `bgpsim::runner::supervisor`).
-///
-/// This is plumbing, not a user command: the child prints exactly one
-/// JSON line and exits 0 whether the run succeeded or tripped its
-/// watchdog — a nonzero exit means the worker itself died, which the
-/// supervisor counts as a crash. Inherits `BGPSIM_FAILPOINT` so fault
-/// injection reaches the child (`worker_run` site, ctx `seed=N`).
-fn worker() {
-    use std::io::Read;
-    let mut input = String::new();
-    if std::io::stdin().read_to_string(&mut input).is_err() {
-        eprintln!("bgpsim worker: cannot read request from stdin");
-        std::process::exit(3);
-    }
-    let request = match decode_request(&input) {
-        Ok(request) => request,
-        Err(err) => {
-            println!("{}", encode_failure("worker", &err));
-            return;
-        }
-    };
-    // Deterministic fault injection for crash-tolerance tests: Abort
-    // dies inside check(), Err exits nonzero (spawn-then-die), Torn
-    // truncates the verdict line (lost-result).
-    let injected = failpoint::check("worker_run", &format!("seed={}", request.seed));
-    if matches!(injected, Some(FailpointAction::Err)) {
-        eprintln!("bgpsim worker: injected failure (worker_run)");
-        std::process::exit(3);
-    }
-    let scenario = match Scenario::from_canonical_json(&request.scenario) {
-        Ok(scenario) => scenario,
-        Err(err) => {
-            println!("{}", encode_failure("worker", &err.to_string()));
-            return;
-        }
-    };
-    let mut limit = RunBudget::unlimited();
-    if let Some(n) = request.max_events {
-        limit = limit.with_max_events(n);
-    }
-    match scenario.run_budgeted(&limit) {
-        Ok(result) => {
-            let counters = result.counters();
-            let line = encode_success(&result.measurement.metrics, Some(&counters));
-            if matches!(injected, Some(FailpointAction::Torn)) {
-                use std::io::Write;
-                let half = &line.as_bytes()[..line.len() / 2];
-                let mut out = std::io::stdout();
-                let _ = out.write_all(half);
-                let _ = out.flush();
-            } else {
-                println!("{line}");
-            }
-        }
-        Err(stopped) => {
-            println!("{}", encode_failure(stopped.phase, &stopped.to_string()));
-        }
-    }
 }
 
 /// The `bgpsim recover` subcommand: replays the write-ahead journal,

@@ -781,13 +781,8 @@ mod tests {
             parse_recover_args(Vec::<&str>::new()).unwrap(),
             RecoverOptions::default()
         );
-        let opts = parse_recover_args([
-            "--journal",
-            "/tmp/j.jsonl",
-            "--cache-dir",
-            "/tmp/cache",
-        ])
-        .unwrap();
+        let opts =
+            parse_recover_args(["--journal", "/tmp/j.jsonl", "--cache-dir", "/tmp/cache"]).unwrap();
         assert_eq!(opts.journal.as_deref(), Some("/tmp/j.jsonl"));
         assert_eq!(opts.cache_dir.as_deref(), Some("/tmp/cache"));
         let err = parse_recover_args(["--help"]).unwrap_err();

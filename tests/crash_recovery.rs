@@ -86,7 +86,10 @@ fn sigkill_mid_run_recovers_and_reruns_byte_identically() {
     let recovered = bgpsim(&dir).arg("recover").output().expect("recover again");
     let report = String::from_utf8_lossy(&recovered.stdout).to_string();
     assert_eq!(recovered.status.code(), Some(1), "{report}");
-    assert!(report.contains("1 interrupted (1 already in cache)"), "{report}");
+    assert!(
+        report.contains("1 interrupted (1 already in cache)"),
+        "{report}"
+    );
 
     // A clean rerun is served from the cache byte-identically and
     // journals a completion, closing the intent for good.
@@ -129,8 +132,14 @@ fn crashing_worker_fails_only_its_job_and_is_poisoned() {
     assert!(stderr.contains("crashed its isolated worker"), "{stderr}");
 
     let trace_text = std::fs::read_to_string(&trace).expect("trace file");
-    assert!(trace_text.contains("\"kind\":\"worker_crash\""), "{trace_text}");
-    assert!(trace_text.contains("\"kind\":\"job_retry\""), "{trace_text}");
+    assert!(
+        trace_text.contains("\"kind\":\"worker_crash\""),
+        "{trace_text}"
+    );
+    assert!(
+        trace_text.contains("\"kind\":\"job_retry\""),
+        "{trace_text}"
+    );
     assert!(trace_text.contains("\"poisoned\":true"), "{trace_text}");
     let journal = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
     assert!(journal.contains("\"event\":\"job_crashed\""), "{journal}");
@@ -140,7 +149,14 @@ fn crashing_worker_fails_only_its_job_and_is_poisoned() {
 fn torn_worker_verdict_counts_as_a_crash() {
     let dir = scratch("torn");
     let out = bgpsim(&dir)
-        .args(["--topology", "clique:5", "--event", "tdown", "--json", "--isolate"])
+        .args([
+            "--topology",
+            "clique:5",
+            "--event",
+            "tdown",
+            "--json",
+            "--isolate",
+        ])
         .env("BGPSIM_FAILPOINT", "worker_run:torn")
         .env("BGPSIM_WORKER_RETRIES", "0")
         .output()
