@@ -15,8 +15,10 @@
 //! The `replay` group benchmarks the measurement pipeline's epoch-
 //! indexed batched packet replay against the naive per-packet oracle
 //! (index build, batched vs naive walk over the paper's traffic fleet,
-//! and the end-to-end `measure_run`); CI gates it at >25% regression
-//! against the committed `BENCH_replay.json` baseline.
+//! and the end-to-end `measure_run`, on clique-8 and on the loop-heavy
+//! Internet-110 `T_down` record whose packets outlive its FIB epochs);
+//! CI gates every row at >25% regression against the committed
+//! `BENCH_hotpath.json` baseline.
 //!
 //! Set `BGPSIM_BENCH_JSON=<file>` to emit the machine-readable report.
 
@@ -25,6 +27,7 @@ use std::hint::black_box;
 
 use bgpsim_core::prelude::*;
 use bgpsim_dataplane::prelude::*;
+use bgpsim_experiments::{EventKind, Scenario, TopologySpec};
 use bgpsim_metrics::prelude::*;
 use bgpsim_netsim::prelude::*;
 use bgpsim_netsim::queue::EventQueue;
@@ -166,6 +169,29 @@ fn bench_replay(c: &mut Criterion) {
             black_box(measure_run(
                 black_box(&record),
                 destination,
+                prefix,
+                black_box(1),
+            ))
+        })
+    });
+
+    // TTL-exhausted packets spin for 256 ms here, longer than the
+    // ~190 ms between FIB changes: the walks the clique-8 rows do not
+    // have, the ones that cross epoch boundaries inside a loop.
+    let internet = Scenario::new(
+        TopologySpec::InternetLike {
+            n: 110,
+            topo_seed: 1,
+        },
+        EventKind::TDown,
+    )
+    .with_seed(1)
+    .run();
+    c.bench_function("replay/measure_run_internet110_tdown", |b| {
+        b.iter(|| {
+            black_box(measure_run(
+                black_box(&internet.record),
+                internet.destination,
                 prefix,
                 black_box(1),
             ))

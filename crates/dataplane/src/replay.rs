@@ -10,8 +10,10 @@
 //! [`replay_fleet`] is the production path: it replays a CBR fleet
 //! against a per-prefix [`EpochIndex`] source by source, executing one
 //! walk per `(source, launch epoch)` and accounting for the packets
-//! that provably repeat it with arithmetic on the source's send times,
-//! so only packets in flight across a FIB change are walked one by one.
+//! that provably repeat it with arithmetic on the source's send times.
+//! A packet in flight across a FIB change is answered from its source's
+//! last recorded trajectory for as long as no change has touched a node
+//! on it, and walked from where the first such change finds it.
 //! [`walk_indexed_batch`] / [`walk_all_batched`] drive the same engine
 //! packet by packet and return every fate. Fates and tallies are
 //! bit-identical to per-packet [`walk_packet`] (property-tested here
@@ -133,11 +135,14 @@ pub struct ReplayStats {
     /// Epoch boundaries (distinct FIB change instants) in the indexes
     /// the batch ran against.
     pub epochs: u64,
+    /// Walks answered from the source's trail, in full or up to the
+    /// FIB change that broke it (a subset of `walks`).
+    pub trail_hits: u64,
     /// Table lookups the executed walks made.
     pub hops: u64,
-    /// Table lookups the executed walks were spared by jumping whole
-    /// turns of an in-epoch forwarding cycle: walked hop by hop they
-    /// would have made `hops + hops_skipped`.
+    /// Table lookups the executed walks were spared, by following the
+    /// trail or by jumping whole turns of an in-epoch forwarding cycle:
+    /// walked hop by hop they would have made `hops + hops_skipped`.
     pub hops_skipped: u64,
 }
 
@@ -157,6 +162,7 @@ impl ReplayStats {
         self.memo_hits += other.memo_hits;
         self.walks += other.walks;
         self.epochs += other.epochs;
+        self.trail_hits += other.trail_hits;
         self.hops += other.hops;
         self.hops_skipped += other.hops_skipped;
     }
@@ -200,23 +206,85 @@ impl MemoWalk {
 /// What a memoized walk is valid for: source, launch epoch, TTL.
 type MemoKey = (NodeId, usize, u32);
 
+/// How the trajectory a [`Trail`] records ends.
+#[derive(Debug, Clone, Copy)]
+enum TrailEnd {
+    /// The last node delivers the packet or has no route for it.
+    Terminal(MemoEnd),
+    /// The last node forwards to `nodes[tail]`: a forwarding cycle.
+    Cycle { tail: u32 },
+}
+
+/// The trajectory of one source's packets through a frozen forwarding
+/// graph: the nodes from the source to a terminal node, or to the last
+/// node of the cycle the trajectory closes. It states the entries of
+/// those nodes and nothing else, so it holds across every FIB change
+/// that touches none of them, and for every TTL.
+struct Trail {
+    /// Whose trajectory this is; `None` while there is none.
+    src: Option<NodeId>,
+    nodes: Vec<NodeId>,
+    end: TrailEnd,
+    /// The boundaries before this index, from the end of the epoch the
+    /// trail was recorded in, are known to touch none of `nodes`.
+    cursor: usize,
+}
+
+impl Trail {
+    /// Where a packet is after `hops` hops along the trail.
+    fn node_at(&self, hops: u32) -> NodeId {
+        let len = self.nodes.len() as u32;
+        match self.end {
+            TrailEnd::Cycle { tail } if hops >= len => {
+                self.nodes[(tail + (hops - tail) % (len - tail)) as usize]
+            }
+            _ => self.nodes[hops as usize],
+        }
+    }
+
+    /// The walk of a packet with initial TTL `ttl` that follows the
+    /// trail for its whole flight.
+    fn walk(&self, ttl: u32) -> MemoWalk {
+        let last = self.nodes.len() as u32 - 1;
+        match self.end {
+            TrailEnd::Terminal(end) if ttl >= last => MemoWalk { steps: last, end },
+            _ => MemoWalk {
+                steps: ttl,
+                end: MemoEnd::TtlExhausted(self.node_at(ttl)),
+            },
+        }
+    }
+}
+
+/// What the engine keeps per node.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeScratch {
+    /// The engine's current mark iff the node is on the trail.
+    mark: u32,
+    /// Cycle detection: the stamp of the walk segment that last visited
+    /// the node, and the walk's step count at that visit. A segment is
+    /// the part of one walk inside one epoch and takes a fresh stamp,
+    /// so a matching stamp reads "this walk was here before and the
+    /// forwarding graph has not changed since".
+    stamp: u32,
+    steps: u32,
+}
+
 /// The replay engine behind every entry point: executes walks through
-/// one [`EpochIndex`], remembers the last single-epoch walk, and counts
-/// what it did.
+/// one [`EpochIndex`], remembers the last single-epoch walk and the
+/// last source's trail, and counts what it did.
 ///
 /// Callers feed it packets source-major and in send order. Then the
 /// packets of one [`MemoKey`] are contiguous and a one-slot memo hits
-/// exactly where a map over all keys would.
+/// exactly where a map over all keys would, and a one-slot trail is
+/// always the one the next packet of its source can follow.
 struct Replayer<'a> {
     index: &'a EpochIndex,
     link_delay: SimDuration,
     memo: Option<(MemoKey, MemoWalk)>,
-    /// Cycle detection, per node: the stamp of the walk segment that
-    /// last visited it, and the walk's step count at that visit. A
-    /// segment is the part of one walk inside one epoch and takes a
-    /// fresh stamp, so a matching stamp reads "this walk was here
-    /// before and the forwarding graph has not changed since".
-    seen: Vec<(u32, u32)>,
+    trail: Trail,
+    scratch: Vec<NodeScratch>,
+    mark: u32,
     stamp: u32,
     stats: ReplayStats,
 }
@@ -227,7 +295,15 @@ impl<'a> Replayer<'a> {
             index,
             link_delay,
             memo: None,
-            seen: vec![(0, 0); index.node_count()],
+            trail: Trail {
+                src: None,
+                // A trail visits no node twice.
+                nodes: Vec::with_capacity(index.node_count()),
+                end: TrailEnd::Cycle { tail: 0 },
+                cursor: 0,
+            },
+            scratch: vec![NodeScratch::default(); index.node_count()],
+            mark: 0,
             stamp: 0,
             stats: ReplayStats {
                 epochs: index.boundaries().len() as u64,
@@ -243,45 +319,152 @@ impl<'a> Replayer<'a> {
 
     /// The fate of one packet sent in epoch `launch`: reconstructed
     /// from the memoized walk of its key iff the reconstructed fate
-    /// instant still precedes the epoch boundary, walked otherwise.
+    /// instant still precedes the epoch boundary, executed otherwise —
+    /// along the source's trail as far as that holds, hop by hop from
+    /// there.
     ///
     /// Inside a frozen forwarding graph the trajectory is provably the
     /// memoized one, so the reconstruction is bit-identical to
     /// [`walk_packet`]. Strict: a lookup exactly at the boundary
-    /// already sees the next epoch.
+    /// already sees the next epoch. An executed walk is memoized iff
+    /// its last lookup still read the launch epoch, however it was
+    /// executed.
     fn packet(&mut self, src: NodeId, ttl: u32, sent_at: SimTime, launch: usize) -> PacketFate {
         self.stats.packets += 1;
         let key = (src, launch, ttl);
+        let boundary = self.index.boundaries().get(launch).copied();
         if let Some(walk) = self.memo(key) {
             let fate_at = sent_at + self.link_delay * u64::from(walk.steps);
-            let boundary = self.index.boundaries().get(launch);
-            if boundary.is_none_or(|&b| fate_at < b) {
+            if boundary.is_none_or(|b| fate_at < b) {
                 self.stats.memo_hits += 1;
                 return walk.fate_at(fate_at);
             }
         }
         self.stats.walks += 1;
-        let (walk, at, single_epoch) = self.walk(src, ttl, sent_at, launch);
-        if single_epoch {
+        let (walk, at) = match self.follow_trail(src, ttl, sent_at) {
+            Some(walked) => walked,
+            None => self.walk(src, ttl, sent_at, launch),
+        };
+        if boundary.is_none_or(|b| at < b) {
             self.memo = Some((key, walk));
         }
         walk.fate_at(at)
     }
 
-    /// A stamp no `seen` slot holds.
+    /// The walk of a packet of the trail's source, or `None` when the
+    /// trail cannot tell (there is none for `src`, or it broke at or
+    /// before `sent_at`).
+    ///
+    /// Every lookup that precedes the first boundary whose deltas touch
+    /// a trail node reads the entries the trail was recorded from. A
+    /// packet whose last lookup does is answered by arithmetic on the
+    /// trail, however many boundaries its flight crosses. A packet in
+    /// flight at that boundary `b` has followed the trail up to its
+    /// first lookup at or after `b`, `⌈(b − sent_at) / link_delay⌉`
+    /// hops in, and is walked from there.
+    fn follow_trail(
+        &mut self,
+        src: NodeId,
+        ttl: u32,
+        sent_at: SimTime,
+    ) -> Option<(MemoWalk, SimTime)> {
+        if self.trail.src != Some(src) {
+            return None;
+        }
+        let walk = self.trail.walk(ttl);
+        let last_lookup = sent_at + self.link_delay * u64::from(walk.steps);
+        let broken_at = self.trail_break(last_lookup);
+        if broken_at.is_some_and(|b| b <= sent_at) {
+            return None;
+        }
+        self.stats.trail_hits += 1;
+        let Some(broken_at) = broken_at else {
+            self.stats.hops_skipped += u64::from(walk.steps) + 1;
+            return Some((walk, last_lookup));
+        };
+        // `sent_at < broken_at <= last_lookup`: the link delay is not
+        // zero and the hop count is in `1..=walk.steps`.
+        let hops = (broken_at - sent_at)
+            .as_nanos()
+            .div_ceil(self.link_delay.as_nanos()) as u32;
+        self.stats.hops_skipped += u64::from(hops);
+        Some(self.walk_from(
+            self.trail.node_at(hops),
+            ttl - hops,
+            hops,
+            sent_at + self.link_delay * u64::from(hops),
+            self.trail.cursor + 1,
+            false,
+        ))
+    }
+
+    /// The first boundary at or before `until` whose deltas touch a
+    /// trail node. The cursor moves over the boundaries that do not,
+    /// and no further than `until`.
+    fn trail_break(&mut self, until: SimTime) -> Option<SimTime> {
+        let index = self.index;
+        while let Some((at, changed)) = index.deltas().get(self.trail.cursor) {
+            if *at > until {
+                break;
+            }
+            if changed
+                .iter()
+                .any(|&(node, _)| self.scratch[node.index()].mark == self.mark)
+            {
+                return Some(*at);
+            }
+            self.trail.cursor += 1;
+        }
+        None
+    }
+
+    /// Makes the recorded nodes the trail of the first of them, in
+    /// force from epoch `launch` on.
+    fn seal_trail(&mut self, launch: usize, end: TrailEnd) {
+        self.mark = self.mark.wrapping_add(1);
+        if self.mark == 0 {
+            self.scratch.iter_mut().for_each(|node| node.mark = 0);
+            self.mark = 1;
+        }
+        for node in &self.trail.nodes {
+            self.scratch[node.index()].mark = self.mark;
+        }
+        self.trail.src = self.trail.nodes.first().copied();
+        self.trail.end = end;
+        self.trail.cursor = launch;
+    }
+
+    /// A stamp no node holds.
     fn fresh_stamp(&mut self) -> u32 {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
-            self.seen.fill((0, 0));
+            self.scratch.iter_mut().for_each(|node| node.stamp = 0);
             self.stamp = 1;
         }
         self.stamp
     }
 
-    /// One full walk through the epoch table from a known launch epoch.
-    /// Returns the send-time-relative [`MemoWalk`], the fate instant,
-    /// and whether the walk stayed inside its launch epoch
-    /// (= memoizable).
+    /// One full walk from the source in its launch epoch. It replaces
+    /// the trail: with its own trajectory if that reaches a terminal
+    /// node or closes a cycle before the walk leaves the launch epoch,
+    /// with none otherwise.
+    fn walk(
+        &mut self,
+        src: NodeId,
+        ttl: u32,
+        sent_at: SimTime,
+        launch: usize,
+    ) -> (MemoWalk, SimTime) {
+        self.trail.src = None;
+        self.trail.nodes.clear();
+        self.walk_from(src, ttl, 0, sent_at, launch, true)
+    }
+
+    /// Walks through the epoch table from a packet state: at `node`
+    /// at `at` after `steps` hops, `ttl` left, `epoch` no later than
+    /// the epoch of `at`. Returns the send-time-relative [`MemoWalk`]
+    /// and the fate instant. `record` is set by [`walk`](Self::walk)
+    /// only.
     ///
     /// A walk that comes back to a node it left `cycle` hops ago in the
     /// same epoch is on a forwarding cycle of that frozen graph. Every
@@ -291,20 +474,18 @@ impl<'a> Replayer<'a> {
     /// after the jump is the one the hop-by-hop walk reaches (same node,
     /// `at` advanced by the same u64 sum), and the fewer-than-`cycle`
     /// hops that remain in the epoch are walked.
-    fn walk(
+    fn walk_from(
         &mut self,
-        src: NodeId,
-        ttl: u32,
-        sent_at: SimTime,
-        launch: usize,
-    ) -> (MemoWalk, SimTime, bool) {
+        mut node: NodeId,
+        mut ttl: u32,
+        mut steps: u32,
+        mut at: SimTime,
+        mut epoch: usize,
+        mut record: bool,
+    ) -> (MemoWalk, SimTime) {
         let index = self.index;
         let boundaries = index.boundaries();
-        let mut node = src;
-        let mut at = sent_at;
-        let mut ttl = ttl;
-        let mut steps = 0u32;
-        let mut epoch = launch;
+        let launch = epoch;
         let mut stamp = self.fresh_stamp();
         let end = loop {
             // The hop times of one walk are nondecreasing, so this
@@ -315,10 +496,15 @@ impl<'a> Replayer<'a> {
             }
             if epoch != entered {
                 stamp = self.fresh_stamp();
+                record = false;
             }
-            let (seen_stamp, seen_steps) = self.seen[node.index()];
-            if seen_stamp == stamp {
-                let cycle = u64::from(steps - seen_steps);
+            let seen = self.scratch[node.index()];
+            if seen.stamp == stamp {
+                if record {
+                    record = false;
+                    self.seal_trail(launch, TrailEnd::Cycle { tail: seen.steps });
+                }
+                let cycle = u64::from(steps - seen.steps);
                 // Lookups from this one on that still read this epoch.
                 let lookups_left = match boundaries.get(epoch) {
                     Some(&b) if !self.link_delay.is_zero() => {
@@ -339,7 +525,11 @@ impl<'a> Replayer<'a> {
                     continue;
                 }
             }
-            self.seen[node.index()] = (stamp, steps);
+            if record {
+                self.trail.nodes.push(node);
+            }
+            let slot = &mut self.scratch[node.index()];
+            (slot.stamp, slot.steps) = (stamp, steps);
             self.stats.hops += 1;
             match index.entry(node, epoch as u32) {
                 Some(FibEntry::Local) => break MemoEnd::Delivered,
@@ -353,7 +543,10 @@ impl<'a> Replayer<'a> {
                 }
             }
         };
-        (MemoWalk { steps, end }, at, epoch == launch)
+        if record && !matches!(end, MemoEnd::TtlExhausted(_)) {
+            self.seal_trail(launch, TrailEnd::Terminal(end));
+        }
+        (MemoWalk { steps, end }, at)
     }
 }
 
@@ -369,7 +562,8 @@ impl<'a> Replayer<'a> {
 /// `sent + steps × link_delay` still precedes the boundary are counted
 /// with one division: they share the walk's fate and their instants
 /// run from the first to the last of them. Only the remainder — the
-/// packets in flight when the FIB changes — is walked one by one.
+/// packets in flight when the FIB changes — is executed one by one,
+/// each in O(1) while no change has touched its source's trail.
 ///
 /// The tally equals tallying [`walk_all`] over
 /// [`generate_packets`]`(sources, ..)`, and the stats equal
@@ -472,7 +666,9 @@ pub fn walk_all_batched_stats(
 /// its launch epoch is memoized under `(source, launch epoch, TTL)` as
 /// a send-time-relative trajectory; the following packets of that key
 /// reuse it iff their reconstructed fate time still precedes the epoch
-/// boundary, so every fate is bit-identical to what [`walk_packet`]
+/// boundary. The other packets of the source follow the node list of
+/// its last complete walk up to the first FIB change that touches a
+/// node on it. So every fate is bit-identical to what [`walk_packet`]
 /// would compute.
 pub fn walk_indexed_batch(
     index: &EpochIndex,
@@ -827,6 +1023,7 @@ mod tests {
             memo_hits: 4,
             walks: 6,
             epochs: 3,
+            trail_hits: 2,
             hops: 40,
             hops_skipped: 7,
         };
@@ -835,6 +1032,7 @@ mod tests {
             memo_hits: 1,
             walks: 1,
             epochs: 5,
+            trail_hits: 1,
             hops: 2,
             hops_skipped: 1,
         };
@@ -846,6 +1044,7 @@ mod tests {
                 memo_hits: 5,
                 walks: 7,
                 epochs: 8,
+                trail_hits: 3,
                 hops: 42,
                 hops_skipped: 8,
             }
@@ -853,10 +1052,66 @@ mod tests {
         assert_eq!(ReplayStats::default().hit_rate(), 0.0);
     }
 
-    /// One packet from `src` at `at` with TTL `ttl`, through a fresh
-    /// engine: its fate and the engine's counters, after checking the
-    /// fate against the hop-by-hop oracle and the lookup accounting
-    /// against the oracle's trajectory length.
+    /// `packets` (source-major, in send order) through a fresh engine:
+    /// their fates and the engine's counters, after checking the fates
+    /// against the hop-by-hop oracle, the lookup accounting against the
+    /// oracle's trajectory lengths, and `packets`/`memo_hits`/`walks`
+    /// against the per-epoch definition applied to those trajectories:
+    /// a packet is a memo hit iff the last walk of its
+    /// `(source, launch epoch, TTL)` stayed inside the epoch and its
+    /// own reconstructed fate instant does too. However a walk is
+    /// executed, that classification must not move.
+    fn replay_checked(
+        fib: &NetworkFib,
+        packets: &[Packet],
+        delay: SimDuration,
+    ) -> (Vec<PacketFate>, ReplayStats) {
+        replay_checked_on(&EpochIndex::build(fib, p()), fib, packets, delay)
+    }
+
+    /// [`replay_checked`] through a given index over `fib`.
+    fn replay_checked_on(
+        index: &EpochIndex,
+        fib: &NetworkFib,
+        packets: &[Packet],
+        delay: SimDuration,
+    ) -> (Vec<PacketFate>, ReplayStats) {
+        let (fates, stats) = walk_indexed_batch(index, packets, delay);
+        let mut lookups = 0;
+        let mut memo = None;
+        let (mut memo_hits, mut walks) = (0, 0);
+        for (packet, fate) in packets.iter().zip(&fates) {
+            let mut trace = Vec::new();
+            let oracle = walk_packet_traced(fib, packet, delay, Some(&mut trace));
+            assert_eq!(*fate, oracle, "{packet:?}");
+            let launch = index.epoch_of(packet.sent_at) as usize;
+            let in_launch = |at: SimTime| index.boundaries().get(launch).is_none_or(|&b| at < b);
+            let key = (packet.src, launch, packet.ttl);
+            match memo {
+                Some((k, steps)) if k == key && in_launch(packet.sent_at + delay * steps) => {
+                    memo_hits += 1;
+                }
+                _ => {
+                    walks += 1;
+                    lookups += trace.len() as u64;
+                    let last = trace.last().expect("a walk looks up its source");
+                    if in_launch(last.at) {
+                        memo = Some((key, trace.len() as u64 - 1));
+                    }
+                }
+            }
+        }
+        assert_eq!(stats.hops + stats.hops_skipped, lookups);
+        assert_eq!(
+            (stats.packets, stats.memo_hits, stats.walks),
+            (packets.len() as u64, memo_hits, walks)
+        );
+        assert!(stats.trail_hits <= stats.walks);
+        (fates, stats)
+    }
+
+    /// One packet from `src` at `at` with TTL `ttl`, through
+    /// [`replay_checked`].
     fn walk_one(
         fib: &NetworkFib,
         src: u32,
@@ -868,18 +1123,14 @@ mod tests {
             ttl,
             ..pkt(src, at)
         };
-        let index = EpochIndex::build(fib, p());
-        let (fates, stats) = walk_indexed_batch(&index, &[packet], delay);
-        let mut trace = Vec::new();
-        let oracle = walk_packet_traced(fib, &packet, delay, Some(&mut trace));
-        assert_eq!(fates[0], oracle);
-        assert_eq!(stats.hops + stats.hops_skipped, trace.len() as u64);
+        let (fates, stats) = replay_checked(fib, &[packet], delay);
         (fates[0], stats)
     }
 
-    /// 3 → 2 → 1 ⇄ 0: a two-hop tail into a two-node cycle.
+    /// 3 → 2 → 1 ⇄ 0: a two-hop tail into a two-node cycle, and a
+    /// bystander 4 no packet visits.
     fn tail_and_cycle_fib() -> NetworkFib {
-        let mut fib = NetworkFib::new(4);
+        let mut fib = NetworkFib::new(5);
         fib.record(n(3), p(), SimTime::ZERO, Some(FibEntry::Via(n(2))));
         fib.record(n(2), p(), SimTime::ZERO, Some(FibEntry::Via(n(1))));
         fib.record(n(1), p(), SimTime::ZERO, Some(FibEntry::Via(n(0))));
@@ -978,14 +1229,211 @@ mod tests {
         let fib = tail_and_cycle_fib();
         let index = EpochIndex::build(&fib, p());
         let mut engine = Replayer::new(&index, d2());
-        // Slots that claim a visit under the stamp the wrap lands on.
-        engine.seen.fill((1, 0));
+        // Nodes that claim a visit under the stamp the wrap lands on.
+        engine.scratch.iter_mut().for_each(|node| node.stamp = 1);
         engine.stamp = u32::MAX;
         let at = SimTime::from_secs(1);
         let fate = engine.packet(n(3), DEFAULT_TTL, at, 1);
         assert_eq!(fate, walk_packet(&fib, &pkt(3, at), d2()));
         assert_eq!((engine.stats.hops, engine.stats.hops_skipped), (5, 124));
         assert!(engine.stamp < 8, "stamps restart after the wrap");
+    }
+
+    /// Packets of one source with `ttl` each, sent at `sent_ms`.
+    fn burst(src: u32, ttl: u32, sent_ms: &[u64]) -> Vec<Packet> {
+        sent_ms
+            .iter()
+            .map(|&ms| Packet {
+                ttl,
+                ..pkt(src, SimTime::from_millis(ms))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trail_answers_a_flight_across_a_change_elsewhere() {
+        // The bystander changes at 1100 ms. The packet sent at 1000 ms
+        // is walked: tail, one turn, a skip to the boundary, and the
+        // same again behind it. The packet sent at 1050 ms is in the
+        // loop at 1100 ms as well, and makes no lookup at all.
+        let mut fib = tail_and_cycle_fib();
+        fib.record(n(4), p(), SimTime::from_millis(1100), Some(FibEntry::Local));
+        let (fates, stats) = replay_checked(&fib, &burst(3, DEFAULT_TTL, &[1000, 1050]), d2());
+        assert_eq!(
+            fates[1],
+            PacketFate::TtlExhausted {
+                at: SimTime::from_millis(1306),
+                node: n(1)
+            }
+        );
+        assert_eq!((stats.walks, stats.memo_hits, stats.trail_hits), (2, 0, 1));
+        let (_, first) = walk_one(&fib, 3, DEFAULT_TTL, SimTime::from_secs(1), d2());
+        assert_eq!(stats.hops, first.hops, "the second walk is all trail");
+        assert_eq!(stats.hops_skipped, first.hops_skipped + 129);
+    }
+
+    #[test]
+    fn trail_broken_mid_flight_resumes_where_the_change_finds_the_packet() {
+        // Node 0 starts delivering at 1100 ms. The packet sent at
+        // 1050 ms has made 25 hops by then, its 26th lookup is at
+        // 1100 ms at node 0: one lookup, 25 spared. The packet sent at
+        // 1097 ms is at node 1 at 1101 ms. The packet sent at 1100 ms
+        // starts behind the change and is walked from the source.
+        let mut fib = tail_and_cycle_fib();
+        let broken = SimTime::from_millis(1100);
+        fib.record(n(0), p(), broken, Some(FibEntry::Local));
+        let packets = burst(3, DEFAULT_TTL, &[1000, 1050, 1097, 1100, 1200]);
+        let (fates, stats) = replay_checked(&fib, &packets, d2());
+        assert_eq!(
+            fates[1],
+            PacketFate::Delivered {
+                at: broken,
+                hops: 25
+            }
+        );
+        assert_eq!(
+            fates[2],
+            PacketFate::Delivered {
+                at: SimTime::from_millis(1103),
+                hops: 3
+            }
+        );
+        assert_eq!((stats.walks, stats.memo_hits, stats.trail_hits), (4, 1, 2));
+        let (_, first) = walk_one(&fib, 3, DEFAULT_TTL, SimTime::from_secs(1), d2());
+        // 1 lookup after 25 hops, 2 after 2, 4 from the source.
+        assert_eq!(stats.hops, first.hops + 1 + 2 + 4);
+        assert_eq!(stats.hops_skipped, first.hops_skipped + 25 + 2);
+    }
+
+    #[test]
+    fn trail_is_strict_at_the_last_lookup_instant() {
+        // 2 → 1 → 0 delivers in 4 ms until node 0 loses its route at
+        // 1004 ms; the bystander's change at 950 ms only ends the first
+        // packet's epoch. Sent at 999 ms, the last lookup is at
+        // 1003 ms: all trail. Sent at 1000 ms, it is at 1004 ms and
+        // already reads the new entry: two hops of trail, one lookup.
+        let mut fib = NetworkFib::new(4);
+        fib.record(n(0), p(), SimTime::ZERO, Some(FibEntry::Local));
+        fib.record(n(1), p(), SimTime::ZERO, Some(FibEntry::Via(n(0))));
+        fib.record(n(2), p(), SimTime::ZERO, Some(FibEntry::Via(n(1))));
+        fib.record(n(3), p(), SimTime::from_millis(950), None);
+        fib.record(n(0), p(), SimTime::from_millis(1004), None);
+        let (fates, stats) = replay_checked(&fib, &burst(2, DEFAULT_TTL, &[900, 999, 1000]), d2());
+        assert_eq!(
+            fates[1],
+            PacketFate::Delivered {
+                at: SimTime::from_millis(1003),
+                hops: 2
+            }
+        );
+        assert_eq!(
+            fates[2],
+            PacketFate::NoRoute {
+                at: SimTime::from_millis(1004),
+                node: n(0)
+            }
+        );
+        assert_eq!((stats.walks, stats.trail_hits), (3, 2));
+        assert_eq!((stats.hops, stats.hops_skipped), (3 + 1, 3 + 2));
+    }
+
+    #[test]
+    fn trail_answers_every_ttl() {
+        let fib = tail_and_cycle_fib();
+        let at = SimTime::from_secs(1);
+        let exhausted = |node, hops: u64| PacketFate::TtlExhausted {
+            at: at + d2() * hops,
+            node: n(node),
+        };
+        // From 3 the tail is two hops: TTL 1 dies on it, TTL 2 at the
+        // head of the cycle, TTL 5 three hops into it.
+        let mut packets = burst(3, DEFAULT_TTL, &[1000]);
+        for ttl in [1, 2, 5] {
+            packets.extend(burst(3, ttl, &[1000]));
+        }
+        let (fates, stats) = replay_checked(&fib, &packets, d2());
+        assert_eq!(
+            fates[1..],
+            [exhausted(2, 1), exhausted(1, 2), exhausted(0, 5)]
+        );
+        assert_eq!((stats.walks, stats.trail_hits), (4, 3));
+
+        // Source 1 is on the cycle: no tail, the trail is one turn.
+        let mut packets = burst(1, DEFAULT_TTL, &[1000]);
+        for ttl in [0, 1, 6, 7] {
+            packets.extend(burst(1, ttl, &[1000]));
+        }
+        let (fates, stats) = replay_checked(&fib, &packets, d2());
+        assert_eq!(
+            fates[1..],
+            [
+                exhausted(1, 0),
+                exhausted(0, 1),
+                exhausted(1, 6),
+                exhausted(0, 7)
+            ]
+        );
+        assert_eq!((stats.walks, stats.trail_hits), (5, 4));
+
+        // A delivering trail 2 → 1 → 0: TTL 1 dies one hop short, TTL 2
+        // is just enough.
+        let fib = chain_fib();
+        let mut packets = burst(2, DEFAULT_TTL, &[1000]);
+        packets.extend(burst(2, 1, &[1000]));
+        packets.extend(burst(2, 2, &[1000]));
+        let (fates, stats) = replay_checked(&fib, &packets, d2());
+        assert_eq!(fates[1], exhausted(1, 1));
+        assert_eq!(fates[2], fates[0]);
+        assert_eq!((stats.walks, stats.trail_hits), (3, 2));
+    }
+
+    #[test]
+    fn trail_leaves_the_per_epoch_classification_alone() {
+        // The benchmark's golden `packets`/`memo_hits`/`walks` are the
+        // per-epoch definition's, which [`replay_checked`] recomputes
+        // from the oracle's trajectories. Here the bystander changes
+        // every 60 ms and node 0 once, under two sources that send
+        // every 10 ms into the 256 ms loop. Up to 1505 ms no walk
+        // stays inside its epoch, so all 51 per source are executed;
+        // behind it delivery takes 6 ms at most and only the first
+        // packet of each of the 8 epochs is. All but the first walk
+        // of a source on either side of 1505 ms are trail answers,
+        // the ones in flight at 1505 ms resumed.
+        let mut fib = tail_and_cycle_fib();
+        for k in 0..16 {
+            let entry = (k % 2 == 0).then_some(FibEntry::Local);
+            fib.record(n(4), p(), SimTime::from_millis(1000 + 60 * k), entry);
+        }
+        fib.record(n(0), p(), SimTime::from_millis(1505), Some(FibEntry::Local));
+        let sends: Vec<u64> = (0..100).map(|k| 1000 + 10 * k).collect();
+        let mut packets = burst(3, DEFAULT_TTL, &sends);
+        packets.extend(burst(1, DEFAULT_TTL, &sends));
+        let (_, stats) = replay_checked(&fib, &packets, d2());
+        assert_eq!(
+            (stats.packets, stats.memo_hits, stats.walks),
+            (200, 82, 118)
+        );
+        assert_eq!(stats.trail_hits, 118 - 4);
+    }
+
+    #[test]
+    fn mark_wrap_forgets_every_older_trail() {
+        // The bystander's slot claims the mark the wrap lands on. Were
+        // it believed, its change at 1100 ms would break the trail and
+        // the second packet would be walked from 25 hops in.
+        let mut fib = tail_and_cycle_fib();
+        fib.record(n(4), p(), SimTime::from_millis(1100), Some(FibEntry::Local));
+        let index = EpochIndex::build(&fib, p());
+        let mut engine = Replayer::new(&index, d2());
+        engine.scratch.iter_mut().for_each(|node| node.mark = 1);
+        engine.mark = u32::MAX;
+        engine.packet(n(3), DEFAULT_TTL, SimTime::from_secs(1), 1);
+        assert_eq!(engine.mark, 1, "marks restart after the wrap");
+        let walked = engine.stats.hops;
+        let at = SimTime::from_millis(1050);
+        let fate = engine.packet(n(3), DEFAULT_TTL, at, 1);
+        assert_eq!(fate, walk_packet(&fib, &pkt(3, at), d2()));
+        assert_eq!((engine.stats.trail_hits, engine.stats.hops), (1, walked));
     }
 
     #[test]
@@ -1040,11 +1488,17 @@ mod tests {
     /// per-node clocks (each history time-ordered, global interleaving
     /// arbitrary) — the same scheme as the loop-census proptests.
     fn random_fib(nodes: u32, raw: &[(u32, u32, Option<u32>)]) -> NetworkFib {
+        stretched_fib(nodes, raw, 1)
+    }
+
+    /// [`random_fib`] with every step of every clock `stretch` times
+    /// as long: the same changes, further apart.
+    fn stretched_fib(nodes: u32, raw: &[(u32, u32, Option<u32>)], stretch: u64) -> NetworkFib {
         let mut fib = NetworkFib::new(nodes as usize);
         let mut clock = vec![0u64; nodes as usize];
         for &(node, dt, hop) in raw {
             let node = node % nodes;
-            let t = clock[node as usize] + u64::from(dt);
+            let t = clock[node as usize] + u64::from(dt) * stretch;
             clock[node as usize] = t;
             let entry = match hop.map(|h| h % nodes) {
                 Some(h) if h != node => Some(FibEntry::Via(n(h))),
@@ -1098,12 +1552,16 @@ mod tests {
             prop_assert_eq!(stats.walks + stats.memo_hits, stats.packets);
         }
 
-        /// Tentpole invariant: the fleet replay's tally is the tally of
-        /// the per-packet oracle's fates and its counters are the
-        /// per-packet entry point's, on random histories × random CBR
-        /// fleets (one source per node at most, like `paper_sources`),
-        /// on both table layouts. Nanosecond intervals, phases and link
-        /// delays keep walks straddling epoch boundaries.
+        /// Tentpole invariant: per packet, the engine's fates are the
+        /// naive oracle's and its counters the per-epoch definition's
+        /// ([`replay_checked`]); the fleet replay's tally is the tally
+        /// of those fates and its counters are the per-packet entry
+        /// point's. On random histories × random CBR fleets (one source
+        /// per node at most, like `paper_sources`), one TTL for the
+        /// fleet and mixed TTLs per packet, on both table layouts.
+        /// Nanosecond intervals, phases and link delays keep walks
+        /// straddling epoch boundaries; `stretch` moves the changes
+        /// apart, so that trails outlive some of them.
         #[test]
         fn fleet_equals_naive_tally_and_batch_stats(
             raw in proptest::collection::vec(
@@ -1112,11 +1570,13 @@ mod tests {
                 proptest::option::of((1u64..25, 0u64..25)), 8..9),
             nodes in 2u32..8,
             ttl in 0u32..12,
+            ttls in proptest::collection::vec(0u32..12, 1..4),
             delay in 0u64..4,
+            stretch in 1u64..12,
             start in 0u64..40,
             len in 0u64..200,
         ) {
-            let fib = random_fib(nodes, &raw);
+            let fib = stretched_fib(nodes, &raw, stretch);
             let sources: Vec<CbrSource> = (0..nodes)
                 .zip(&fleet)
                 .filter_map(|(node, cbr)| {
@@ -1127,16 +1587,23 @@ mod tests {
                     ))
                 })
                 .collect();
-            let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(start + len));
+            let start = SimTime::from_nanos(start * stretch);
+            let end = start + SimDuration::from_nanos(len);
             let delay = SimDuration::from_nanos(delay);
             let packets = generate_packets(&sources, p(), ttl, start, end);
-            let oracle = FateTally::from_fates(&walk_all(&fib, &packets, delay));
+            let mixed: Vec<Packet> = packets
+                .iter()
+                .zip(ttls.iter().cycle())
+                .map(|(packet, &ttl)| Packet { ttl, ..*packet })
+                .collect();
             for cap in [crate::epoch::DENSE_CELL_CAP, 0] {
                 let index = EpochIndex::build_with_cap(&fib, p(), cap);
-                let (tally, stats) = replay_fleet(&index, &sources, ttl, start, end, delay);
-                prop_assert_eq!(tally, oracle);
+                let (fates, stats) = replay_checked_on(&index, &fib, &packets, delay);
+                let (tally, fleet_stats) = replay_fleet(&index, &sources, ttl, start, end, delay);
+                prop_assert_eq!(tally, FateTally::from_fates(&fates));
                 prop_assert_eq!(tally.packets(), packets.len() as u64);
-                prop_assert_eq!(stats, walk_indexed_batch(&index, &packets, delay).1);
+                prop_assert_eq!(fleet_stats, stats);
+                replay_checked_on(&index, &fib, &mixed, delay);
             }
         }
 

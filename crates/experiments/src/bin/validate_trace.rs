@@ -4,8 +4,9 @@
 //! Checks, per line: it parses as a JSON object; it carries a known
 //! `kind`, a `seed`, and a timestamp `t`; loop events carry a
 //! non-empty `nodes` array; `measure_summary` lines carry the replay
-//! counters and satisfy `memo_hits + walks == packets` and
-//! `walks <= hops`, `hops + hops_skipped <= walks × (TTL + 1)`. Across the
+//! counters and satisfy `memo_hits + walks == packets`,
+//! `trail_hits <= walks`, `walks - trail_hits <= hops` and
+//! `hops + hops_skipped <= walks × (TTL + 1)`. Across the
 //! file: every `loop_offset` is
 //! preceded by at least as many `loop_onset`s for the same seed, and
 //! the `run_summary` loop counts of each seed sum to the number of
@@ -315,6 +316,7 @@ fn check_line(
             let packets = field("packets")?;
             let memo_hits = field("memo_hits")?;
             let walks = field("walks")?;
+            let trail_hits = field("trail_hits")?;
             let hops = field("hops")?;
             let hops_skipped = field("hops_skipped")?;
             field("epochs")?;
@@ -330,13 +332,19 @@ fn check_line(
                     "measure_summary accounting broken: {memo_hits} memo + {walks} walks != {packets} packets"
                 )));
             }
-            // An executed walk makes at least one table lookup and,
-            // hop by hop, at most one per TTL decrement plus the last.
-            let hop_by_hop = hops + hops_skipped;
-            let most = walks * (u64::from(bgpsim_dataplane::DEFAULT_TTL) + 1);
-            if hops < walks || hop_by_hop > most {
+            if trail_hits > walks {
                 return Err(err(format!(
-                    "measure_summary hop accounting broken: {hops} hops + {hops_skipped} skipped outside [{walks}, {most}] for {walks} walks"
+                    "measure_summary accounting broken: {trail_hits} trail hits among {walks} walks"
+                )));
+            }
+            // A walk the trail does not answer makes at least one table
+            // lookup, and hop by hop every walk makes at most one per
+            // TTL decrement plus the last.
+            let least = walks - trail_hits;
+            let most = walks * (u64::from(bgpsim_dataplane::DEFAULT_TTL) + 1);
+            if hops < least || hops + hops_skipped > most {
+                return Err(err(format!(
+                    "measure_summary hop accounting broken: {hops} hops + {hops_skipped} skipped outside [{least}, {most}] for {walks} walks, {trail_hits} from the trail"
                 )));
             }
         }

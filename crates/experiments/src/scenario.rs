@@ -805,6 +805,7 @@ impl ScenarioResult {
             memo_hits: self.measurement.replay.memo_hits,
             walks: self.measurement.replay.walks,
             epochs: self.measurement.replay.epochs,
+            trail_hits: self.measurement.replay.trail_hits,
             hops: self.measurement.replay.hops,
             hops_skipped: self.measurement.replay.hops_skipped,
         });

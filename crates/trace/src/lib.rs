@@ -164,9 +164,13 @@ pub enum TraceEvent {
         walks: u64,
         /// FIB epoch boundaries the replay index covered.
         epochs: u64,
+        /// Walks answered from their source's trail, in full or up to
+        /// the FIB change that broke it (a subset of `walks`).
+        trail_hits: u64,
         /// Table lookups the executed walks made.
         hops: u64,
-        /// Table lookups they skipped by jumping in-epoch cycle turns.
+        /// Table lookups they were spared by following the trail or
+        /// jumping in-epoch cycle turns.
         hops_skipped: u64,
     },
     /// Sharded-run synchronization summary, emitted once per sharded
@@ -502,6 +506,7 @@ impl serde::Serialize for TraceEvent {
                 memo_hits,
                 walks,
                 epochs,
+                trail_hits,
                 hops,
                 hops_skipped,
             } => {
@@ -513,6 +518,7 @@ impl serde::Serialize for TraceEvent {
                 put("memo_hits", Value::UInt(*memo_hits));
                 put("walks", Value::UInt(*walks));
                 put("epochs", Value::UInt(*epochs));
+                put("trail_hits", Value::UInt(*trail_hits));
                 put("hops", Value::UInt(*hops));
                 put("hops_skipped", Value::UInt(*hops_skipped));
             }
@@ -1112,6 +1118,7 @@ mod tests {
                 memo_hits: 90,
                 walks: 10,
                 epochs: 7,
+                trail_hits: 4,
                 hops: 25,
                 hops_skipped: 120,
             },

@@ -6,9 +6,11 @@
 //! replay design used by all experiments and the batched fast path used
 //! by the measurement pipeline.
 
+use bgpsim::dataplane::epoch::DENSE_CELL_CAP;
 use bgpsim::netsim::rng::SimRng;
 use bgpsim::netsim::time::SimDuration;
 use bgpsim::prelude::*;
+use proptest::prelude::*;
 
 fn equivalence_case(graph: Graph, dest: NodeId, failure: FailureEvent, seed: u64) {
     let prefix = Prefix::new(0);
@@ -213,7 +215,7 @@ fn measure_run_agrees_with_naive_oracle() {
     scenarios.push(flap_train_scenario());
     let prefix = Prefix::new(0);
     let delay = SimDuration::from_millis(2);
-    for scenario in scenarios {
+    for scenario in &scenarios {
         let label = format!("{:?} {:?}", scenario.topology, scenario.event);
         let result = scenario.run();
         let record = &result.record;
@@ -230,6 +232,85 @@ fn measure_run_agrees_with_naive_oracle() {
         assert_eq!(batched, fates, "{label}");
         assert_eq!(result.measurement.replay, stats, "{label}");
         assert_eq!(stats.packets, packets.len() as u64, "{label}");
+        assert!(stats.trail_hits <= stats.walks, "{label}");
+        if scenario.event == EventKind::TDown {
+            // `T_down` loops, and a looping packet outlives a FIB
+            // epoch: the trajectory memo must be at work here.
+            assert!(stats.trail_hits * 2 > stats.walks, "{label}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The trajectory memo in the regime it exists for: a random
+    /// next-hop map over a few nodes is mostly forwarding cycles, a
+    /// packet spins in one for up to 128 hops × 2 ms, and nodes change
+    /// their entry every few hundred ms at most. So flights cross
+    /// several FIB changes, some on their trajectory and some not.
+    /// Per packet the fates are the naive walk's, the fleet tally is
+    /// the tally of those fates, and both faces count the same — on
+    /// both table layouts, with a short TTL or the default one, with
+    /// and without link delay.
+    #[test]
+    fn trajectory_memo_matches_naive_on_random_loop_histories(
+        initial in proptest::collection::vec(0u32..10, 10..11),
+        changes in proptest::collection::vec(
+            (0u32..10, 1u64..300, proptest::option::of(0u32..10)), 0..40),
+        fleet in proptest::collection::vec(
+            proptest::option::of((40u64..200, 0u64..200)), 10..11),
+        nodes in 3u32..10,
+        short_ttl in proptest::option::of(0u32..40),
+        delay_ms in 0u64..4,
+        sparse in 0u32..2,
+    ) {
+        let prefix = Prefix::new(0);
+        let entry = |node: u32, hop: u32| match hop % nodes {
+            next if next == node => FibEntry::Local,
+            next => FibEntry::Via(NodeId::new(next)),
+        };
+        let mut fib = NetworkFib::new(nodes as usize);
+        for node in 0..nodes {
+            let hop = initial[node as usize];
+            fib.record(NodeId::new(node), prefix, SimTime::ZERO, Some(entry(node, hop)));
+        }
+        // Per-node clocks: each history in time order, any interleaving.
+        let mut clock = vec![0u64; nodes as usize];
+        for (node, dt, hop) in changes {
+            let node = node % nodes;
+            clock[node as usize] += dt;
+            fib.record(
+                NodeId::new(node),
+                prefix,
+                SimTime::from_millis(clock[node as usize]),
+                hop.map(|hop| entry(node, hop)),
+            );
+        }
+        let sources: Vec<CbrSource> = (0..nodes)
+            .zip(&fleet)
+            .filter_map(|(node, cbr)| {
+                cbr.map(|(interval, phase)| CbrSource::new(
+                    NodeId::new(node),
+                    SimDuration::from_millis(interval),
+                    SimDuration::from_millis(phase % interval),
+                ))
+            })
+            .collect();
+        let ttl = short_ttl.unwrap_or(DEFAULT_TTL);
+        let delay = SimDuration::from_millis(delay_ms);
+        let (start, end) = (SimTime::ZERO, SimTime::from_millis(1500));
+        let packets = generate_packets(&sources, prefix, ttl, start, end);
+        let naive = walk_all(&fib, &packets, delay);
+        let cap = if sparse == 0 { DENSE_CELL_CAP } else { 0 };
+        let index = EpochIndex::build_with_cap(&fib, prefix, cap);
+        let (fates, stats) = walk_indexed_batch(&index, &packets, delay);
+        prop_assert_eq!(&fates, &naive);
+        let (tally, fleet_stats) = replay_fleet(&index, &sources, ttl, start, end, delay);
+        prop_assert_eq!(tally, FateTally::from_fates(&naive));
+        prop_assert_eq!(fleet_stats, stats);
+        prop_assert_eq!(stats.memo_hits + stats.walks, packets.len() as u64);
+        prop_assert!(stats.trail_hits <= stats.walks);
     }
 }
 
