@@ -28,9 +28,9 @@ use serde::{Deserialize, Serialize, Value};
 /// differently.
 ///
 /// v2: [`NetworkSnapshot`](bgpsim_sim::NetworkSnapshot) carries the
-/// per-node RNG lanes (and their draw counters) introduced for the
-/// sharded engine; v1 snapshots hold a single-stream RNG whose draws
-/// a lane-split simulator would replay differently.
+/// per-node RNG lanes (and their draw counters); v1 snapshots hold a
+/// single-stream RNG whose draws a lane-split simulator would replay
+/// differently.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Errors of the checkpoint file and store layer.

@@ -5,7 +5,6 @@
 //! churn [quick|paper] [--flap-period <s>] [--flaps <n>] [--flap-jitter <f>]
 //!       [--loss <p>] [--seeds <n>] [--trace <file.jsonl>]
 //!       [--bench <file.json>] [--jobs <n>] [--cache-dir <dir>] [--forked]
-//!       [--shards <k>]
 //! ```
 //!
 //! `--flap-period` may be given multiple times to sweep an explicit

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! figN [quick|paper] [--trace <file.jsonl>] [--bench <file.json>]
-//!      [--jobs <n>] [--cache-dir <dir>] [--forked] [--shards <k>]
+//!      [--jobs <n>] [--cache-dir <dir>] [--forked]
 //! ```
 //!
 //! The flags are layered *on top of* the `BGPSIM_*` environment
@@ -37,15 +37,11 @@ pub struct BinOptions {
     /// `--forked`: share warm-ups across sweep cells (checkpoint/fork;
     /// overrides `BGPSIM_FORK`). Results are bit-identical either way.
     pub forked: bool,
-    /// `--shards <k>`: run every scenario on `k` conservative-parallel
-    /// worker shards (overrides `BGPSIM_SHARDS`; results are
-    /// byte-identical to serial).
-    pub shards: Option<u32>,
 }
 
 /// The usage string appended to parse errors.
 pub const USAGE: &str = "usage: [quick|paper] [--trace <file.jsonl>] [--bench <file.json>] \
-     [--jobs <n>] [--cache-dir <dir>] [--forked] [--shards <k>]";
+     [--jobs <n>] [--cache-dir <dir>] [--forked]";
 
 /// Answers the supervisor's `<exe> worker` re-exec: when the first
 /// argument is `worker`, runs [`worker::run`](crate::worker::run) and
@@ -83,16 +79,6 @@ impl BinOptions {
                         return Err("--jobs needs a positive integer, got 0".into());
                     }
                     opts.jobs = Some(n);
-                }
-                "--shards" => {
-                    let v = value("--shards")?;
-                    let n: u32 = v
-                        .parse()
-                        .map_err(|_| format!("--shards needs a positive integer, got {v:?}"))?;
-                    if n == 0 {
-                        return Err("--shards needs a positive integer, got 0".into());
-                    }
-                    opts.shards = Some(n);
                 }
                 other => match Scale::parse(other) {
                     Some(scale) if opts.scale.is_none() => opts.scale = Some(scale),
@@ -136,9 +122,6 @@ impl BinOptions {
     pub fn init_runner(&self) -> &'static Runner {
         if self.forked {
             crate::forked::set_fork_enabled(true);
-        }
-        if let Some(shards) = self.shards {
-            crate::shards::set_shards(shards);
         }
         let mut config = RunnerConfig::from_env();
         if let Some(jobs) = self.jobs {
@@ -205,12 +188,9 @@ mod tests {
             "--cache-dir",
             "/tmp/c",
             "--forked",
-            "--shards",
-            "4",
         ]))
         .unwrap();
         assert_eq!(opts.scale, Some(Scale::Quick));
-        assert_eq!(opts.shards, Some(4));
         assert_eq!(opts.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
         assert_eq!(opts.bench.as_deref(), Some(std::path::Path::new("b.json")));
         assert_eq!(opts.jobs, Some(4));
@@ -234,8 +214,6 @@ mod tests {
         assert!(BinOptions::parse(strs(&["--trace"])).is_err());
         assert!(BinOptions::parse(strs(&["--jobs", "zero"])).is_err());
         assert!(BinOptions::parse(strs(&["--jobs", "0"])).is_err());
-        assert!(BinOptions::parse(strs(&["--shards", "0"])).is_err());
-        assert!(BinOptions::parse(strs(&["--shards", "many"])).is_err());
         assert!(BinOptions::parse(strs(&["quick", "paper"])).is_err());
         assert!(BinOptions::parse(strs(&["--frobnicate"])).is_err());
     }

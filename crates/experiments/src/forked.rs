@@ -51,16 +51,9 @@ pub fn set_fork_enabled(on: bool) {
 
 /// Scenarios as sweep jobs, honoring the process fork toggle (shared
 /// warm-ups when [`fork_enabled`], classic per-scenario jobs
-/// otherwise) and the process shard count
-/// ([`configured_shards`](crate::shards::configured_shards) — forked
-/// tails stay serial, everything else runs sharded). The single call
-/// sites in `figures::common` and the churn sweep route through here.
+/// otherwise). The single call sites in `figures::common` and the
+/// churn sweep route through here.
 pub fn sweep_jobs(scenarios: Vec<ScenarioSpec>) -> Vec<Job> {
-    let shards = crate::shards::configured_shards();
-    let scenarios: Vec<ScenarioSpec> = scenarios
-        .into_iter()
-        .map(|s| s.with_shards(shards))
-        .collect();
     if fork_enabled() {
         forked_jobs(scenarios)
     } else {

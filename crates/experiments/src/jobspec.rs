@@ -68,10 +68,6 @@ pub struct JobSpec {
     /// Version-2 fork stanza: tail variants sharing one warm-up per
     /// seed. Replaces `event` when present.
     pub fork: Option<ForkSpec>,
-    /// Worker shards per run (`"shards"`, default 1 = serial). Pure
-    /// execution policy — results and cache fingerprints are identical
-    /// at any count — so it is accepted at every wire version.
-    pub shards: u32,
 }
 
 impl Default for JobSpec {
@@ -86,7 +82,6 @@ impl Default for JobSpec {
             seeds: vec![0],
             flap: None,
             fork: None,
-            shards: 1,
         }
     }
 }
@@ -157,8 +152,7 @@ impl JobSpec {
                 tails.iter().map(move |&event| {
                     let mut s = ScenarioSpec::new(self.topology.clone(), event)
                         .with_config(config)
-                        .with_seed(seed)
-                        .with_shards(self.shards);
+                        .with_seed(seed);
                     if let Some(flap) = self.flap {
                         s = s.with_flap(flap);
                     }
@@ -175,7 +169,7 @@ impl Deserialize for JobSpec {
         for (key, _) in entries {
             match key.as_str() {
                 "v" | "topology" | "event" | "mrai_secs" | "jitter" | "enhancement" | "seeds"
-                | "flap" | "fork" | "shards" => {}
+                | "flap" | "fork" => {}
                 other => return Err(Error::new(format!("unknown field {other:?}"))),
             }
         }
@@ -232,13 +226,6 @@ impl Deserialize for JobSpec {
         }
         if let Some(flap) = optional(v, "flap") {
             spec.flap = Some(parse_flap(flap)?);
-        }
-        if let Some(shards) = optional(v, "shards") {
-            spec.shards = shards
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .filter(|&n| n > 0)
-                .ok_or_else(|| Error::new("shards must be a positive integer"))?;
         }
         if let Some(fork) = optional(v, "fork") {
             if spec.version < 2 {
@@ -402,28 +389,6 @@ mod tests {
             scenarios[0].fingerprint(),
             spec.scenarios()[0].fingerprint()
         );
-    }
-
-    #[test]
-    fn shards_field_parses_flows_into_scenarios_and_rejects_garbage() {
-        let spec = JobSpec::parse(r#"{"topology": "clique:5", "shards": 4}"#).unwrap();
-        assert_eq!(spec.shards, 4);
-        assert!(spec.scenarios().iter().all(|s| s.shards == 4));
-        // Default is serial, and the knob never reaches the cache key.
-        let serial = JobSpec::parse(r#"{"topology": "clique:5"}"#).unwrap();
-        assert_eq!(serial.shards, 1);
-        assert_eq!(
-            serial.scenarios()[0].fingerprint(),
-            spec.scenarios()[0].fingerprint(),
-            "shards is execution policy, not a result input"
-        );
-        for body in [
-            r#"{"topology": "clique:5", "shards": 0}"#,
-            r#"{"topology": "clique:5", "shards": "many"}"#,
-        ] {
-            let err = JobSpec::parse(body).unwrap_err();
-            assert!(err.contains("shards"), "{body} -> {err}");
-        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod figures;
 pub mod forked;
 pub mod jobspec;
 pub mod scenario;
-pub mod shards;
 pub mod sweep;
 pub mod worker;
 
@@ -50,5 +49,4 @@ pub use figures::{ClaimCheck, Scale};
 pub use forked::{forked_jobs, plan_forked, warmup_cells, ForkPlan};
 pub use jobspec::{ForkSpec, JobSpec, JOBSPEC_VERSION};
 pub use scenario::{EventKind, Scenario, ScenarioResult, ScenarioSpec, TopologySpec};
-pub use shards::{configured_shards, set_shards};
 pub use sweep::{aggregate, linear_fit, AggregatedPoint, LinearFit, Series};

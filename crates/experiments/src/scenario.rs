@@ -131,11 +131,6 @@ pub struct ScenarioSpec {
     /// Flap parameters used when `event` is [`EventKind::Flap`] and no
     /// explicit plan is set.
     pub flap: FlapProfile,
-    /// Worker shards for the conservative-parallel engine; `1` (the
-    /// default) runs the serial engine. Deliberately **excluded from
-    /// the fingerprint**: sharded and serial runs are byte-identical,
-    /// so they share run-cache entries and checkpoint fork points.
-    pub shards: u32,
 }
 
 /// The pre-redesign name of [`ScenarioSpec`], kept so existing callers
@@ -153,7 +148,6 @@ impl ScenarioSpec {
             seed: 0,
             faults: None,
             flap: FlapProfile::default(),
-            shards: 1,
         }
     }
 
@@ -180,16 +174,6 @@ impl ScenarioSpec {
     /// Sets the flap parameters used by [`EventKind::Flap`] scenarios.
     pub fn with_flap(mut self, flap: FlapProfile) -> Self {
         self.flap = flap;
-        self
-    }
-
-    /// Runs the simulation on `shards` conservative-parallel workers
-    /// (`1` = serial engine). Results are byte-identical either way, so
-    /// the knob never appears in [`fingerprint`](Self::fingerprint).
-    /// Forked runs ([`run_forked`](Self::run_forked)) always play their
-    /// tail on the serial engine regardless of this setting.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -414,30 +398,7 @@ impl ScenarioSpec {
             .ok()
             .map(|scenario| bgpsim_runner::WorkerPayload { scenario, seed });
         bgpsim_runner::Job::budgeted(label, fingerprint, move |budget| {
-            let mut limit = RunBudget::unlimited();
-            if let Some(n) = budget.max_events {
-                limit = limit.with_max_events(n);
-            }
-            if let Some(deadline) = budget.deadline {
-                limit = limit.with_deadline(deadline);
-            }
-            if let Some(token) = &budget.cancel {
-                limit = limit.with_cancel(token.flag());
-            }
-            match self.run_budgeted(&limit) {
-                Ok(result) => {
-                    result.emit_trace(seed);
-                    let counters = result.counters();
-                    Ok(bgpsim_runner::JobOutput::with_counters(
-                        result.measurement.metrics,
-                        counters,
-                    ))
-                }
-                Err(stopped) => Err(bgpsim_runner::JobTimeout {
-                    phase: stopped.phase,
-                    counters: Some(Box::new(partial_counters(&stopped.record))),
-                }),
-            }
+            job_outcome(self.run_budgeted(&run_budget(budget)), seed)
         })
         .with_worker_payload(payload)
     }
@@ -485,26 +446,11 @@ impl ScenarioSpec {
     }
 
     /// Runs the scenario: warm-up, failure (or fault plan), measurement.
-    /// Executes on the sharded engine when [`shards`](Self::shards) is
-    /// greater than one; the record is byte-identical either way.
     pub fn run(&self) -> ScenarioResult {
         let (experiment, destination, failure) = self.build_experiment();
         let sim_started = Instant::now();
-        let (record, shard_queue_hiwater) = if self.shards > 1 {
-            let (record, stats) = experiment.run_sharded_stats(self.shards);
-            (record, stats.queue_hiwater)
-        } else {
-            let record = experiment.run();
-            let hiwater = record.max_queue_depth;
-            (record, hiwater)
-        };
-        self.measured(
-            destination,
-            failure,
-            record,
-            shard_queue_hiwater,
-            sim_started,
-        )
+        let record = experiment.run();
+        self.measured(destination, failure, record, sim_started)
     }
 
     /// The measurement half of every run entry: times the simulation
@@ -514,7 +460,6 @@ impl ScenarioSpec {
         destination: NodeId,
         failure: FailureEvent,
         record: RunRecord,
-        shard_queue_hiwater: u64,
         sim_started: Instant,
     ) -> ScenarioResult {
         let sim_wall_ns = sim_started.elapsed().as_nanos() as u64;
@@ -528,7 +473,6 @@ impl ScenarioSpec {
             measurement,
             sim_wall_ns,
             measure_wall_ns,
-            shard_queue_hiwater,
         }
     }
 
@@ -543,21 +487,8 @@ impl ScenarioSpec {
     pub fn run_budgeted(&self, limit: &RunBudget) -> Result<ScenarioResult, Box<BudgetExceeded>> {
         let (experiment, destination, failure) = self.build_experiment();
         let sim_started = Instant::now();
-        let (record, shard_queue_hiwater) = if self.shards > 1 {
-            let (record, stats) = experiment.run_sharded_budgeted(self.shards, limit)?;
-            (record, stats.queue_hiwater)
-        } else {
-            let record = experiment.run_budgeted(limit)?;
-            let hiwater = record.max_queue_depth;
-            (record, hiwater)
-        };
-        Ok(self.measured(
-            destination,
-            failure,
-            record,
-            shard_queue_hiwater,
-            sim_started,
-        ))
+        let record = experiment.run_budgeted(limit)?;
+        Ok(self.measured(destination, failure, record, sim_started))
     }
 
     /// Runs this scenario's warm-up to quiescence and captures the
@@ -622,14 +553,7 @@ impl ScenarioSpec {
         let (experiment, destination, failure) = self.build_experiment();
         let sim_started = Instant::now();
         let record = experiment.resume_from_budgeted(snap, limit)?;
-        let shard_queue_hiwater = record.max_queue_depth;
-        Ok(self.measured(
-            destination,
-            failure,
-            record,
-            shard_queue_hiwater,
-            sim_started,
-        ))
+        Ok(self.measured(destination, failure, record, sim_started))
     }
 
     /// Like [`into_job`](Self::into_job), but the job draws its warm-up
@@ -653,16 +577,7 @@ impl ScenarioSpec {
         let fingerprint = Some(self.fingerprint());
         let seed = self.seed;
         bgpsim_runner::Job::budgeted(label, fingerprint, move |budget| {
-            let mut limit = RunBudget::unlimited();
-            if let Some(n) = budget.max_events {
-                limit = limit.with_max_events(n);
-            }
-            if let Some(deadline) = budget.deadline {
-                limit = limit.with_deadline(deadline);
-            }
-            if let Some(token) = &budget.cancel {
-                limit = limit.with_cancel(token.flag());
-            }
+            let limit = run_budget(budget);
             type WarmupResult = Result<RunSnapshot, Box<BudgetExceeded>>;
             let shared: std::sync::Arc<WarmupResult> =
                 warmup.get_or_build(|| self.snapshot_warmup_budgeted(&limit));
@@ -676,43 +591,66 @@ impl ScenarioSpec {
                     record: stopped.record.clone(),
                 })),
             };
-            match outcome {
-                Ok(result) => {
-                    result.emit_trace(seed);
-                    let counters = result.counters();
-                    Ok(bgpsim_runner::JobOutput::with_counters(
-                        result.measurement.metrics,
-                        counters,
-                    ))
-                }
-                Err(stopped) => Err(bgpsim_runner::JobTimeout {
-                    phase: stopped.phase,
-                    counters: Some(Box::new(partial_counters(&stopped.record))),
-                }),
-            }
+            job_outcome(outcome, seed)
         })
     }
 }
 
-/// Counters for a watchdog-stopped run: everything the record already
-/// holds, plus a loop census of the frozen (partial) FIB.
-fn partial_counters(record: &RunRecord) -> RunCounters {
+/// Translates the runner's per-attempt budget into the harness's.
+fn run_budget(budget: &bgpsim_runner::JobBudget) -> RunBudget {
+    RunBudget {
+        max_events: budget.max_events,
+        deadline: budget.deadline,
+        cancel: budget.cancel.as_ref().map(|token| token.flag()),
+    }
+}
+
+/// Maps a budgeted run onto the runner's job result: a finished run
+/// emits its trace summaries and reports metrics plus counters, a
+/// watchdog-stopped one reports the phase and its partial counters.
+fn job_outcome(
+    outcome: Result<ScenarioResult, Box<BudgetExceeded>>,
+    seed: u64,
+) -> Result<bgpsim_runner::JobOutput, bgpsim_runner::JobTimeout> {
+    match outcome {
+        Ok(result) => {
+            result.emit_trace(seed);
+            let counters = result.counters();
+            Ok(bgpsim_runner::JobOutput::with_counters(
+                result.measurement.metrics,
+                counters,
+            ))
+        }
+        Err(stopped) => Err(bgpsim_runner::JobTimeout {
+            phase: stopped.phase,
+            counters: Some(Box::new(partial_counters(&stopped.record))),
+        }),
+    }
+}
+
+/// The half of a run's counters its record alone determines, given the
+/// `loops` count; timings and replay counts are zero.
+fn record_counters(record: &RunRecord, loops: u64) -> RunCounters {
     let stats = record.total_stats();
     RunCounters {
         events: record.events_dispatched,
         updates_sent: stats.announcements_sent,
         withdrawals_sent: stats.withdrawals_sent,
         decisions: stats.decisions_run,
-        loops: loop_census(&record.fib, Prefix::new(0)).len() as u64,
+        loops,
         max_queue_depth: record.max_queue_depth,
-        wall_ms: 0,
-        sim_ns: 0,
-        measure_ns: 0,
-        replay_packets: 0,
-        replay_memo_hits: 0,
         peak_rss_kb: bgpsim_trace::peak_rss_kb(),
-        shard_queue_hiwater: record.max_queue_depth,
+        ..RunCounters::default()
     }
+}
+
+/// Counters for a watchdog-stopped run: everything the record already
+/// holds, plus a loop census of the frozen (partial) FIB.
+fn partial_counters(record: &RunRecord) -> RunCounters {
+    record_counters(
+        record,
+        loop_census(&record.fib, Prefix::new(0)).len() as u64,
+    )
 }
 
 /// Picks a `T_long`-suitable destination: among the nodes with the
@@ -753,31 +691,18 @@ pub struct ScenarioResult {
     pub sim_wall_ns: u64,
     /// Wall-clock spent in the measurement pipeline, nanoseconds.
     pub measure_wall_ns: u64,
-    /// High-water mark of any single worker's event queue: equal to
-    /// `record.max_queue_depth` for serial runs, the per-shard maximum
-    /// for sharded runs.
-    pub shard_queue_hiwater: u64,
 }
 
 impl ScenarioResult {
     /// Aggregated hot-path counters of this run. `wall_ms` is zero
     /// here; the runner's executor fills it in for jobs.
     pub fn counters(&self) -> RunCounters {
-        let stats = self.record.total_stats();
         RunCounters {
-            events: self.record.events_dispatched,
-            updates_sent: stats.announcements_sent,
-            withdrawals_sent: stats.withdrawals_sent,
-            decisions: stats.decisions_run,
-            loops: self.measurement.census.len() as u64,
-            max_queue_depth: self.record.max_queue_depth,
-            wall_ms: 0,
             sim_ns: self.sim_wall_ns,
             measure_ns: self.measure_wall_ns,
             replay_packets: self.measurement.replay.packets,
             replay_memo_hits: self.measurement.replay.memo_hits,
-            peak_rss_kb: bgpsim_trace::peak_rss_kb(),
-            shard_queue_hiwater: self.shard_queue_hiwater,
+            ..record_counters(&self.record, self.measurement.census.len() as u64)
         }
     }
 

@@ -209,8 +209,6 @@ impl<E> Engine<E> {
     /// Schedules `payload` at absolute time `at` under an explicit
     /// total-order tag (see [`EventQueue::schedule_ordered`]): ties on
     /// `at` deliver in ascending `order` instead of local scheduling
-    /// order. The sharded engine derives the tag from a
-    /// shard-independent rule so per-shard queues agree with the global
     /// order.
     ///
     /// # Errors
@@ -246,11 +244,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Returns `true` if `id` names a still-pending event. O(1).
-    pub fn is_live(&self, id: EventId) -> bool {
-        self.queue.is_live(id)
-    }
-
     /// Schedules `payload` for delivery `delay` after the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
         let at = self.now + delay;
@@ -284,17 +277,11 @@ impl<E> Engine<E> {
     /// Removes and returns the next event, advancing the clock to its
     /// delivery time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(time, _, payload)| (time, payload))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the event's order tag —
-    /// the full `(time, order)` key the sharded merge sorts on.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let (time, order, _, payload) = self.queue.pop_keyed()?;
+        let (time, _, payload) = self.queue.pop()?;
         debug_assert!(time >= self.now, "event queue returned a past event");
         self.now = time;
         self.stats.delivered += 1;
-        Some((time, order, payload))
+        Some((time, payload))
     }
 
     /// Like [`pop`](Self::pop), but only delivers events scheduled at
@@ -305,26 +292,6 @@ impl<E> Engine<E> {
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         match self.next_event_time() {
             Some(t) if t <= horizon => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Like [`pop_until`](Self::pop_until), but with the full
-    /// `(time, order)` key.
-    pub fn pop_until_keyed(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
-        match self.next_event_time() {
-            Some(t) if t <= horizon => self.pop_keyed(),
-            _ => None,
-        }
-    }
-
-    /// Like [`pop_until_keyed`](Self::pop_until_keyed) with a *strict*
-    /// horizon: only events with `time < horizon` are delivered. This
-    /// is the conservative-window pop — events at exactly the window
-    /// edge belong to the next window.
-    pub fn pop_before_keyed(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
-        match self.next_event_time() {
-            Some(t) if t < horizon => self.pop_keyed(),
             _ => None,
         }
     }

@@ -5,11 +5,10 @@
 //! sequence number as the tag, so two events scheduled for the same
 //! instant are delivered in the order they were scheduled — the classic
 //! serial behavior. [`EventQueue::schedule_ordered`] lets the caller
-//! supply the tag instead; the sharded simulation uses this to give
-//! every event a *shard-independent* key, so K per-shard queues pop
-//! their slices of the event stream in exactly the order one global
-//! queue would have. This makes every run with the same seed
-//! bit-for-bit reproducible, serial or sharded.
+//! supply the tag instead; the simulation derives it from per-node
+//! lanes, so an event's key depends only on the node that scheduled it
+//! and not on how events from different nodes interleave. This makes
+//! every run with the same seed bit-for-bit reproducible.
 //!
 //! Cancellation is lazy: the queue keeps one *live* bit per issued
 //! sequence number — set on schedule, cleared on delivery or
@@ -197,9 +196,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `payload` at `time` under an explicit total-order tag.
     ///
-    /// Same-instant events deliver in ascending `order`; the sharded
-    /// engine assigns tags from a shard-independent rule so K partial
-    /// queues agree with the one global queue on delivery order.
+    /// Same-instant events deliver in ascending `order`.
     pub fn schedule_ordered(&mut self, time: SimTime, order: u64, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -265,9 +262,8 @@ impl<E> EventQueue<E> {
             .map(|(time, _, id, payload)| (time, id, payload))
     }
 
-    /// Like [`pop`](Self::pop), but also returns the event's order tag —
-    /// the sharded merge needs the full `(time, order)` key of every
-    /// dispatch.
+    /// Like [`pop`](Self::pop), but also returns the event's order tag:
+    /// the full `(time, order)` key.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, EventId, E)> {
         while let Some(key) = self.heap.pop() {
             if self.live.remove(key.seq) {
@@ -585,9 +581,9 @@ mod tests {
 
     #[test]
     fn partitioned_queues_agree_with_one_global_queue() {
-        // The sharded-engine invariant in miniature: the same keyed
-        // events spread over two queues pop, merged by (time, order),
-        // in exactly the global queue's order.
+        // Delivery order is a function of the keys alone: the same
+        // keyed events spread over two queues pop, merged by
+        // (time, order), in exactly the one global queue's order.
         let events: Vec<(u64, u64, u32)> = vec![
             (5, 3, 0),
             (5, 1, 1),
@@ -610,8 +606,8 @@ mod tests {
             }
         }
         merged.sort_by_key(|&(t, order, _)| (t, order));
-        let sharded: Vec<u32> = merged.into_iter().map(|(_, _, e)| e).collect();
-        assert_eq!(serial, sharded);
+        let partitioned: Vec<u32> = merged.into_iter().map(|(_, _, e)| e).collect();
+        assert_eq!(serial, partitioned);
     }
 
     proptest! {

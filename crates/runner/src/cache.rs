@@ -43,13 +43,11 @@ use crate::error::Error;
 /// and fault-free runs now traverse new dispatch paths. Counters from
 /// v2 entries would not be comparable.
 ///
-/// v4: the sharded engine splits the per-run RNG into per-node lanes
-/// so shard workers draw identical jitter regardless of partitioning.
-/// The lane split changes every run's draw sequence, so v3 metrics
-/// (timings, loop censuses) no longer match a fresh run under the
-/// same spec. Note `shards` itself is *not* part of the fingerprint:
-/// serial and sharded runs produce identical results by construction
-/// and deliberately share cache entries.
+/// v4: the per-run RNG is split into per-node lanes, so a node's
+/// jitter draws no longer depend on how events from other nodes
+/// interleave. The lane split changes every run's draw sequence, so
+/// v3 metrics (timings, loop censuses) no longer match a fresh run
+/// under the same spec.
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Serializable mirror of [`PaperMetrics`] (durations as nanoseconds).

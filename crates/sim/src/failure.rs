@@ -80,10 +80,8 @@ impl FailureEvent {
 ///
 /// Failures are split into halves when they are **scheduled**, not when
 /// they fire: a `LinkDown {a, b}` becomes two `FailureHalf` events with
-/// adjacent order keys — one dispatched on `a`, one on `b`. Under the
-/// sharded engine each half runs on its endpoint's owning shard; the
-/// serial engine dispatches them back-to-back at the same instant, so
-/// both engines execute the identical event sequence and the split is
+/// adjacent order keys — one dispatched on `a`, one on `b`. The engine
+/// dispatches them back-to-back at the same instant, so the split is
 /// unobservable in any [`RunRecord`](crate::RunRecord) field.
 ///
 /// `origin_event` is `Some` on exactly one half per injected failure
@@ -159,9 +157,9 @@ impl FailureEvent {
     ///
     /// `peers_of` supplies the neighbor list used for [`NodeDown`]
     /// (the node's current peers at scheduling time); the other
-    /// variants ignore it. The returned order is deterministic and
-    /// shard-independent: callers schedule the halves consecutively so
-    /// they stay adjacent in the global `(time, order)` event order.
+    /// variants ignore it. The returned order is deterministic:
+    /// callers schedule the halves consecutively so they stay adjacent
+    /// in the global `(time, order)` event order.
     ///
     /// [`NodeDown`]: FailureEvent::NodeDown
     pub fn halves<F>(self, peers_of: F) -> Vec<FailureHalf>

@@ -26,7 +26,6 @@ use crate::failure::FailureEvent;
 use crate::network::{NetworkSnapshot, RunOutcome, SimNetwork};
 use crate::params::SimParams;
 use crate::record::RunRecord;
-use crate::sharded::ShardRunStats;
 
 /// Default per-phase event budget — far above any legitimate
 /// convergence at the paper's scales, so hitting it means divergence.
@@ -42,8 +41,10 @@ pub struct RunBudget {
     /// Wall-clock deadline, checked between event chunks.
     pub deadline: Option<Instant>,
     /// Cooperative stop flag, checked between event chunks like the
-    /// deadline. The simulator only observes it — who sets it (a
-    /// cancelling client, a draining service) is the caller's business.
+    /// deadline: when it reads `true` there, the run stops as a budget
+    /// trip of the current phase. The simulator only observes it — who
+    /// sets it (a cancelling client, a draining service) is the
+    /// caller's business.
     pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
@@ -62,14 +63,6 @@ impl RunBudget {
     /// Sets a wall-clock deadline.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attaches a cooperative stop flag: when it reads `true` at a
-    /// chunk boundary, the run stops as a budget trip of the current
-    /// phase.
-    pub fn with_cancel(mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
-        self.cancel = Some(flag);
         self
     }
 }
@@ -222,11 +215,8 @@ impl ConvergenceExperiment {
     /// always converges), if `origin` is not in the graph, or if the
     /// attached fault plan is invalid.
     pub fn run(&self) -> RunRecord {
-        match self.run_budgeted(&RunBudget::unlimited()) {
-            Ok(rec) => rec,
-            Err(e) if e.phase == "warmup" => panic!("warm-up exhausted the event budget"),
-            Err(_) => panic!("post-failure convergence exhausted the event budget"),
-        }
+        self.run_budgeted(&RunBudget::unlimited())
+            .unwrap_or_else(|e| budget_panic(&e))
     }
 
     /// Runs warm-up then failure under watchdog `limit`s, returning the
@@ -243,91 +233,10 @@ impl ConvergenceExperiment {
     /// Panics if `origin` is not in the graph or the fault plan is
     /// rejected (configuration errors, not runtime conditions).
     pub fn run_budgeted(&self, limit: &RunBudget) -> Result<RunRecord, Box<BudgetExceeded>> {
-        assert!(
-            self.graph.contains(self.origin),
-            "origin {} not in graph",
-            self.origin
-        );
-        let mut net = SimNetwork::new(&self.graph, self.config, self.params, self.seed);
-        if let Some(tracer) = &self.tracer {
-            net = net.with_tracer(tracer.clone());
-        }
-        net.originate(self.origin, self.prefix);
-        if let Err(phase) = drive_phase(&mut net, self.event_budget, limit, "warmup") {
-            return Err(Box::new(BudgetExceeded {
-                phase,
-                record: net.into_record(),
-            }));
-        }
-        // A short beat between quiescence and the failure keeps the
-        // failure time strictly after the last warm-up activity.
-        match &self.faults {
-            Some(plan) => {
-                let anchor = net.now() + SimDuration::from_secs(1);
-                if let Err(e) = net.apply_fault_plan(plan, anchor) {
-                    panic!("invalid fault plan: {e}");
-                }
-            }
-            None => net.schedule_failure(SimDuration::from_secs(1), self.failure),
-        }
-        if let Err(phase) = drive_phase(&mut net, self.event_budget, limit, "convergence") {
-            return Err(Box::new(BudgetExceeded {
-                phase,
-                record: net.into_record(),
-            }));
-        }
-        Ok(net.into_record())
-    }
-
-    /// Runs the experiment on `shards` worker threads (see
-    /// [`run_sharded_budgeted`](Self::run_sharded_budgeted)) and
-    /// returns the record alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run).
-    pub fn run_sharded(&self, shards: u32) -> RunRecord {
-        self.run_sharded_stats(shards).0
-    }
-
-    /// Like [`run_sharded`](Self::run_sharded), also returning the
-    /// run's [`ShardRunStats`] (sync rounds, null messages, barrier
-    /// wait, per-shard event counts).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`run`](Self::run).
-    pub fn run_sharded_stats(&self, shards: u32) -> (RunRecord, ShardRunStats) {
-        match self.run_sharded_budgeted(shards, &RunBudget::unlimited()) {
-            Ok(out) => out,
-            Err(e) if e.phase == "warmup" => panic!("warm-up exhausted the event budget"),
-            Err(_) => panic!("post-failure convergence exhausted the event budget"),
-        }
-    }
-
-    /// Runs warm-up then failure on `shards` conservative-parallel
-    /// worker threads. A completed run's [`RunRecord`] — and its trace
-    /// stream — is byte-identical to [`run_budgeted`](Self::run_budgeted)'s;
-    /// the serial engine remains the oracle. Sharding changes only
-    /// wall-clock time and the granularity at which watchdog limits
-    /// are honored: budget trips land on window boundaries instead of
-    /// event-chunk boundaries, so *partial* records may differ from
-    /// serial partial records.
-    ///
-    /// Falls back to the serial engine when `shards <= 1`, the graph
-    /// has fewer nodes than shards would need, or the link delay is
-    /// zero (the window protocol's lookahead is the link delay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is not in the graph or the fault plan is
-    /// rejected (configuration errors, not runtime conditions).
-    pub fn run_sharded_budgeted(
-        &self,
-        shards: u32,
-        limit: &RunBudget,
-    ) -> Result<(RunRecord, ShardRunStats), Box<BudgetExceeded>> {
-        crate::sharded::run_sharded_budgeted(self, shards, limit)
+        let mut net = self.launch(limit)?;
+        self.apply_tail(&mut net);
+        self.drive(net, None, limit, "convergence")
+            .map(SimNetwork::into_record)
     }
 
     /// Runs the experiment up to `beat` and captures a [`RunSnapshot`]
@@ -345,11 +254,8 @@ impl ConvergenceExperiment {
     /// invalid fault plan, or an [`SnapshotBeat::At`] instant that
     /// precedes the end of warm-up.
     pub fn snapshot_at(&self, beat: SnapshotBeat) -> RunSnapshot {
-        match self.snapshot_at_budgeted(beat, &RunBudget::unlimited()) {
-            Ok(snap) => snap,
-            Err(e) if e.phase == "warmup" => panic!("warm-up exhausted the event budget"),
-            Err(_) => panic!("post-failure convergence exhausted the event budget"),
-        }
+        self.snapshot_at_budgeted(beat, &RunBudget::unlimited())
+            .unwrap_or_else(|e| budget_panic(&e))
     }
 
     /// [`snapshot_at`](Self::snapshot_at) under watchdog `limit`s; on a
@@ -365,54 +271,23 @@ impl ConvergenceExperiment {
         beat: SnapshotBeat,
         limit: &RunBudget,
     ) -> Result<RunSnapshot, Box<BudgetExceeded>> {
-        assert!(
-            self.graph.contains(self.origin),
-            "origin {} not in graph",
-            self.origin
-        );
-        let mut net = SimNetwork::new(&self.graph, self.config, self.params, self.seed);
-        if let Some(tracer) = &self.tracer {
-            net = net.with_tracer(tracer.clone());
-        }
-        net.originate(self.origin, self.prefix);
-        if let Err(phase) = drive_phase(&mut net, self.event_budget, limit, "warmup") {
-            return Err(Box::new(BudgetExceeded {
-                phase,
-                record: net.into_record(),
-            }));
-        }
-        let at = match beat {
-            SnapshotBeat::Quiescence => {
-                return Ok(RunSnapshot {
-                    network: net.snapshot(),
-                    tail_applied: false,
-                });
+        let mut net = self.launch(limit)?;
+        let tail_applied = match beat {
+            SnapshotBeat::Quiescence => false,
+            SnapshotBeat::At(at) => {
+                assert!(
+                    at >= net.now(),
+                    "snapshot beat {at} precedes the end of warm-up ({})",
+                    net.now()
+                );
+                self.apply_tail(&mut net);
+                net = self.drive(net, Some(at), limit, "convergence")?;
+                true
             }
-            SnapshotBeat::At(at) => at,
         };
-        assert!(
-            at >= net.now(),
-            "snapshot beat {at} precedes the end of warm-up ({})",
-            net.now()
-        );
-        match &self.faults {
-            Some(plan) => {
-                let anchor = net.now() + SimDuration::from_secs(1);
-                if let Err(e) = net.apply_fault_plan(plan, anchor) {
-                    panic!("invalid fault plan: {e}");
-                }
-            }
-            None => net.schedule_failure(SimDuration::from_secs(1), self.failure),
-        }
-        if let Err(phase) = drive_until(&mut net, at, self.event_budget, limit, "convergence") {
-            return Err(Box::new(BudgetExceeded {
-                phase,
-                record: net.into_record(),
-            }));
-        }
         Ok(RunSnapshot {
             network: net.snapshot(),
-            tail_applied: true,
+            tail_applied,
         })
     }
 
@@ -431,10 +306,8 @@ impl ConvergenceExperiment {
     ///
     /// Panics on budget exhaustion or an invalid fault plan.
     pub fn resume_from(&self, snap: &RunSnapshot) -> RunRecord {
-        match self.resume_from_budgeted(snap, &RunBudget::unlimited()) {
-            Ok(rec) => rec,
-            Err(_) => panic!("post-failure convergence exhausted the event budget"),
-        }
+        self.resume_from_budgeted(snap, &RunBudget::unlimited())
+            .unwrap_or_else(|e| budget_panic(&e))
     }
 
     /// [`resume_from`](Self::resume_from) under watchdog `limit`s.
@@ -447,111 +320,108 @@ impl ConvergenceExperiment {
         snap: &RunSnapshot,
         limit: &RunBudget,
     ) -> Result<RunRecord, Box<BudgetExceeded>> {
-        let mut net = SimNetwork::restore(snap.network.clone());
-        if let Some(tracer) = &self.tracer {
-            net = net.with_tracer(tracer.clone());
-        }
+        let mut net = self.traced(SimNetwork::restore(snap.network.clone()));
         if !snap.tail_applied {
-            match &self.faults {
-                Some(plan) => {
-                    let anchor = net.now() + SimDuration::from_secs(1);
-                    if let Err(e) = net.apply_fault_plan(plan, anchor) {
-                        panic!("invalid fault plan: {e}");
-                    }
+            self.apply_tail(&mut net);
+        }
+        self.drive(net, None, limit, "convergence")
+            .map(SimNetwork::into_record)
+    }
+
+    /// Attaches this experiment's trace handle, if it has one.
+    fn traced(&self, net: SimNetwork) -> SimNetwork {
+        match &self.tracer {
+            Some(tracer) => net.with_tracer(tracer.clone()),
+            None => net,
+        }
+    }
+
+    /// The launch step every from-scratch entry shares: builds the
+    /// network, originates the prefix and drains warm-up to quiescence.
+    fn launch(&self, limit: &RunBudget) -> Result<SimNetwork, Box<BudgetExceeded>> {
+        assert!(
+            self.graph.contains(self.origin),
+            "origin {} not in graph",
+            self.origin
+        );
+        let mut net = self.traced(SimNetwork::new(
+            &self.graph,
+            self.config,
+            self.params,
+            self.seed,
+        ));
+        net.originate(self.origin, self.prefix);
+        self.drive(net, None, limit, "warmup")
+    }
+
+    /// Schedules the tail — the fault plan when one is attached, else
+    /// the single failure — one second past the current instant: a
+    /// short beat between quiescence and the failure keeps the failure
+    /// time strictly after the last warm-up activity.
+    fn apply_tail(&self, net: &mut SimNetwork) {
+        match &self.faults {
+            Some(plan) => {
+                let anchor = net.now() + SimDuration::from_secs(1);
+                if let Err(e) = net.apply_fault_plan(plan, anchor) {
+                    panic!("invalid fault plan: {e}");
                 }
-                None => net.schedule_failure(SimDuration::from_secs(1), self.failure),
             }
+            None => net.schedule_failure(SimDuration::from_secs(1), self.failure),
         }
-        if let Err(phase) = drive_phase(&mut net, self.event_budget, limit, "convergence") {
-            return Err(Box::new(BudgetExceeded {
-                phase,
-                record: net.into_record(),
-            }));
-        }
-        Ok(net.into_record())
     }
-}
 
-/// Drives `net` forward to the absolute instant `at` in chunks,
-/// honoring the per-phase event budget and the watchdog `limit`.
-/// Pending events strictly after `at` stay queued; the clock lands
-/// exactly on `at` (chunked [`SimNetwork::run_for`] semantics, which
-/// are observationally identical to an uninterrupted drain).
-fn drive_until<P: bgpsim_core::decision::RoutePolicy>(
-    net: &mut SimNetwork<P>,
-    at: SimTime,
-    phase_budget: u64,
-    limit: &RunBudget,
-    phase: &'static str,
-) -> Result<(), &'static str> {
-    let phase_start = net.events_dispatched();
-    loop {
-        let phase_spent = net.events_dispatched() - phase_start;
-        if phase_spent >= phase_budget {
-            return Err(phase);
-        }
-        let mut step = BUDGET_CHUNK.min(phase_budget - phase_spent);
-        if let Some(max) = limit.max_events {
+    /// Drives `net` forward in chunks, honoring the per-phase event
+    /// budget and the watchdog `limit`: to quiescence when `until` is
+    /// `None`, else to the absolute instant `until` (pending events
+    /// strictly after it stay queued and the clock lands exactly on
+    /// it). Chunked execution is observationally identical to an
+    /// uninterrupted drain. When a budget trips first, the partial
+    /// record comes back as the error.
+    fn drive(
+        &self,
+        mut net: SimNetwork,
+        until: Option<SimTime>,
+        limit: &RunBudget,
+        phase: &'static str,
+    ) -> Result<SimNetwork, Box<BudgetExceeded>> {
+        let phase_start = net.events_dispatched();
+        loop {
             let total = net.events_dispatched();
-            if total >= max {
-                return Err(phase);
+            let spent = total - phase_start;
+            let tripped = spent >= self.event_budget
+                || limit.max_events.is_some_and(|max| total >= max)
+                || limit.deadline.is_some_and(|d| Instant::now() >= d)
+                || limit
+                    .cancel
+                    .as_ref()
+                    .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+            if tripped {
+                return Err(Box::new(BudgetExceeded {
+                    phase,
+                    record: net.into_record(),
+                }));
             }
-            step = step.min(max - total);
-        }
-        if let Some(deadline) = limit.deadline {
-            if Instant::now() >= deadline {
-                return Err(phase);
+            let mut step = BUDGET_CHUNK.min(self.event_budget - spent);
+            if let Some(max) = limit.max_events {
+                step = step.min(max - total);
             }
-        }
-        if let Some(cancel) = &limit.cancel {
-            if cancel.load(std::sync::atomic::Ordering::Relaxed) {
-                return Err(phase);
+            let outcome = match until {
+                Some(at) => net.run_for(at - net.now(), step),
+                None => net.run_to_quiescence(step),
+            };
+            if outcome == RunOutcome::Quiescent {
+                return Ok(net);
             }
-        }
-        match net.run_for(at - net.now(), step) {
-            RunOutcome::Quiescent => return Ok(()),
-            RunOutcome::BudgetExhausted => {}
         }
     }
 }
 
-/// Drains `net` to quiescence in chunks, honoring the per-phase event
-/// budget and the watchdog `limit`. Returns `Err(phase)` when a budget
-/// trips first.
-fn drive_phase<P: bgpsim_core::decision::RoutePolicy>(
-    net: &mut SimNetwork<P>,
-    phase_budget: u64,
-    limit: &RunBudget,
-    phase: &'static str,
-) -> Result<(), &'static str> {
-    let phase_start = net.events_dispatched();
-    loop {
-        let phase_spent = net.events_dispatched() - phase_start;
-        if phase_spent >= phase_budget {
-            return Err(phase);
-        }
-        let mut step = BUDGET_CHUNK.min(phase_budget - phase_spent);
-        if let Some(max) = limit.max_events {
-            let total = net.events_dispatched();
-            if total >= max {
-                return Err(phase);
-            }
-            step = step.min(max - total);
-        }
-        if let Some(deadline) = limit.deadline {
-            if Instant::now() >= deadline {
-                return Err(phase);
-            }
-        }
-        if let Some(cancel) = &limit.cancel {
-            if cancel.load(std::sync::atomic::Ordering::Relaxed) {
-                return Err(phase);
-            }
-        }
-        match net.run_to_quiescence(step) {
-            RunOutcome::Quiescent => return Ok(()),
-            RunOutcome::BudgetExhausted => {}
-        }
+/// The panic of the unbudgeted entries: only the per-phase event budget
+/// can trip under [`RunBudget::unlimited`], and that means divergence.
+fn budget_panic(e: &BudgetExceeded) -> ! {
+    match e.phase {
+        "warmup" => panic!("warm-up exhausted the event budget"),
+        _ => panic!("post-failure convergence exhausted the event budget"),
     }
 }
 

@@ -39,14 +39,12 @@ pub mod harness;
 pub mod network;
 pub mod params;
 pub mod record;
-pub mod sharded;
 
 pub use failure::{FailureEvent, FailureHalf, HalfAction};
 pub use harness::{BudgetExceeded, ConvergenceExperiment, RunBudget, RunSnapshot, SnapshotBeat};
 pub use network::{NetworkSnapshot, RunOutcome, SimNetwork};
 pub use params::SimParams;
 pub use record::{RunRecord, UpdateSend};
-pub use sharded::ShardRunStats;
 
 // Fault-plan types, re-exported so harness users don't need a direct
 // `bgpsim-faults` dependency.

@@ -25,25 +25,18 @@ use crate::event::NetEvent;
 use crate::failure::{FailureEvent, FailureHalf, HalfAction};
 use crate::params::SimParams;
 use crate::record::{PathChange, RunRecord, UpdateSend};
-use crate::sharded::ShardCtx;
 
 /// Stream tag for per-node RNG lanes, disjoint from the fault-plan
 /// stream tags (`0x1055…`, `0xF1A9…`, …). Lane `i` draws from
 /// `fork(LANE_STREAM_TAG | i)` of the run seed, so a node's draws are
 /// a pure function of `(seed, node)` — independent of how events from
-/// different nodes interleave, which is what lets shards replay the
-/// exact serial draw sequences without sharing an RNG.
+/// different nodes interleave.
 const LANE_STREAM_TAG: u64 = 0x7A9E_0000_0000_0000;
 
 /// Bits reserved for the per-lane counter inside an event order key:
 /// `order = lane << ORDER_CTR_BITS | counter`. 2^40 events per lane
 /// and 2^24 lanes comfortably exceed any run the budget allows.
 const ORDER_CTR_BITS: u32 = 40;
-
-/// The [`EventId`] returned for events that another shard owns: the
-/// local engine never saw them, so cancellation and liveness checks on
-/// this id are harmless no-ops.
-const FOREIGN_EVENT: EventId = EventId::from_raw(u64::MAX);
 
 /// One node's record of its latest scheduled MRAI expiry event for a
 /// `(peer, prefix)` pair.
@@ -181,8 +174,6 @@ pub struct SimNetwork<P: RoutePolicy = ShortestPath> {
     /// The lane charged for events scheduled right now: the node whose
     /// dispatch is executing, or the harness lane between dispatches.
     sched_lane: u32,
-    /// Sharded-execution context; `None` for serial runs.
-    shard: Option<Box<ShardCtx>>,
     params: SimParams,
     fib: NetworkFib,
     sends: Vec<UpdateSend>,
@@ -275,7 +266,6 @@ impl<P: RoutePolicy> SimNetwork<P> {
             rng_lanes,
             lane_ctrs: vec![0; n + 1],
             sched_lane: n as u32,
-            shard: None,
             params,
             fib: NetworkFib::new(n),
             sends: Vec::new(),
@@ -341,11 +331,9 @@ impl<P: RoutePolicy> SimNetwork<P> {
         self.routers.len() as u32
     }
 
-    /// Assigns the next shard-independent order key on the current
-    /// lane. A node's events pop in `(time, order)` order on every
-    /// engine, so each lane's counter advances through the identical
-    /// sequence whether the run is serial or sharded — which is what
-    /// makes the keys (and therefore the merged event order) agree.
+    /// Assigns the next order key on the current lane. A node's events
+    /// pop in `(time, order)` order, so each lane's counter is a pure
+    /// function of that node's own history.
     fn next_order(&mut self) -> u64 {
         let lane = self.sched_lane;
         let ctr = self.lane_ctrs[lane as usize];
@@ -354,42 +342,10 @@ impl<P: RoutePolicy> SimNetwork<P> {
         (u64::from(lane) << ORDER_CTR_BITS) | ctr
     }
 
-    /// Schedules `ev` at `at` under the current lane's next order key,
-    /// routing by ownership when sharded: events for foreign nodes go
-    /// to the outbox (windowed execution) or are dropped (replicated
-    /// harness phases, where the owning shard schedules its own copy).
-    /// The lane counter advances in every case — that is what keeps
-    /// the counters synchronized across shards.
+    /// Schedules `ev` at `at` under the current lane's next order key.
     fn schedule_event(&mut self, at: SimTime, ev: NetEvent) -> EventId {
         let order = self.next_order();
-        let is_arrival = matches!(ev, NetEvent::MessageArrival { .. });
-        if let Some(ctx) = self.shard.as_mut() {
-            ctx.note_push();
-            let target = ctx.owner[ev.node().index()];
-            if target != ctx.shard_id {
-                if !ctx.replicating {
-                    ctx.outbox.push((target, at, order, ev));
-                }
-                return FOREIGN_EVENT;
-            }
-        }
-        let id = self.engine.schedule_at_ordered(at, order, ev);
-        if let Some(ctx) = self.shard.as_mut() {
-            ctx.note_pending(at, order, id.as_u64(), is_arrival);
-        }
-        id
-    }
-
-    /// Cancels a pending event, keeping the sharded depth-replay log
-    /// consistent (a hit removes one pending event from the global
-    /// queue the serial oracle would have had).
-    fn cancel_event(&mut self, id: EventId) {
-        let hit = self.engine.cancel(id);
-        if hit {
-            if let Some(ctx) = self.shard.as_mut() {
-                ctx.note_cancel();
-            }
-        }
+        self.engine.schedule_at_ordered(at, order, ev)
     }
 
     /// Makes `origin` start originating `prefix` at the current time.
@@ -540,28 +496,19 @@ impl<P: RoutePolicy> SimNetwork<P> {
 
     /// Pops one event (advancing the clock), dispatches it, and does
     /// the per-dispatch bookkeeping shared by every run loop.
-    fn step(&mut self, now: SimTime, order: u64, ev: NetEvent) {
+    fn step(&mut self, now: SimTime, ev: NetEvent) {
         self.events_dispatched += 1;
         self.sched_lane = ev.node().as_u32();
         self.trace_dispatch(&ev, now);
         self.dispatch(ev, now);
-        if let Some(ctx) = self.shard.as_mut() {
-            ctx.end_dispatch(
-                now,
-                order,
-                self.sends.len(),
-                self.path_changes.len(),
-                self.live_fates.len(),
-            );
-        }
     }
 
     /// Runs the event loop until no events remain, or until `budget`
     /// events have been dispatched.
     pub fn run_to_quiescence(&mut self, budget: u64) -> RunOutcome {
         let mut remaining = budget;
-        while let Some((now, order, ev)) = self.engine.pop_keyed() {
-            self.step(now, order, ev);
+        while let Some((now, ev)) = self.engine.pop() {
+            self.step(now, ev);
             remaining -= 1;
             if remaining == 0 {
                 return RunOutcome::BudgetExhausted;
@@ -579,8 +526,8 @@ impl<P: RoutePolicy> SimNetwork<P> {
     pub fn run_for(&mut self, duration: SimDuration, budget: u64) -> RunOutcome {
         let horizon = self.engine.now() + duration;
         let mut remaining = budget;
-        while let Some((now, order, ev)) = self.engine.pop_until_keyed(horizon) {
-            self.step(now, order, ev);
+        while let Some((now, ev)) = self.engine.pop_until(horizon) {
+            self.step(now, ev);
             remaining -= 1;
             if remaining == 0 {
                 return RunOutcome::BudgetExhausted;
@@ -724,7 +671,6 @@ impl<P: RoutePolicy> SimNetwork<P> {
             rng_lanes: snap.rng_lanes.into_iter().map(SimRng::restore).collect(),
             lane_ctrs: snap.lane_ctrs,
             sched_lane: n as u32,
-            shard: None,
             params: snap.params,
             fib,
             sends: snap.sends,
@@ -754,36 +700,14 @@ impl<P: RoutePolicy> SimNetwork<P> {
         }
     }
 
-    /// Records a trace event: emitted immediately for serial runs,
-    /// buffered per-shard for sharded runs (the merge re-emits every
-    /// shard's buffer in global event order, so the final stream is
-    /// byte-identical to the serial one).
-    fn push_trace(&mut self, ev: TraceEvent) {
-        match self.shard.as_mut() {
-            Some(ctx) => ctx.trace_buf.push(ev),
-            None => self.tracer.emit(|| ev),
-        }
-    }
-
     #[inline]
-    fn trace_dispatch(&mut self, ev: &NetEvent, now: SimTime) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        // Queue depth is a global-queue property: a shard only knows
-        // its local depth, so sharded runs emit a placeholder that the
-        // merge overwrites with the replayed serial depth.
-        let queue_depth = match self.shard {
-            Some(_) => 0,
-            None => self.engine.pending() as u64,
-        };
-        let tev = TraceEvent::EventDispatch {
+    fn trace_dispatch(&self, ev: &NetEvent, now: SimTime) {
+        self.tracer.emit(|| TraceEvent::EventDispatch {
             seed: self.seed,
             t: now.as_nanos(),
             class: ev.class(),
-            queue_depth,
-        };
-        self.push_trace(tev);
+            queue_depth: self.engine.pending() as u64,
+        });
     }
 
     fn dispatch(&mut self, ev: NetEvent, now: SimTime) {
@@ -795,16 +719,13 @@ impl<P: RoutePolicy> SimNetwork<P> {
                 self.schedule_event(done, NetEvent::MessageProcessed { to, from, msg });
             }
             NetEvent::MessageProcessed { to, from, msg } => {
-                if self.tracer.is_enabled() {
-                    let tev = TraceEvent::UpdateRx {
-                        seed: self.seed,
-                        t: now.as_nanos(),
-                        node: to.as_u32(),
-                        from: from.as_u32(),
-                        withdraw: msg.is_withdraw(),
-                    };
-                    self.push_trace(tev);
-                }
+                self.tracer.emit(|| TraceEvent::UpdateRx {
+                    seed: self.seed,
+                    t: now.as_nanos(),
+                    node: to.as_u32(),
+                    from: from.as_u32(),
+                    withdraw: msg.is_withdraw(),
+                });
                 let out = self.routers[to.index()].handle_message(
                     from,
                     &msg,
@@ -814,15 +735,12 @@ impl<P: RoutePolicy> SimNetwork<P> {
                 self.apply_output(to, out, now);
             }
             NetEvent::MraiExpiry { node, peer, prefix } => {
-                if self.tracer.is_enabled() {
-                    let tev = TraceEvent::MraiFired {
-                        seed: self.seed,
-                        t: now.as_nanos(),
-                        node: node.as_u32(),
-                        peer: peer.as_u32(),
-                    };
-                    self.push_trace(tev);
-                }
+                self.tracer.emit(|| TraceEvent::MraiFired {
+                    seed: self.seed,
+                    t: now.as_nanos(),
+                    node: node.as_u32(),
+                    peer: peer.as_u32(),
+                });
                 let out = self.routers[node.index()].on_mrai_expire(
                     peer,
                     prefix,
@@ -865,26 +783,20 @@ impl<P: RoutePolicy> SimNetwork<P> {
         if let Some(origin) = half.origin_event {
             if from_plan {
                 self.faults_injected += 1;
-                if self.tracer.is_enabled() {
-                    let tev = TraceEvent::FaultInjected {
-                        seed: self.seed,
-                        t: now.as_nanos(),
-                        fault: origin.describe(),
-                    };
-                    self.push_trace(tev);
-                }
+                self.tracer.emit(|| TraceEvent::FaultInjected {
+                    seed: self.seed,
+                    t: now.as_nanos(),
+                    fault: origin.describe(),
+                });
             }
             if let FailureEvent::SessionReset { a, b } = origin {
                 self.session_resets += 1;
-                if self.tracer.is_enabled() {
-                    let tev = TraceEvent::SessionReset {
-                        seed: self.seed,
-                        t: now.as_nanos(),
-                        a: a.as_u32(),
-                        b: b.as_u32(),
-                    };
-                    self.push_trace(tev);
-                }
+                self.tracer.emit(|| TraceEvent::SessionReset {
+                    seed: self.seed,
+                    t: now.as_nanos(),
+                    a: a.as_u32(),
+                    b: b.as_u32(),
+                });
             }
         }
         match half.action {
@@ -951,15 +863,12 @@ impl<P: RoutePolicy> SimNetwork<P> {
             let path = self.routers[node.index()]
                 .best(prefix)
                 .map(|r| r.path.clone());
-            if self.tracer.is_enabled() {
-                let tev = TraceEvent::RibChange {
-                    seed: self.seed,
-                    t: now.as_nanos(),
-                    node: node.as_u32(),
-                    path: path.as_ref().map(|p| p.ids().collect()).unwrap_or_default(),
-                };
-                self.push_trace(tev);
-            }
+            self.tracer.emit(|| TraceEvent::RibChange {
+                seed: self.seed,
+                t: now.as_nanos(),
+                node: node.as_u32(),
+                path: path.as_ref().map(|p| p.ids().collect()).unwrap_or_default(),
+            });
             self.path_changes.push(crate::record::PathChange {
                 at: now,
                 node,
@@ -968,17 +877,14 @@ impl<P: RoutePolicy> SimNetwork<P> {
             });
         }
         for (to, msg) in out.sends {
-            if self.tracer.is_enabled() {
-                let tev = TraceEvent::UpdateTx {
-                    seed: self.seed,
-                    t: now.as_nanos(),
-                    node: node.as_u32(),
-                    to: to.as_u32(),
-                    withdraw: msg.is_withdraw(),
-                    path_len: msg.path().map_or(0, |p| p.len() as u64),
-                };
-                self.push_trace(tev);
-            }
+            self.tracer.emit(|| TraceEvent::UpdateTx {
+                seed: self.seed,
+                t: now.as_nanos(),
+                node: node.as_u32(),
+                to: to.as_u32(),
+                withdraw: msg.is_withdraw(),
+                path_len: msg.path().map_or(0, |p| p.len() as u64),
+            });
             self.sends.push(UpdateSend {
                 at: now,
                 from: node,
@@ -1046,7 +952,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
         if let Some(i) = idx {
             let slot = self.mrai_pending[node.index()][i];
             if slot.at <= now {
-                self.cancel_event(slot.event);
+                self.engine.cancel(slot.event);
             }
         }
         let event = self.schedule_event(at, NetEvent::MraiExpiry { node, peer, prefix });
@@ -1100,147 +1006,6 @@ impl<P: RoutePolicy> SimNetwork<P> {
                     },
                 );
             }
-        }
-    }
-}
-
-// ---- sharded-execution hooks (crate-internal; see `crate::sharded`) ----
-impl<P: RoutePolicy> SimNetwork<P> {
-    /// Attaches a sharded-execution context: from here on this network
-    /// is the worker for `ctx.shard_id`, scheduling only events whose
-    /// node it owns and logging dispatches for the deterministic merge.
-    pub(crate) fn attach_shard(&mut self, ctx: Box<ShardCtx>) {
-        assert!(self.shard.is_none(), "shard context already attached");
-        assert_eq!(ctx.owner.len(), self.routers.len());
-        self.shard = Some(ctx);
-    }
-
-    /// Switches replicated-harness mode: while replicating, every
-    /// shard executes the same harness calls and foreign-node events
-    /// are dropped instead of outboxed (the owner schedules its own
-    /// copy).
-    pub(crate) fn set_replicating(&mut self, on: bool) {
-        self.shard
-            .as_mut()
-            .expect("replication requires a shard context")
-            .replicating = on;
-    }
-
-    /// Closes the current harness segment (originate / failure
-    /// scheduling), recording its push bookkeeping and output cursors
-    /// for the merge.
-    pub(crate) fn end_harness_segment(&mut self) {
-        let sends = self.sends.len();
-        let paths = self.path_changes.len();
-        let fates = self.live_fates.len();
-        self.shard
-            .as_mut()
-            .expect("harness segment requires a shard context")
-            .end_harness_segment(sends, paths, fates);
-    }
-
-    /// Marks the end of a window-driven phase in the dispatch log.
-    pub(crate) fn end_phase(&mut self) {
-        self.shard
-            .as_mut()
-            .expect("phase marker requires a shard context")
-            .end_phase();
-    }
-
-    /// Pops and dispatches every pending event with `time < horizon`
-    /// (the conservative window), returning the number dispatched.
-    /// Cross-shard events accumulate in the context's outbox.
-    pub(crate) fn run_window(&mut self, horizon: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some((now, order, ev)) = self.engine.pop_before_keyed(horizon) {
-            self.step(now, order, ev);
-            n += 1;
-        }
-        n
-    }
-
-    /// Inserts an event received from another shard. The key keeps the
-    /// order assigned by the scheduling shard; lane counters and push
-    /// bookkeeping are untouched (the scheduling shard counted it).
-    pub(crate) fn insert_remote(&mut self, at: SimTime, order: u64, ev: NetEvent) {
-        let is_arrival = matches!(ev, NetEvent::MessageArrival { .. });
-        let id = self.engine.schedule_at_ordered(at, order, ev);
-        self.shard
-            .as_mut()
-            .expect("remote insert requires a shard context")
-            .note_pending(at, order, id.as_u64(), is_arrival);
-    }
-
-    /// Drains the cross-shard outbox accumulated by the last window.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(u32, SimTime, u64, NetEvent)> {
-        std::mem::take(
-            &mut self
-                .shard
-                .as_mut()
-                .expect("outbox requires a shard context")
-                .outbox,
-        )
-    }
-
-    /// This shard's earliest-output time (EOT) in nanoseconds: a lower
-    /// bound on the arrival time of any cross-shard message it can
-    /// still produce. `u64::MAX` when the shard is idle.
-    ///
-    /// Two pending-event classes bound it:
-    /// * a *sendable* event at `t` (anything but a message arrival)
-    ///   can put a message on a link at `t`, arriving at `t + link`;
-    /// * an *arrival* at `t` must first clear the node's processor
-    ///   (`≥ proc_delay_lo`), so its effects reach other shards no
-    ///   earlier than `t + proc_delay_lo + link`.
-    ///
-    /// Same-time local cascades never lower either bound, because
-    /// every spawned event fires no earlier than its parent.
-    pub(crate) fn shard_eot(&mut self) -> u64 {
-        let ctx = self.shard.as_mut().expect("EOT requires a shard context");
-        let link = self.params.link_delay;
-        let proc_lo = self.params.proc_delay_lo;
-        let min_sendable = ctx.min_pending_sendable(&self.engine);
-        let min_arrival = ctx.min_pending_arrival(&self.engine);
-        let from_sendable = min_sendable.map(|t| (t + link).as_nanos());
-        let from_arrival = min_arrival.map(|t| (t + proc_lo + link).as_nanos());
-        match (from_sendable, from_arrival) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => u64::MAX,
-        }
-    }
-
-    /// Consumes the worker network and returns everything the merge
-    /// needs.
-    pub(crate) fn into_shard_parts(self) -> crate::sharded::ShardParts {
-        let ctx = *self.shard.expect("worker network has a shard context");
-        crate::sharded::ShardParts {
-            shard_id: ctx.shard_id,
-            now: self.engine.now(),
-            queue_hiwater: self.engine.stats().max_pending,
-            router_stats: self.routers.iter().map(|r| r.stats()).collect(),
-            link_lost: self
-                .links
-                .iter()
-                .enumerate()
-                .flat_map(|(i, adj)| {
-                    adj.iter()
-                        .map(move |(to, link)| (NodeId::new(i as u32), *to, link.stats().lost))
-                })
-                .collect(),
-            fib_changes: self.fib.iter_changes().collect(),
-            sends: self.sends,
-            path_changes: self.path_changes,
-            live_fates: self.live_fates,
-            failure_at: self.failure_at,
-            events_dispatched: self.events_dispatched,
-            faults_injected: self.faults_injected,
-            session_resets: self.session_resets,
-            log: ctx.log,
-            segs: ctx.segs,
-            phase_log_ends: ctx.phase_log_ends,
-            trace_buf: ctx.trace_buf,
         }
     }
 }

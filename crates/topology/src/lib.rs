@@ -33,7 +33,6 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 pub mod node;
-pub mod partition;
 pub mod relationships;
 
 pub use graph::{Edge, Graph};

@@ -173,32 +173,6 @@ pub enum TraceEvent {
         /// jumping in-epoch cycle turns.
         hops_skipped: u64,
     },
-    /// Sharded-run synchronization summary, emitted once per sharded
-    /// run after the deterministic cross-shard merge. Carries the
-    /// conservative-window bookkeeping a serial run has no use for:
-    /// how events spread over shards, how many synchronization rounds
-    /// (time windows) the run took, and how much wall-clock the
-    /// workers spent waiting at window barriers.
-    ShardSummary {
-        /// The run's RNG seed.
-        seed: u64,
-        /// Simulation time of quiescence, nanoseconds.
-        t: u64,
-        /// Number of shards the run executed on.
-        shards: u64,
-        /// Events dispatched by each shard, indexed by shard id. The
-        /// per-shard totals sum to the run's `events` counter.
-        events: Vec<u64>,
-        /// Barrier rounds in which a shard had no cross-shard payload
-        /// to exchange (its window publication was a pure null
-        /// message), summed over shards.
-        null_msgs: u64,
-        /// Conservative time windows executed (barrier rounds).
-        sync_rounds: u64,
-        /// Wall-clock spent blocked at window barriers, microseconds,
-        /// summed over shards.
-        barrier_wait_us: u64,
-    },
     /// A planned fault fired inside the simulator.
     FaultInjected {
         /// The run's RNG seed.
@@ -354,7 +328,6 @@ impl TraceEvent {
             TraceEvent::LoopOffset { .. } => "loop_offset",
             TraceEvent::RunSummary { .. } => "run_summary",
             TraceEvent::MeasureSummary { .. } => "measure_summary",
-            TraceEvent::ShardSummary { .. } => "shard_summary",
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::SessionReset { .. } => "session_reset",
             TraceEvent::CacheQuarantine { .. } => "cache_quarantine",
@@ -381,7 +354,6 @@ impl TraceEvent {
             | TraceEvent::LoopOffset { seed, .. }
             | TraceEvent::RunSummary { seed, .. }
             | TraceEvent::MeasureSummary { seed, .. }
-            | TraceEvent::ShardSummary { seed, .. }
             | TraceEvent::FaultInjected { seed, .. }
             | TraceEvent::SessionReset { seed, .. } => seed,
             TraceEvent::CacheQuarantine { .. }
@@ -521,26 +493,6 @@ impl serde::Serialize for TraceEvent {
                 put("trail_hits", Value::UInt(*trail_hits));
                 put("hops", Value::UInt(*hops));
                 put("hops_skipped", Value::UInt(*hops_skipped));
-            }
-            TraceEvent::ShardSummary {
-                seed,
-                t,
-                shards,
-                events,
-                null_msgs,
-                sync_rounds,
-                barrier_wait_us,
-            } => {
-                put("seed", Value::UInt(*seed));
-                put("t", Value::UInt(*t));
-                put("shards", Value::UInt(*shards));
-                put(
-                    "events",
-                    Value::Array(events.iter().map(|&e| Value::UInt(e)).collect()),
-                );
-                put("null_msgs", Value::UInt(*null_msgs));
-                put("sync_rounds", Value::UInt(*sync_rounds));
-                put("barrier_wait_us", Value::UInt(*barrier_wait_us));
             }
             TraceEvent::FaultInjected { seed, t, fault } => {
                 put("seed", Value::UInt(*seed));
@@ -692,17 +644,12 @@ pub struct RunCounters {
     /// and monotone, so later runs in the same process report values at
     /// least as large as earlier ones.
     pub peak_rss_kb: u64,
-    /// High-water mark of any single shard's event queue. Equals
-    /// `max_queue_depth` for serial runs; for sharded runs it is the
-    /// per-shard maximum, which is what bounds worker memory.
-    pub shard_queue_hiwater: u64,
 }
 
 impl RunCounters {
     /// Folds another run's counters into an aggregate: sums every
-    /// field except `max_queue_depth`, `peak_rss_kb`, and
-    /// `shard_queue_hiwater`, which take the maximum (they are
-    /// high-water marks, not volumes).
+    /// field except `max_queue_depth` and `peak_rss_kb`, which take the
+    /// maximum (they are high-water marks, not volumes).
     pub fn merge(&mut self, other: &RunCounters) {
         self.events += other.events;
         self.updates_sent += other.updates_sent;
@@ -716,7 +663,6 @@ impl RunCounters {
         self.replay_packets += other.replay_packets;
         self.replay_memo_hits += other.replay_memo_hits;
         self.peak_rss_kb = self.peak_rss_kb.max(other.peak_rss_kb);
-        self.shard_queue_hiwater = self.shard_queue_hiwater.max(other.shard_queue_hiwater);
     }
 }
 
@@ -739,7 +685,6 @@ impl serde::Serialize for RunCounters {
             uint("replay_packets", self.replay_packets),
             uint("replay_memo_hits", self.replay_memo_hits),
             uint("peak_rss_kb", self.peak_rss_kb),
-            uint("shard_queue_hiwater", self.shard_queue_hiwater),
         ])
     }
 }
@@ -1212,7 +1157,6 @@ mod tests {
                 replay_packets: 40,
                 replay_memo_hits: 30,
                 peak_rss_kb: 2048,
-                shard_queue_hiwater: 5,
             },
         };
         let raw: RawEvent = serde_json::from_str(&serde_json::to_string(&ev).unwrap()).unwrap();
@@ -1227,30 +1171,6 @@ mod tests {
         assert_eq!(raw.get("sim_ns").and_then(|v| v.as_u64()), Some(8_250_000));
         assert_eq!(raw.get("sim_ms").and_then(|v| v.as_f64()), Some(8.25));
         assert_eq!(raw.get("measure_ms").and_then(|v| v.as_f64()), Some(4.0));
-    }
-
-    #[test]
-    fn shard_summary_serializes_flat_with_event_array() {
-        let ev = TraceEvent::ShardSummary {
-            seed: 7,
-            t: 42,
-            shards: 3,
-            events: vec![10, 20, 30],
-            null_msgs: 4,
-            sync_rounds: 9,
-            barrier_wait_us: 123,
-        };
-        assert_eq!(ev.kind(), "shard_summary");
-        assert_eq!(ev.seed(), 7);
-        let raw: RawEvent = serde_json::from_str(&serde_json::to_string(&ev).unwrap()).unwrap();
-        assert_eq!(raw.kind(), Some("shard_summary"));
-        assert_eq!(raw.get("shards").and_then(|v| v.as_u64()), Some(3));
-        assert_eq!(raw.get("sync_rounds").and_then(|v| v.as_u64()), Some(9));
-        let events: Vec<u64> = match raw.get("events") {
-            Some(Value::Array(items)) => items.iter().filter_map(|v| v.as_u64()).collect(),
-            other => panic!("events should be an array, got {other:?}"),
-        };
-        assert_eq!(events, vec![10, 20, 30]);
     }
 
     #[test]
@@ -1280,7 +1200,6 @@ mod tests {
             replay_packets: 8,
             replay_memo_hits: 3,
             peak_rss_kb: 1024,
-            shard_queue_hiwater: 4,
         };
         let json = serde_json::to_string(&a).unwrap();
         let back: RunCounters = serde_json::from_str(&json).unwrap();
@@ -1307,7 +1226,6 @@ mod tests {
         assert_eq!(total.replay_memo_hits, 3);
         assert_eq!(total.max_queue_depth, 9, "merge keeps the maximum depth");
         assert_eq!(total.peak_rss_kb, 1024, "merge keeps the maximum RSS");
-        assert_eq!(total.shard_queue_hiwater, 4);
         total.merge(&RunCounters {
             max_queue_depth: 20,
             ..Default::default()

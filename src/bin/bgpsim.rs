@@ -179,10 +179,6 @@ fn scenario_of(opts: &CliOptions) -> Scenario {
     Scenario::new(opts.topology.clone(), opts.event)
         .with_config(config)
         .with_seed(opts.seed)
-        .with_shards(
-            opts.shards
-                .unwrap_or_else(bgpsim::experiments::configured_shards),
-        )
 }
 
 fn fail_checkpoint(err: &dyn std::fmt::Display) -> ! {

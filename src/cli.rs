@@ -36,13 +36,9 @@ pub struct CliOptions {
     pub jobs: Option<usize>,
     /// Run-cache directory override (`None` = `BGPSIM_CACHE_DIR`).
     pub cache_dir: Option<String>,
-    /// Conservative-parallel worker shards for the single run
-    /// (`None` = `BGPSIM_SHARDS`, else serial). Results are
-    /// byte-identical at any count.
-    pub shards: Option<u32>,
     /// Run jobs in supervised child processes (`None` =
-    /// `BGPSIM_ISOLATE`, else in-process). Pure execution policy,
-    /// like shards: results are byte-identical either way.
+    /// `BGPSIM_ISOLATE`, else in-process). Pure execution policy:
+    /// results are byte-identical either way.
     pub isolate: Option<bool>,
 }
 
@@ -60,7 +56,6 @@ impl Default for CliOptions {
             trace_out: None,
             jobs: None,
             cache_dir: None,
-            shards: None,
             isolate: None,
         }
     }
@@ -102,9 +97,6 @@ OPTIONS:
                         else available parallelism; 1 = serial)
   --cache-dir <DIR>     reuse run results cached in DIR
                         (default: $BGPSIM_CACHE_DIR, else uncached)
-  --shards <K>          run the simulation on K conservative-parallel
-                        worker shards — byte-identical to serial
-                        (default: $BGPSIM_SHARDS, else 1)
   --isolate             run each job in a supervised child process
                         (crash tolerance; results byte-identical;
                         default: $BGPSIM_ISOLATE, else off)
@@ -497,14 +489,6 @@ where
                 let v = expect_value(&mut iter, arg)?;
                 opts.cache_dir = Some(v.as_ref().to_string());
             }
-            "--shards" => {
-                let v = expect_value(&mut iter, arg)?;
-                let n = parse_num(v.as_ref(), "--shards")? as u32;
-                if n == 0 {
-                    return Err(CliError("--shards must be at least 1".to_string()));
-                }
-                opts.shards = Some(n);
-            }
             "--isolate" => opts.isolate = Some(true),
             "--no-isolate" => opts.isolate = Some(false),
             "--help" | "-h" => return Err(CliError(USAGE.to_string())),
@@ -586,8 +570,6 @@ mod tests {
             "4",
             "--cache-dir",
             "/tmp/bgpsim-cache",
-            "--shards",
-            "4",
             "--isolate",
         ])
         .unwrap();
@@ -602,7 +584,6 @@ mod tests {
         assert_eq!(opts.trace_out.as_deref(), Some("/tmp/run.jsonl"));
         assert_eq!(opts.jobs, Some(4));
         assert_eq!(opts.cache_dir.as_deref(), Some("/tmp/bgpsim-cache"));
-        assert_eq!(opts.shards, Some(4));
         assert_eq!(opts.isolate, Some(true));
         let opts = parse_args(["--no-isolate"]).unwrap();
         assert_eq!(opts.isolate, Some(false));
@@ -611,8 +592,6 @@ mod tests {
     #[test]
     fn jobs_rejects_zero() {
         let err = parse_args(["--jobs", "0"]).unwrap_err();
-        assert!(err.to_string().contains("at least 1"));
-        let err = parse_args(["--shards", "0"]).unwrap_err();
         assert!(err.to_string().contains("at least 1"));
     }
 

@@ -3,6 +3,8 @@
 //!
 //! * BGP with the paper's shortest-path policy converges to exactly
 //!   the BFS shortest-path tree (with smaller-id tie-breaks);
+//! * that stable state is the same for every seed, MRAI value and
+//!   protocol variant;
 //! * after convergence no forwarding loops remain;
 //! * the overall looping duration never (materially) exceeds the
 //!   convergence time;
@@ -60,6 +62,80 @@ fn tlong_final_routes_match_bfs_oracle() {
                 .current(v, Prefix::new(0))
                 .and_then(|e| e.via());
             assert_eq!(got, oracle[v.index()], "next hop mismatch at {v} (n={n})");
+        }
+    }
+}
+
+/// Shortest-path policy with a deterministic tie-break admits one
+/// stable state, so whatever order the event loop dispatched things
+/// in — across seeds, MRAI values and all five protocol variants — the
+/// network must settle on the BFS tree of the post-failure graph, which
+/// shares no code with the engine.
+#[test]
+fn tlong_stable_state_is_unique_and_matches_bfs_oracle() {
+    let prefix = Prefix::new(0);
+    let (bclique, layout) = generators::bclique(8);
+    let (internet, _) = TopologySpec::InternetLike {
+        n: 110,
+        topo_seed: 1,
+    }
+    .build();
+    // A lowest-degree destination with a link it can lose without
+    // being cut off, as the paper's T_long on Internet graphs needs.
+    let bridges = algo::bridges(&internet);
+    let (dest, peer) = internet
+        .nodes()
+        .filter_map(|v| {
+            internet
+                .neighbors(v)
+                .find(|&m| !bridges.contains(&bgpsim::topology::Edge::new(v, m)))
+                .map(|m| (v, m))
+        })
+        .min_by_key(|&(v, _)| internet.degree(v))
+        .expect("a multi-homed node");
+    for (label, graph, a, b) in [
+        (
+            "clique-15",
+            generators::clique(15),
+            NodeId::new(0),
+            NodeId::new(1),
+        ),
+        (
+            "b-clique-8",
+            bclique,
+            layout.destination,
+            layout.core_gateway,
+        ),
+        ("internet-110", internet, dest, peer),
+    ] {
+        let mut after = graph.clone();
+        after.remove_edge(a, b);
+        let oracle = algo::shortest_path_next_hops(&after, a);
+        for seed in 1..=5 {
+            for mrai in [5, 30] {
+                for enh in Enhancements::paper_variants() {
+                    let config = BgpConfig::default()
+                        .with_mrai(SimDuration::from_secs(mrai))
+                        .with_enhancements(enh);
+                    let rec = ConvergenceExperiment::new(
+                        graph.clone(),
+                        a,
+                        FailureEvent::LinkDown { a, b },
+                    )
+                    .with_config(config)
+                    .with_seed(seed)
+                    .run();
+                    let case = format!("{label} seed {seed} mrai {mrai} {}", enh.label());
+                    assert_eq!(rec.fib.current(a, prefix), Some(FibEntry::Local), "{case}");
+                    let table: Vec<Option<NodeId>> = graph
+                        .nodes()
+                        .map(|v| rec.fib.current(v, prefix).and_then(|e| e.via()))
+                        .collect();
+                    assert_eq!(table, oracle, "{case}");
+                    let at_rest = rec.fib.snapshot(prefix, rec.quiescent_at);
+                    assert!(find_loops(&at_rest).is_empty(), "{case}");
+                }
+            }
         }
     }
 }
