@@ -108,49 +108,36 @@ pub fn select_best_where<P, F>(
     rib: &RibIn,
     myself: NodeId,
     policy: &P,
-    usable: F,
+    mut usable: F,
 ) -> Option<Selection>
 where
     P: RoutePolicy,
     F: FnMut(NodeId) -> bool,
 {
-    select_best_entry_where(rib, myself, policy, usable).map(|(peer, path)| Selection {
+    let candidates = rib
+        .candidates(myself)
+        .filter(|&(peer, path)| usable(peer) && policy.accepts(peer, path));
+    most_preferred(policy, candidates).map(|(peer, path)| Selection {
         next_hop: peer,
         path: path.prepend(myself),
     })
 }
 
-/// Like [`select_best_where`], but returns the winning `(peer, stored
-/// path)` entry by reference, without materializing the prepended local
-/// path. The router's decision process uses this to detect "selection
-/// unchanged" without allocating.
-pub fn select_best_entry_where<'r, P, F>(
-    rib: &'r RibIn,
-    myself: NodeId,
+/// The most preferred of `candidates` under `policy`, by reference; of
+/// equally preferred ones, the first. This is the one scan behind both
+/// [`select_best_where`] and the router's own decision process, which
+/// feeds it straight from its peer slots.
+pub fn most_preferred<'r, P: RoutePolicy>(
     policy: &P,
-    mut usable: F,
-) -> Option<(NodeId, &'r AsPath)>
-where
-    P: RoutePolicy,
-    F: FnMut(NodeId) -> bool,
-{
-    let mut best: Option<(NodeId, &AsPath)> = None;
-    for (peer, path) in rib.candidates(myself) {
-        if !usable(peer) || !policy.accepts(peer, path) {
-            continue;
+    candidates: impl Iterator<Item = (NodeId, &'r AsPath)>,
+) -> Option<(NodeId, &'r AsPath)> {
+    candidates.reduce(|best, candidate| {
+        if policy.compare(candidate, best) == Ordering::Less {
+            candidate
+        } else {
+            best
         }
-        best = match best {
-            None => Some((peer, path)),
-            Some(cur) => {
-                if policy.compare((peer, path), cur) == Ordering::Less {
-                    Some((peer, path))
-                } else {
-                    Some(cur)
-                }
-            }
-        };
-    }
-    best
+    })
 }
 
 #[cfg(test)]

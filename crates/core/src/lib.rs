@@ -6,13 +6,13 @@
 //!
 //! The crate models one BGP speaker per AS with:
 //!
-//! * per-neighbor Adj-RIB-In ([`rib::RibIn`]) holding the latest
-//!   advertisement from each peer;
+//! * a per-neighbor Adj-RIB-In holding the latest advertisement from
+//!   each peer ([`rib::RibIn`] is its stand-alone table form);
 //! * the decision process ([`decision`]) with **path-based poison
 //!   reverse** — any path containing the local node is discarded, which
 //!   detects arbitrarily long loops involving oneself;
-//! * per-`(peer, prefix)` **MRAI timers** ([`mrai`]) with SSFNet-style
-//!   jitter — the paper's dominant factor in transient loop duration;
+//! * per-`(peer, prefix)` **MRAI timers** with SSFNet-style jitter —
+//!   the paper's dominant factor in transient loop duration;
 //! * explicit withdrawals, exempt from MRAI per RFC 1771;
 //! * the four convergence enhancements of the paper's §5 as
 //!   configuration flags ([`config::Enhancements`]): SSLD, WRATE,
@@ -47,7 +47,6 @@ pub mod config;
 pub mod damping;
 pub mod decision;
 pub mod message;
-pub mod mrai;
 pub mod output;
 pub mod policy;
 pub mod prefix;

@@ -19,8 +19,13 @@ use crate::aspath::AsPath;
 ///
 /// A router has at most `degree` neighbors, so the table is a vector
 /// kept sorted by peer id: binary-search point ops, cache-friendly
-/// candidate scans, and no per-entry allocation — this table sits on
-/// the per-message hot path.
+/// candidate scans, and no per-entry allocation. This is the
+/// stand-alone form of the table, for [`select_best`] and reference
+/// implementations; [`Router`] keeps the same entries in its peer
+/// slots.
+///
+/// [`select_best`]: crate::decision::select_best
+/// [`Router`]: crate::router::Router
 ///
 /// # Examples
 ///

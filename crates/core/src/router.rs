@@ -13,39 +13,6 @@
 //! link delays, models the serialized message-processing queue, and
 //! calls back on timer expiry.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-/// A router's last advertisement per `(peer, prefix)`, kept as a vector
-/// sorted by key: at most `degree × prefix-count` entries, so binary
-/// search beats a tree on this per-sync path.
-#[derive(Debug, Default)]
-struct AdjOut {
-    entries: Vec<((NodeId, Prefix), AsPath)>,
-}
-
-impl AdjOut {
-    fn position(&self, key: (NodeId, Prefix)) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&key, |&(k, _)| k)
-    }
-
-    fn get(&self, key: (NodeId, Prefix)) -> Option<&AsPath> {
-        self.position(key).ok().map(|i| &self.entries[i].1)
-    }
-
-    fn insert(&mut self, key: (NodeId, Prefix), path: AsPath) {
-        match self.position(key) {
-            Ok(i) => self.entries[i].1 = path,
-            Err(i) => self.entries.insert(i, (key, path)),
-        }
-    }
-
-    fn remove(&mut self, key: (NodeId, Prefix)) {
-        if let Ok(i) = self.position(key) {
-            self.entries.remove(i);
-        }
-    }
-}
-
 use bgpsim_netsim::rng::SimRng;
 use bgpsim_netsim::time::SimTime;
 use bgpsim_topology::NodeId;
@@ -53,12 +20,75 @@ use bgpsim_topology::NodeId;
 use crate::aspath::AsPath;
 use crate::config::BgpConfig;
 use crate::damping::{DampingEntryState, DampingTable, FlapKind};
-use crate::decision::{select_best_entry_where, RoutePolicy, ShortestPath};
+use crate::decision::{most_preferred, RoutePolicy, ShortestPath};
 use crate::message::BgpMessage;
-use crate::mrai::MraiTable;
 use crate::output::{FibEntry, LocRoute, MraiTimerRequest, ReuseTimerRequest, RouterOutput};
 use crate::prefix::Prefix;
-use crate::rib::RibIn;
+
+/// Everything a router holds about one `(prefix, peer)` pair. A
+/// prefix's slots are aligned with the router's sorted `peers` vector,
+/// so one binary search on `peers` per input locates all three tables.
+#[derive(Debug, Clone, Default)]
+struct PeerSlot {
+    /// Adj-RIB-In: the peer's latest advertisement, and whether it
+    /// contains this router (path-based poison reverse, decided once at
+    /// insert instead of on every decision that scans the entry).
+    rib_in: Option<(AsPath, bool)>,
+    /// Adj-RIB-Out: the last advertisement sent; `None` = nothing
+    /// advertised (the peer believes we have no route).
+    adj_out: Option<AsPath>,
+    /// Pending MRAI expiry, kept until the expiry callback clears it.
+    /// The interval spaces consecutive announcements (with WRATE, also
+    /// withdrawals) of one prefix to one peer, and is the study's
+    /// dominant factor in loop duration (§3.2).
+    mrai: Option<SimTime>,
+}
+
+impl PeerSlot {
+    /// The stored path, if the decision process may use it.
+    fn candidate(&self) -> Option<&AsPath> {
+        match &self.rib_in {
+            Some((path, false)) => Some(path),
+            _ => None,
+        }
+    }
+
+    /// Whether the MRAI timer is running at `now` (strictly before its
+    /// expiry instant).
+    fn mrai_running(&self, now: SimTime) -> bool {
+        self.mrai.is_some_and(|at| now < at)
+    }
+}
+
+/// One prefix's protocol state: flags, the selection, and a
+/// [`PeerSlot`] per active peer.
+#[derive(Debug)]
+struct PrefixTable {
+    prefix: Prefix,
+    originated: bool,
+    /// Set by the first message received for the prefix. Session events
+    /// re-decide exactly the prefixes with this flag, so it is exported
+    /// (as a possibly empty `ribs` row) and restored.
+    learned: bool,
+    /// Current selection.
+    loc: Option<LocRoute>,
+    slots: Vec<PeerSlot>,
+}
+
+impl PrefixTable {
+    /// Assertion purge: drops every Adj-RIB-In entry other than slot
+    /// `keep` whose path is `obsolete`; returns how many.
+    fn purge(&mut self, keep: usize, obsolete: impl Fn(&AsPath) -> bool) -> u64 {
+        let mut removed = 0;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if i != keep && slot.rib_in.as_ref().is_some_and(|(path, _)| obsolete(path)) {
+                slot.rib_in = None;
+                removed += 1;
+            }
+        }
+        removed
+    }
+}
 
 /// Counters describing a router's protocol activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -159,19 +189,13 @@ pub struct RouterState {
 #[derive(Debug)]
 pub struct Router<P: RoutePolicy = ShortestPath> {
     id: NodeId,
-    /// Active peers, sorted ascending (membership tests and iteration
-    /// happen per message, so a flat sorted vector wins).
+    /// Active peers, sorted ascending; a peer's position is its slot
+    /// index in every [`PrefixTable`].
     peers: Vec<NodeId>,
     config: BgpConfig,
     policy: P,
-    ribs: BTreeMap<Prefix, RibIn>,
-    originated: BTreeSet<Prefix>,
-    /// Current selection per prefix.
-    loc: BTreeMap<Prefix, LocRoute>,
-    /// Last advertisement sent per (peer, prefix); absent = nothing
-    /// advertised (peer believes we have no route).
-    adj_out: AdjOut,
-    mrai: MraiTable,
+    /// Per-prefix state, sorted by prefix.
+    tables: Vec<PrefixTable>,
     damping: Option<DampingTable>,
     stats: RouterStats,
 }
@@ -192,11 +216,7 @@ impl<P: RoutePolicy> Router<P> {
             peers,
             config,
             policy,
-            ribs: BTreeMap::new(),
-            originated: BTreeSet::new(),
-            loc: BTreeMap::new(),
-            adj_out: AdjOut::default(),
-            mrai: MraiTable::new(),
+            tables: Vec::new(),
             damping: config.damping.map(DampingTable::new),
             stats: RouterStats::default(),
         }
@@ -222,28 +242,60 @@ impl<P: RoutePolicy> Router<P> {
         self.stats
     }
 
-    /// The currently selected route for `prefix`, if any.
-    pub fn best(&self, prefix: Prefix) -> Option<&LocRoute> {
-        self.loc.get(&prefix)
+    /// `peer`'s slot index, if it is an active peer.
+    fn slot_of(&self, peer: NodeId) -> Option<usize> {
+        self.peers.binary_search(&peer).ok()
     }
 
-    /// The Adj-RIB-In for `prefix` (empty table if never touched).
-    pub fn rib_in(&self, prefix: Prefix) -> Option<&RibIn> {
-        self.ribs.get(&prefix)
+    /// Where `prefix`'s table is (`Ok`) or would be inserted (`Err`).
+    fn find_table(&self, prefix: Prefix) -> Result<usize, usize> {
+        self.tables.binary_search_by_key(&prefix, |t| t.prefix)
+    }
+
+    /// Index of `prefix`'s table, created empty on first use. An empty
+    /// table is unobservable: it is exported nowhere and no session
+    /// event visits it.
+    fn table_index(&mut self, prefix: Prefix) -> usize {
+        self.find_table(prefix).unwrap_or_else(|t| {
+            let table = PrefixTable {
+                prefix,
+                originated: false,
+                learned: false,
+                loc: None,
+                slots: vec![PeerSlot::default(); self.peers.len()],
+            };
+            self.tables.insert(t, table);
+            t
+        })
+    }
+
+    fn slot(&self, peer: NodeId, prefix: Prefix) -> Option<&PeerSlot> {
+        Some(&self.tables[self.find_table(prefix).ok()?].slots[self.slot_of(peer)?])
+    }
+
+    /// The currently selected route for `prefix`, if any.
+    pub fn best(&self, prefix: Prefix) -> Option<&LocRoute> {
+        self.tables[self.find_table(prefix).ok()?].loc.as_ref()
+    }
+
+    /// The latest advertisement received from `peer` for `prefix`
+    /// (the Adj-RIB-In entry), usable or not.
+    pub fn learned_from(&self, peer: NodeId, prefix: Prefix) -> Option<&AsPath> {
+        self.slot(peer, prefix)?
+            .rib_in
+            .as_ref()
+            .map(|(path, _)| path)
     }
 
     /// The last advertisement sent to `peer` for `prefix`.
     pub fn advertised_to(&self, peer: NodeId, prefix: Prefix) -> Option<&AsPath> {
-        self.adj_out.get((peer, prefix))
+        self.slot(peer, prefix)?.adj_out.as_ref()
     }
 
     /// Starts originating `prefix`: install a local route and advertise
     /// to all peers.
     pub fn originate(&mut self, prefix: Prefix, now: SimTime, rng: &mut SimRng) -> RouterOutput {
-        self.originated.insert(prefix);
-        let mut out = RouterOutput::empty();
-        self.run_decision(prefix, now, rng, &mut out);
-        out
+        self.set_originated(prefix, true, now, rng)
     }
 
     /// Stops originating `prefix` — the `T_down` trigger: the
@@ -255,9 +307,20 @@ impl<P: RoutePolicy> Router<P> {
         now: SimTime,
         rng: &mut SimRng,
     ) -> RouterOutput {
-        self.originated.remove(&prefix);
+        self.set_originated(prefix, false, now, rng)
+    }
+
+    fn set_originated(
+        &mut self,
+        prefix: Prefix,
+        originated: bool,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> RouterOutput {
+        let t = self.table_index(prefix);
+        self.tables[t].originated = originated;
         let mut out = RouterOutput::empty();
-        self.run_decision(prefix, now, rng, &mut out);
+        self.run_decision(t, None, now, rng, &mut out);
         out
     }
 
@@ -271,19 +334,21 @@ impl<P: RoutePolicy> Router<P> {
         now: SimTime,
         rng: &mut SimRng,
     ) -> RouterOutput {
-        if !self.peers.contains(&from) {
+        let Some(slot) = self.slot_of(from) else {
             return RouterOutput::empty();
-        }
+        };
         self.stats.messages_received += 1;
         let prefix = msg.prefix();
-        let rib = self.ribs.entry(prefix).or_default();
+        let t = self.table_index(prefix);
+        let table = &mut self.tables[t];
+        table.learned = true;
         // Route flap damping (extension): penalize flaps before the
         // table is updated, so the previous state defines the flap.
         let mut reuse_timer: Option<ReuseTimerRequest> = None;
         if let Some(damping) = &mut self.damping {
-            let flap = match (msg, rib.get(from)) {
+            let flap = match (msg, &table.slots[slot].rib_in) {
                 (BgpMessage::Withdraw { .. }, Some(_)) => Some(FlapKind::Withdrawal),
-                (BgpMessage::Announce { path, .. }, Some(old)) if old != path => {
+                (BgpMessage::Announce { path, .. }, Some((old, _))) if old != path => {
                     Some(FlapKind::AttributeChange)
                 }
                 _ => None,
@@ -301,38 +366,40 @@ impl<P: RoutePolicy> Router<P> {
                 }
             }
         }
+        let assertion = self.config.enhancements.assertion;
+        let mut purged = 0;
         match msg {
             BgpMessage::Announce { path, .. } => {
-                rib.insert(from, path.clone());
-                if self.config.enhancements.assertion {
+                table.slots[slot].rib_in = Some((path.clone(), path.contains(self.id)));
+                if assertion {
                     // Assertion check (Pei et al.): any stored backup
                     // path that routes *through* `from` but disagrees
                     // with what `from` just announced is obsolete.
-                    let removed = rib.remove_where(|peer, stored| {
-                        peer != from
-                            && stored
-                                .suffix_from(from)
-                                .is_some_and(|suffix| suffix != path.as_slice())
+                    purged = table.purge(slot, |stored| {
+                        stored
+                            .suffix_from(from)
+                            .is_some_and(|suffix| suffix != path.as_slice())
                     });
-                    self.stats.assertion_removals += removed.len() as u64;
                 }
             }
             BgpMessage::Withdraw { .. } => {
-                rib.remove(from);
-                if self.config.enhancements.assertion {
+                table.slots[slot].rib_in = None;
+                if assertion {
                     // `from` has no route at all now; every stored path
                     // through it is obsolete.
-                    let removed =
-                        rib.remove_where(|peer, stored| peer != from && stored.contains(from));
-                    self.stats.assertion_removals += removed.len() as u64;
+                    purged = table.purge(slot, |stored| stored.contains(from));
                 }
             }
         }
+        self.stats.assertion_removals += purged;
         let mut out = RouterOutput::empty();
         if let Some(req) = reuse_timer {
             out.reuse_timers.push(req);
         }
-        self.run_decision(prefix, now, rng, &mut out);
+        // Damping hides entries as a function of time, and a purge
+        // touched other slots: both need the full scan.
+        let only_changed = (self.damping.is_none() && purged == 0).then_some(slot);
+        self.run_decision(t, only_changed, now, rng, &mut out);
         out
     }
 
@@ -352,7 +419,8 @@ impl<P: RoutePolicy> Router<P> {
             return out;
         };
         if damping.try_reuse(peer, prefix, now) {
-            self.run_decision(prefix, now, rng, &mut out);
+            let t = self.table_index(prefix);
+            self.run_decision(t, None, now, rng, &mut out);
         } else if let Some(at) = damping.reuse_time(peer, prefix) {
             // Still suppressed (penalty grew since the timer was set).
             // Nudge the retry strictly into the future: at the exact
@@ -370,7 +438,8 @@ impl<P: RoutePolicy> Router<P> {
 
     /// MRAI expiry callback for `(peer, prefix)`. The host must invoke
     /// this exactly at the instant given in the corresponding
-    /// [`MraiTimerRequest`].
+    /// [`MraiTimerRequest`]. An expiry for a peer whose session is gone
+    /// (its timers went with it) or for a prefix never seen is ignored.
     pub fn on_mrai_expire(
         &mut self,
         peer: NodeId,
@@ -378,42 +447,39 @@ impl<P: RoutePolicy> Router<P> {
         now: SimTime,
         rng: &mut SimRng,
     ) -> RouterOutput {
-        // A restarted timer supersedes this expiry.
-        if let Some(at) = self.mrai.expiry(peer, prefix) {
-            if at > now {
-                return RouterOutput::empty();
-            }
-        }
-        self.mrai.clear(peer, prefix);
-        if !self.peers.contains(&peer) {
-            return RouterOutput::empty();
-        }
         let mut out = RouterOutput::empty();
-        self.sync_peer(peer, prefix, now, rng, &mut out);
+        let (Some(i), Ok(t)) = (self.slot_of(peer), self.find_table(prefix)) else {
+            return out;
+        };
+        let slot = &mut self.tables[t].slots[i];
+        // A restarted timer supersedes this expiry.
+        if slot.mrai_running(now) {
+            return out;
+        }
+        slot.mrai = None;
+        self.sync_peers(t, i..i + 1, now, rng, &mut out);
         out
     }
 
-    /// Handles loss of the session to `peer` (link failure): drop its
-    /// routes and rerun the decision process everywhere.
+    /// Handles loss of the session to `peer` (link failure): drop
+    /// everything held for it and rerun the decision process for every
+    /// prefix a message was ever received for.
     pub fn on_peer_down(&mut self, peer: NodeId, now: SimTime, rng: &mut SimRng) -> RouterOutput {
-        match self.peers.binary_search(&peer) {
-            Ok(i) => {
-                self.peers.remove(i);
-            }
-            Err(_) => return RouterOutput::empty(),
-        }
-        self.mrai.clear_peer(peer);
+        let mut out = RouterOutput::empty();
+        let Some(i) = self.slot_of(peer) else {
+            return out;
+        };
+        self.peers.remove(i);
         if let Some(damping) = &mut self.damping {
             damping.clear_peer(peer);
         }
-        let prefixes: Vec<Prefix> = self.ribs.keys().copied().collect();
-        let mut out = RouterOutput::empty();
-        for prefix in prefixes {
-            if let Some(rib) = self.ribs.get_mut(&prefix) {
-                rib.remove(peer);
+        for table in &mut self.tables {
+            table.slots.remove(i);
+        }
+        for t in 0..self.tables.len() {
+            if self.tables[t].learned {
+                self.run_decision(t, None, now, rng, &mut out);
             }
-            self.adj_out.remove((peer, prefix));
-            self.run_decision(prefix, now, rng, &mut out);
         }
         out
     }
@@ -427,7 +493,7 @@ impl<P: RoutePolicy> Router<P> {
     /// halves. A reset for an unknown peer is a no-op — unlike
     /// [`Router::on_peer_up`], it does not create a session.
     pub fn reset_peer(&mut self, peer: NodeId, now: SimTime, rng: &mut SimRng) -> RouterOutput {
-        if self.peers.binary_search(&peer).is_err() {
+        if self.slot_of(peer).is_none() {
             return RouterOutput::empty();
         }
         let mut out = self.on_peer_down(peer, now, rng);
@@ -440,29 +506,103 @@ impl<P: RoutePolicy> Router<P> {
     pub fn on_peer_up(&mut self, peer: NodeId, now: SimTime, rng: &mut SimRng) -> RouterOutput {
         assert!(peer != self.id, "router {peer} cannot peer with itself");
         let mut out = RouterOutput::empty();
-        match self.peers.binary_search(&peer) {
-            Ok(_) => return out,
-            Err(i) => self.peers.insert(i, peer),
+        let Err(i) = self.peers.binary_search(&peer) else {
+            return out;
+        };
+        self.peers.insert(i, peer);
+        for table in &mut self.tables {
+            table.slots.insert(i, PeerSlot::default());
         }
-        let prefixes: Vec<Prefix> = self.loc.keys().copied().collect();
-        for prefix in prefixes {
-            self.sync_peer(peer, prefix, now, rng, &mut out);
+        for t in 0..self.tables.len() {
+            if self.tables[t].loc.is_some() {
+                self.sync_peers(t, i..i + 1, now, rng, &mut out);
+            }
         }
         out
     }
 
-    /// Runs the decision process for `prefix`; on change, updates the
-    /// FIB and synchronizes every peer.
+    /// The decision process over table `t`'s Adj-RIB-In: the most
+    /// preferred entry that does not contain this router (poison
+    /// reverse), is not suppressed by damping and passes the import
+    /// filter. This full scan is the general path and the reference the
+    /// [`challenge`](Self::challenge) shortcut is checked against.
+    fn select(&self, t: usize, now: SimTime) -> Option<(NodeId, &AsPath)> {
+        let table = &self.tables[t];
+        let candidates = self.peers.iter().zip(&table.slots);
+        most_preferred(
+            &self.policy,
+            candidates
+                .filter_map(|(&peer, slot)| Some((peer, slot.candidate()?)))
+                .filter(|&(peer, path)| {
+                    self.policy.accepts(peer, path)
+                        && !self
+                            .damping
+                            .as_ref()
+                            .is_some_and(|d| d.is_suppressed(peer, table.prefix, now))
+                }),
+        )
+    }
+
+    /// The decision process when only slot `changed`'s Adj-RIB-In entry
+    /// differs from what the held selection was chosen over and no
+    /// entry is hidden by damping: every other entry already lost to
+    /// the held one, so the changed entry alone challenges it. Returns
+    /// whether it takes the selection, or `None` when that is not what
+    /// decides — the changed slot *is* the held selection — and the
+    /// caller must rescan.
+    fn challenge(&self, t: usize, changed: usize) -> Option<bool> {
+        let table = &self.tables[t];
+        let entry = |i: usize| {
+            let peer = self.peers[i];
+            let path = table.slots[i].candidate()?;
+            self.policy.accepts(peer, path).then_some((peer, path))
+        };
+        let challenger = entry(changed);
+        let Some(route) = &table.loc else {
+            return Some(challenger.is_some());
+        };
+        let via = route.fib.via()?;
+        if via == self.peers[changed] {
+            return None;
+        }
+        let Some(challenger) = challenger else {
+            return Some(false);
+        };
+        let held = self.slot_of(via)?;
+        Some(match self.policy.compare(challenger, entry(held)?) {
+            std::cmp::Ordering::Less => true,
+            // The scan keeps the earlier slot on a tie, so must this.
+            std::cmp::Ordering::Equal => changed < held,
+            std::cmp::Ordering::Greater => false,
+        })
+    }
+
+    /// Runs the decision process for table `t`; on change, updates the
+    /// FIB and synchronizes every peer. `only_changed` names the one
+    /// slot whose Adj-RIB-In entry changed since the last run, when the
+    /// caller knows that nothing else did.
     fn run_decision(
         &mut self,
-        prefix: Prefix,
+        t: usize,
+        only_changed: Option<usize>,
         now: SimTime,
         rng: &mut SimRng,
         out: &mut RouterOutput,
     ) {
         self.stats.decisions_run += 1;
-        let cur = self.loc.get(&prefix);
-        let new: Option<LocRoute> = if self.originated.contains(&prefix) {
+        let table = &self.tables[t];
+        let cur = table.loc.as_ref();
+        // Whether `best`, with this router prepended, is the route held
+        // (`cur.path` head is always `self.id`, so comparing the rest
+        // is exact and materializes nothing).
+        let is_held = |best: Option<(NodeId, &AsPath)>| match (best, cur) {
+            (None, None) => true,
+            (Some((peer, path)), Some(l)) => {
+                l.fib == FibEntry::Via(peer) && l.path.as_slice()[1..] == *path.as_slice()
+            }
+            _ => false,
+        };
+        let new: Option<LocRoute> = if table.originated {
             // A local route's path is always `(self)`, so matching FIB
             // entries imply an unchanged selection.
             if cur.is_some_and(|l| l.fib == FibEntry::Local) {
@@ -473,179 +613,168 @@ impl<P: RoutePolicy> Router<P> {
                 path: AsPath::origin_only(self.id),
             })
         } else {
-            let damping = &self.damping;
-            let best = self.ribs.get(&prefix).and_then(|rib| {
-                select_best_entry_where(rib, self.id, &self.policy, |peer| {
-                    damping
-                        .as_ref()
-                        .is_none_or(|d| !d.is_suppressed(peer, prefix, now))
-                })
-            });
-            match (best, cur) {
-                (None, None) => return,
-                // Same next hop, same learned path: the prepended local
-                // path is identical too — skip without materializing it
-                // (`cur.path` head is always `self.id`, so the suffix
-                // comparison is exact).
-                (Some((peer, path)), Some(l))
-                    if l.fib == FibEntry::Via(peer)
-                        && l.path.as_slice()[1..] == *path.as_slice() =>
-                {
+            let verdict = only_changed.and_then(|slot| Some((slot, self.challenge(t, slot)?)));
+            let best = match verdict {
+                Some((_, false)) => {
+                    debug_assert!(is_held(self.select(t, now)), "shortcut kept a loser");
                     return;
                 }
-                (Some((peer, path)), _) => Some(LocRoute {
-                    fib: FibEntry::Via(peer),
-                    path: path.prepend(self.id),
-                }),
-                (None, Some(_)) => None,
+                Some((slot, true)) => table.slots[slot]
+                    .candidate()
+                    .map(|path| (self.peers[slot], path)),
+                None => self.select(t, now),
+            };
+            debug_assert_eq!(best, self.select(t, now), "shortcut != full scan");
+            if is_held(best) {
+                return;
             }
+            best.map(|(peer, path)| LocRoute {
+                fib: FibEntry::Via(peer),
+                path: path.prepend(self.id),
+            })
         };
         self.stats.route_changes += 1;
-        match new {
-            Some(route) => {
-                out.fib_changes.push((prefix, Some(route.fib)));
-                self.loc.insert(prefix, route);
-            }
-            None => {
-                out.fib_changes.push((prefix, None));
-                self.loc.remove(&prefix);
-            }
-        }
-        // Index loop: `sync_peer_to` never changes the peer set, and
-        // the indexed re-read avoids collecting the peers on every
-        // route change. The selection is looked up once for all peers.
+        out.fib_changes
+            .push((table.prefix, new.as_ref().map(|route| route.fib)));
+        self.tables[t].loc = new;
         out.sends.reserve(self.peers.len());
-        let route = self.loc.get(&prefix).cloned();
-        for i in 0..self.peers.len() {
-            let peer = self.peers[i];
-            self.sync_peer_to(peer, prefix, route.as_ref(), now, rng, out);
-        }
+        self.sync_peers(t, 0..self.peers.len(), now, rng, out);
     }
 
-    /// Brings `peer`'s view of `prefix` in line with the current
-    /// selection, respecting MRAI and the configured enhancements.
-    fn sync_peer(
+    /// Brings the view the peers in slots `range` have of table `t`'s
+    /// prefix in line with the current selection, respecting MRAI and
+    /// the configured enhancements. Paths are cloned only when a
+    /// message actually goes out.
+    fn sync_peers(
         &mut self,
-        peer: NodeId,
-        prefix: Prefix,
-        now: SimTime,
-        rng: &mut SimRng,
-        out: &mut RouterOutput,
-    ) {
-        let route = self.loc.get(&prefix).cloned();
-        self.sync_peer_to(peer, prefix, route.as_ref(), now, rng, out);
-    }
-
-    /// [`sync_peer`](Self::sync_peer) with the current selection passed
-    /// in, so a decision run resolves it once for all peers. Paths are
-    /// cloned only when a message actually goes out.
-    fn sync_peer_to(
-        &mut self,
-        peer: NodeId,
-        prefix: Prefix,
-        route: Option<&LocRoute>,
+        t: usize,
+        range: std::ops::Range<usize>,
         now: SimTime,
         rng: &mut SimRng,
         out: &mut RouterOutput,
     ) {
         let enh = self.config.enhancements;
-        let mut desired: Option<&AsPath> = route
-            .filter(|r| self.policy.export_allowed(r.fib.via(), peer))
-            .map(|r| &r.path);
-        let mut via_ssld = false;
-
-        // SSLD: the receiver would discard a path containing itself, so
-        // send the (MRAI-exempt) withdrawal instead of the (MRAI-gated)
-        // poison-reverse announcement.
-        if enh.ssld {
-            if let Some(path) = desired {
-                if path.contains(peer) {
-                    desired = None;
-                    via_ssld = true;
+        let table = &mut self.tables[t];
+        let prefix = table.prefix;
+        for i in range {
+            let peer = self.peers[i];
+            let slot = &mut table.slots[i];
+            let mut desired: Option<&AsPath> = table
+                .loc
+                .as_ref()
+                .filter(|r| self.policy.export_allowed(r.fib.via(), peer))
+                .map(|r| &r.path);
+            // SSLD: the receiver would discard a path containing itself,
+            // so send the (MRAI-exempt) withdrawal instead of the
+            // (MRAI-gated) poison-reverse announcement.
+            let via_ssld = enh.ssld && desired.is_some_and(|path| path.contains(peer));
+            if via_ssld {
+                desired = None;
+            }
+            let timer_running = slot.mrai_running(now);
+            // Starts the MRAI timer after a send (a zero MRAI never does).
+            let mut start_mrai = |slot: &mut PeerSlot, out: &mut RouterOutput| {
+                if self.config.mrai.is_zero() {
+                    return;
+                }
+                let j = self.config.mrai_jitter;
+                let at = now + rng.jittered(self.config.mrai, j.lo, j.hi);
+                slot.mrai = Some(at);
+                out.timers.push(MraiTimerRequest { peer, prefix, at });
+            };
+            match desired {
+                // The peer already believes what it should.
+                None if slot.adj_out.is_none() => {}
+                Some(path) if slot.adj_out.as_ref() == Some(path) => {}
+                // WRATE holds the withdrawal until the timer fires;
+                // `on_mrai_expire` re-syncs from current state.
+                None if enh.wrate && timer_running => {}
+                None => {
+                    slot.adj_out = None;
+                    out.sends.push((peer, BgpMessage::withdraw(prefix)));
+                    self.stats.withdrawals_sent += 1;
+                    self.stats.ssld_conversions += u64::from(via_ssld);
+                    if enh.wrate {
+                        start_mrai(slot, out);
+                    }
+                }
+                // The announcement waits for the timer; expiry re-syncs.
+                Some(path) if timer_running => {
+                    // Ghost Flushing: the route got worse and the
+                    // announcement is stuck behind MRAI — flush the
+                    // peer's stale knowledge with an immediate
+                    // withdrawal.
+                    let worse = |old: &AsPath| path.len() > old.len();
+                    if enh.ghost_flushing && slot.adj_out.as_ref().is_some_and(worse) {
+                        slot.adj_out = None;
+                        out.sends.push((peer, BgpMessage::withdraw(prefix)));
+                        self.stats.withdrawals_sent += 1;
+                        self.stats.ghost_flushes += 1;
+                    }
+                }
+                Some(path) => {
+                    slot.adj_out = Some(path.clone());
+                    out.sends
+                        .push((peer, BgpMessage::announce(prefix, path.clone())));
+                    self.stats.announcements_sent += 1;
+                    start_mrai(slot, out);
                 }
             }
         }
+    }
 
-        let current = self.adj_out.get((peer, prefix));
-        let timer_running = self.mrai.is_running(peer, prefix, now);
+    /// `((peer, prefix), value)` for every slot `field` yields a value
+    /// for, in ascending key order — the checkpoint form of the
+    /// per-slot tables.
+    fn export_slots<T>(
+        &self,
+        field: impl Fn(&PeerSlot) -> Option<T>,
+    ) -> Vec<((NodeId, Prefix), T)> {
+        let mut rows = Vec::new();
+        for (i, &peer) in self.peers.iter().enumerate() {
+            for table in &self.tables {
+                rows.extend(field(&table.slots[i]).map(|v| ((peer, table.prefix), v)));
+            }
+        }
+        rows
+    }
 
-        match desired {
-            None => {
-                if current.is_none() {
-                    return; // peer already believes we have no route
-                }
-                if enh.wrate && timer_running {
-                    // WRATE holds the withdrawal until the timer fires;
-                    // `on_mrai_expire` re-syncs from current state.
-                    return;
-                }
-                self.adj_out.remove((peer, prefix));
-                out.sends.push((peer, BgpMessage::withdraw(prefix)));
-                self.stats.withdrawals_sent += 1;
-                if via_ssld {
-                    self.stats.ssld_conversions += 1;
-                }
-                if enh.wrate {
-                    self.start_mrai(peer, prefix, now, rng, out);
-                }
-            }
-            Some(path) => {
-                if current == Some(path) {
-                    return; // already advertised
-                }
-                if timer_running {
-                    if enh.ghost_flushing {
-                        // Ghost Flushing: the route got worse and the
-                        // announcement is stuck behind MRAI — flush the
-                        // peer's stale knowledge with an immediate
-                        // withdrawal.
-                        if let Some(old) = current {
-                            if path.len() > old.len() {
-                                self.adj_out.remove((peer, prefix));
-                                out.sends.push((peer, BgpMessage::withdraw(prefix)));
-                                self.stats.withdrawals_sent += 1;
-                                self.stats.ghost_flushes += 1;
-                            }
-                        }
-                    }
-                    // The announcement itself waits; expiry re-syncs.
-                    return;
-                }
-                let path = path.clone();
-                self.adj_out.insert((peer, prefix), path.clone());
-                out.sends.push((peer, BgpMessage::announce(prefix, path)));
-                self.stats.announcements_sent += 1;
-                self.start_mrai(peer, prefix, now, rng, out);
-            }
+    /// Applies `set` to the slot of `(peer, prefix)`, if `peer` is one.
+    fn restore_slot(&mut self, peer: NodeId, prefix: Prefix, set: impl FnOnce(&mut PeerSlot)) {
+        if let Some(i) = self.slot_of(peer) {
+            let t = self.table_index(prefix);
+            set(&mut self.tables[t].slots[i]);
         }
     }
 
     /// Captures the full router state for checkpointing.
     pub fn snapshot(&self) -> RouterState {
+        let learned = self.tables.iter().filter(|t| t.learned);
         RouterState {
             id: self.id,
             peers: self.peers.clone(),
             config: self.config,
-            ribs: self
-                .ribs
-                .iter()
-                .map(|(&prefix, rib)| {
-                    (
-                        prefix,
-                        rib.iter()
-                            .map(|(peer, path)| (peer, path.clone()))
-                            .collect(),
-                    )
+            ribs: learned
+                .map(|table| {
+                    let entries = self.peers.iter().zip(&table.slots);
+                    let entries = entries
+                        .filter_map(|(&peer, slot)| Some((peer, slot.rib_in.as_ref()?.0.clone())));
+                    (table.prefix, entries.collect())
                 })
                 .collect(),
-            originated: self.originated.iter().copied().collect(),
-            loc: self
-                .loc
+            originated: self
+                .tables
                 .iter()
-                .map(|(&prefix, route)| (prefix, route.clone()))
+                .filter(|t| t.originated)
+                .map(|t| t.prefix)
                 .collect(),
-            adj_out: self.adj_out.entries.clone(),
-            mrai: self.mrai.iter().collect(),
+            loc: self
+                .tables
+                .iter()
+                .filter_map(|t| Some((t.prefix, t.loc.clone()?)))
+                .collect(),
+            adj_out: self.export_slots(|slot| slot.adj_out.clone()),
+            mrai: self.export_slots(|slot| slot.mrai),
             damping: self
                 .damping
                 .as_ref()
@@ -657,49 +786,39 @@ impl<P: RoutePolicy> Router<P> {
 
     /// Rebuilds a router from a captured [`RouterState`] and its
     /// (stateless) route policy; the restored router processes every
-    /// future input exactly as the original would have.
+    /// future input exactly as the original would have. Rows naming a
+    /// node that is not in `state.peers` are dropped: a router holds
+    /// nothing for a session it does not have.
     pub fn from_state(state: RouterState, policy: P) -> Router<P> {
-        state.config.validate();
-        let mut adj_out = state.adj_out;
-        adj_out.sort_by_key(|&(k, _)| k);
-        Router {
-            id: state.id,
-            peers: state.peers,
-            config: state.config,
-            policy,
-            ribs: state
-                .ribs
-                .into_iter()
-                .map(|(prefix, entries)| (prefix, RibIn::from_entries(entries)))
-                .collect(),
-            originated: state.originated.into_iter().collect(),
-            loc: state.loc.into_iter().collect(),
-            adj_out: AdjOut { entries: adj_out },
-            mrai: MraiTable::from_entries(state.mrai),
-            damping: state
-                .config
-                .damping
-                .map(|cfg| DampingTable::from_entries(cfg, state.damping)),
-            stats: state.stats,
+        let mut router = Router::with_policy(state.id, state.peers, state.config, policy);
+        router.stats = state.stats;
+        router.damping = state
+            .config
+            .damping
+            .map(|cfg| DampingTable::from_entries(cfg, state.damping));
+        for (prefix, entries) in state.ribs {
+            let t = router.table_index(prefix);
+            router.tables[t].learned = true;
+            for (peer, path) in entries {
+                let poisoned = path.contains(router.id);
+                router.restore_slot(peer, prefix, |slot| slot.rib_in = Some((path, poisoned)));
+            }
         }
-    }
-
-    fn start_mrai(
-        &mut self,
-        peer: NodeId,
-        prefix: Prefix,
-        now: SimTime,
-        rng: &mut SimRng,
-        out: &mut RouterOutput,
-    ) {
-        if self.config.mrai.is_zero() {
-            return;
+        for prefix in state.originated {
+            let t = router.table_index(prefix);
+            router.tables[t].originated = true;
         }
-        let j = self.config.mrai_jitter;
-        let interval = rng.jittered(self.config.mrai, j.lo, j.hi);
-        let at = now + interval;
-        self.mrai.start(peer, prefix, at);
-        out.timers.push(MraiTimerRequest { peer, prefix, at });
+        for (prefix, route) in state.loc {
+            let t = router.table_index(prefix);
+            router.tables[t].loc = Some(route);
+        }
+        for ((peer, prefix), path) in state.adj_out {
+            router.restore_slot(peer, prefix, |slot| slot.adj_out = Some(path));
+        }
+        for ((peer, prefix), at) in state.mrai {
+            router.restore_slot(peer, prefix, |slot| slot.mrai = Some(at));
+        }
+        router
     }
 }
 
@@ -914,6 +1033,41 @@ mod tests {
     }
 
     #[test]
+    fn message_and_expiry_for_a_closed_session_are_ignored() {
+        let mut r = Router::new(n(5), [n(4), n(6)], cfg());
+        let mut rg = rng();
+        r.handle_message(n(4), &announce(&[4, 0]), SimTime::ZERO, &mut rg);
+        r.on_peer_down(n(6), SimTime::from_secs(1), &mut rg);
+        let before = r.snapshot();
+        // The MRAI timer started toward 6 at t=0 still fires, and a
+        // message 6 sent before the session closed still arrives.
+        let out = r.on_mrai_expire(n(6), p(), SimTime::from_secs(30), &mut rg);
+        assert!(out.is_empty());
+        let out = r.handle_message(n(6), &announce(&[6, 0]), SimTime::from_secs(30), &mut rg);
+        assert!(out.is_empty());
+        // Neither does an expiry for a node that never was a peer.
+        let out = r.on_mrai_expire(n(9), p(), SimTime::from_secs(30), &mut rg);
+        assert!(out.is_empty());
+        assert_eq!(r.snapshot(), before, "ignored inputs leave no trace");
+    }
+
+    #[test]
+    fn peer_down_forgets_what_was_advertised_even_with_an_empty_rib() {
+        // An origin whose peers never announce back (SSLD suppresses
+        // every path through it) has no Adj-RIB-In for its own prefix;
+        // a session that closes and reopens must be re-advertised to
+        // all the same.
+        let mut r = Router::new(n(0), [n(1)], cfg_enh(Enhancements::ssld()));
+        let mut rg = rng();
+        r.originate(p(), SimTime::ZERO, &mut rg);
+        assert!(r.advertised_to(n(1), p()).is_some());
+        r.on_peer_down(n(1), SimTime::from_secs(40), &mut rg);
+        let out = r.on_peer_up(n(1), SimTime::from_secs(50), &mut rg);
+        assert_eq!(out.sends.len(), 1, "the reopened session learns the route");
+        assert_eq!(out.sends[0].1.path(), Some(&AsPath::from_ids([0])));
+    }
+
+    #[test]
     fn reset_peer_flushes_then_readvertises() {
         let mut r = Router::new(n(6), [n(3), n(5)], cfg());
         let mut rg = rng();
@@ -1093,7 +1247,7 @@ mod tests {
         // Node 4 announces a *different* path than the (4 0) subpath
         // stored inside 6's route: 6's route is obsolete.
         r.handle_message(n(4), &announce(&[4, 7, 0]), SimTime::from_secs(1), &mut rg);
-        assert_eq!(r.rib_in(p()).unwrap().get(n(6)), None);
+        assert_eq!(r.learned_from(n(6), p()), None);
         assert_eq!(r.stats().assertion_removals, 1);
         assert_eq!(r.best(p()).unwrap().path, AsPath::from_ids([5, 4, 7, 0]));
     }
@@ -1106,7 +1260,7 @@ mod tests {
         // Node 4 announces exactly the subpath that 6's route embeds:
         // consistent, keep it.
         r.handle_message(n(4), &announce(&[4, 0]), SimTime::from_secs(1), &mut rg);
-        assert!(r.rib_in(p()).unwrap().get(n(6)).is_some());
+        assert!(r.learned_from(n(6), p()).is_some());
         assert_eq!(r.stats().assertion_removals, 0);
     }
 
@@ -1121,7 +1275,7 @@ mod tests {
             SimTime::from_secs(1),
             &mut rg,
         );
-        assert!(r.rib_in(p()).unwrap().get(n(3)).is_some());
+        assert!(r.learned_from(n(3), p()).is_some());
         assert_eq!(r.stats().assertion_removals, 0);
     }
 

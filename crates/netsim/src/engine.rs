@@ -197,11 +197,21 @@ impl<E> Engine<E> {
     /// On `Err` the engine is untouched: nothing is enqueued and no
     /// statistics change.
     pub fn try_schedule_at(&mut self, at: SimTime, payload: E) -> Result<EventId, PastEventError> {
+        self.admit(at, |queue| queue.schedule(at, payload))
+    }
+
+    /// What every way of scheduling shares: refuse the past, count the
+    /// event, track the queue's high-water mark.
+    fn admit(
+        &mut self,
+        at: SimTime,
+        enqueue: impl FnOnce(&mut EventQueue<E>) -> EventId,
+    ) -> Result<EventId, PastEventError> {
         if at < self.now {
             return Err(PastEventError { at, now: self.now });
         }
         self.stats.scheduled += 1;
-        let id = self.queue.schedule(at, payload);
+        let id = enqueue(&mut self.queue);
         self.stats.max_pending = self.stats.max_pending.max(self.queue.len() as u64);
         Ok(id)
     }
@@ -211,46 +221,38 @@ impl<E> Engine<E> {
     /// `at` deliver in ascending `order` instead of local scheduling
     /// order.
     ///
-    /// # Errors
-    ///
-    /// Returns [`PastEventError`] when `at` is before the current time;
-    /// the engine is untouched.
-    pub fn try_schedule_at_ordered(
-        &mut self,
-        at: SimTime,
-        order: u64,
-        payload: E,
-    ) -> Result<EventId, PastEventError> {
-        if at < self.now {
-            return Err(PastEventError { at, now: self.now });
-        }
-        self.stats.scheduled += 1;
-        let id = self.queue.schedule_ordered(at, order, payload);
-        self.stats.max_pending = self.stats.max_pending.max(self.queue.len() as u64);
-        Ok(id)
-    }
-
-    /// Panicking form of [`try_schedule_at_ordered`]
-    /// (Self::try_schedule_at_ordered); see [`schedule_at`]
-    /// (Self::schedule_at) for the rationale.
-    ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time.
     pub fn schedule_at_ordered(&mut self, at: SimTime, order: u64, payload: E) -> EventId {
-        match self.try_schedule_at_ordered(at, order, payload) {
-            Ok(id) => id,
-            Err(e) => panic!("{e}"),
-        }
+        self.admit(at, |queue| queue.schedule_ordered(at, order, payload))
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`schedule_at_ordered`](Self::schedule_at_ordered) for an event
+    /// source whose `(at, order)` keys are non-decreasing, such as a
+    /// constant-delay wire or a serial processor: the event waits in
+    /// FIFO lane `lane` (see [`EventQueue::schedule_lane`]). Delivery
+    /// order is unchanged — a key out of its lane's order is queued
+    /// like any other — only cheaper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    pub fn schedule_at_lane(
+        &mut self,
+        lane: usize,
+        at: SimTime,
+        order: u64,
+        payload: E,
+    ) -> EventId {
+        self.admit(at, |queue| queue.schedule_lane(lane, at, order, payload))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Schedules `payload` for delivery `delay` after the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
-        let at = self.now + delay;
-        self.stats.scheduled += 1;
-        let id = self.queue.schedule(at, payload);
-        self.stats.max_pending = self.stats.max_pending.max(self.queue.len() as u64);
-        id
+        self.schedule_at(self.now + delay, payload)
     }
 
     /// Schedules `payload` for immediate delivery (at the current time,
@@ -282,18 +284,6 @@ impl<E> Engine<E> {
         self.now = time;
         self.stats.delivered += 1;
         Some((time, payload))
-    }
-
-    /// Like [`pop`](Self::pop), but only delivers events scheduled at
-    /// or before `horizon`; returns `None` (without advancing the
-    /// clock) if the next event lies beyond it. Drive a bounded stretch
-    /// of simulation with this, then [`advance_to`](Self::advance_to)
-    /// the horizon.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.next_event_time() {
-            Some(t) if t <= horizon => self.pop(),
-            _ => None,
-        }
     }
 
     /// Moves the clock forward to `at` without delivering anything.
@@ -575,22 +565,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_respects_horizon() {
+    fn advance_to_moves_the_clock_between_events() {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(SimTime::from_secs(1), 1);
         e.schedule_at(SimTime::from_secs(5), 5);
-        assert_eq!(
-            e.pop_until(SimTime::from_secs(3)),
-            Some((SimTime::from_secs(1), 1))
-        );
-        assert_eq!(e.pop_until(SimTime::from_secs(3)), None);
-        assert_eq!(e.now(), SimTime::from_secs(1), "clock stays put");
+        assert_eq!(e.pop(), Some((SimTime::from_secs(1), 1)));
+        assert_eq!(e.next_event_time(), Some(SimTime::from_secs(5)));
+        assert_eq!(e.now(), SimTime::from_secs(1), "peeking leaves the clock");
         e.advance_to(SimTime::from_secs(3));
         assert_eq!(e.now(), SimTime::from_secs(3));
-        assert_eq!(
-            e.pop_until(SimTime::from_secs(10)),
-            Some((SimTime::from_secs(5), 5))
-        );
+        assert_eq!(e.pop(), Some((SimTime::from_secs(5), 5)));
     }
 
     #[test]

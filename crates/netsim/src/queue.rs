@@ -10,19 +10,35 @@
 //! and not on how events from different nodes interleave. This makes
 //! every run with the same seed bit-for-bit reproducible.
 //!
+//! # FIFO lanes
+//!
+//! Most events of a network simulation come from sources that emit keys
+//! in non-decreasing order: a constant-delay wire delivers in send
+//! order, a serial processor completes in admission order.
+//! [`EventQueue::schedule_lane`] appends such a key to a per-source
+//! FIFO (`O(1)`); only the *head* of each non-empty lane sits in a
+//! small heap, and popping a lane event replaces that head in place
+//! with the lane's next key. The general heap is left with the events
+//! that have no such structure (timers, failures), so a near-future
+//! message never sifts through thousands of far-future timers. A key
+//! that would break its lane's order goes to the general heap instead,
+//! so delivery order is a function of the `(time, order)` keys alone,
+//! whatever lane — if any — an event was scheduled on.
+//!
+//! # Cancellation
+//!
 //! Cancellation is lazy: the queue keeps one *live* bit per issued
 //! sequence number — set on schedule, cleared on delivery or
-//! cancellation. [`EventQueue::cancel`] just clears the bit; the heap
-//! entry is discarded when it reaches the head. All three operations
-//! stay `O(log n)` with O(1) bookkeeping and no hashing on the hot
-//! path, and no record can outlive its event: cancelling an
-//! already-delivered id is a no-op, and the live set is empty whenever
-//! the queue is drained. When cancelled entries come to dominate the
-//! heap it is compacted in place (see `maybe_compact`), which bounds
-//! the raw heap size — and therefore the traced `max_queue_depth` — by
-//! twice the live count.
+//! cancellation. [`EventQueue::cancel`] just clears the bit; the key is
+//! discarded when it reaches the head of its heap or lane. No record
+//! can outlive its event: cancelling an already-delivered id is a
+//! no-op, and the live set is empty whenever the queue is drained. When
+//! cancelled keys come to dominate, heap and lanes are compacted in
+//! place (see `maybe_compact`), which bounds the raw key count by twice
+//! the live count.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
@@ -48,16 +64,17 @@ impl EventId {
     }
 }
 
-/// A heap key: the event's delivery time, its total-order tag, and its
-/// local sequence number. Payloads live outside the heap (see
-/// `EventQueue::payloads`), so sift operations move 24-byte `Copy` keys
-/// instead of full events. Delivery order is `(time, order)`; `seq`
-/// only locates the payload and live bit.
+/// A heap key: the event's delivery time, its total-order tag, its
+/// local sequence number and its payload slot. Payloads live outside
+/// the heap (see `EventQueue::payloads`), so sift operations move
+/// 32-byte `Copy` keys instead of full events. Delivery order is
+/// `(time, order)`; `seq` only breaks ties and locates the live bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     time: SimTime,
     order: u64,
     seq: u64,
+    slot: u32,
 }
 
 impl PartialOrd for Key {
@@ -77,6 +94,14 @@ impl Ord for Key {
             .then_with(|| other.order.cmp(&self.order))
             .then_with(|| other.seq.cmp(&self.seq))
     }
+}
+
+/// The front key of a non-empty lane, as held in `EventQueue::heads`.
+/// Keys are unique (by `seq`), so ordering by key alone is total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LaneHead {
+    key: Key,
+    lane: usize,
 }
 
 /// One live bit per issued sequence number. Sequence numbers are dense
@@ -133,10 +158,10 @@ impl LiveBits {
     }
 }
 
-/// Below this heap size compaction is never worth the rebuild cost.
-const COMPACT_MIN_HEAP: usize = 64;
+/// Below this many raw keys compaction is never worth the rebuild cost.
+const COMPACT_MIN_KEYS: usize = 64;
 
-/// A priority queue of future events ordered by `(time, insertion seq)`.
+/// A priority queue of future events ordered by `(time, order)`.
 ///
 /// # Examples
 ///
@@ -152,18 +177,27 @@ const COMPACT_MIN_HEAP: usize = 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Keys scheduled without a lane, or rejected by theirs.
     heap: BinaryHeap<Key>,
+    /// Per-lane keys in ascending `(time, order, seq)` order, front
+    /// first; grown on demand by [`schedule_lane`](Self::schedule_lane).
+    lanes: Vec<VecDeque<Key>>,
+    /// The front key of every non-empty lane.
+    heads: BinaryHeap<LaneHead>,
+    /// Keys held in `lanes` (each lane's front is also in `heads`).
+    lane_keys: usize,
     /// Live = scheduled and neither delivered nor cancelled. Invariant:
-    /// every live seq has exactly one heap entry, so
-    /// `heap.len() >= live.count` always holds.
+    /// every live seq has exactly one key, in `heap` or in one lane, so
+    /// `raw_len() >= live.count` always holds.
     live: LiveBits,
-    /// Payload for issued sequence number `s` sits at
-    /// `payloads[s - base_seq]`; the slot becomes `None` when the event
-    /// is delivered or cancelled, and the window's front advances past
-    /// freed slots. Memory is bounded by the seq span between the
-    /// oldest unfreed event and the newest issued one.
-    payloads: VecDeque<Option<E>>,
-    base_seq: u64,
+    /// A key's payload sits at `payloads[key.slot]`. A slot is freed
+    /// when its key leaves the queue and the most recently freed slot
+    /// is reused first, so the slots in use stay few and warm however
+    /// long the oldest pending event (a 30-second timer, say) waits. A
+    /// cancelled event keeps its slot, payload included, until its dead
+    /// key is discarded.
+    payloads: Vec<Option<E>>,
+    free_slots: Vec<u32>,
     next_seq: u64,
 }
 
@@ -178,9 +212,12 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
+            heads: BinaryHeap::new(),
+            lane_keys: 0,
             live: LiveBits::default(),
-            payloads: VecDeque::new(),
-            base_seq: 0,
+            payloads: Vec::new(),
+            free_slots: Vec::new(),
             next_seq: 0,
         }
     }
@@ -198,12 +235,60 @@ impl<E> EventQueue<E> {
     ///
     /// Same-instant events deliver in ascending `order`.
     pub fn schedule_ordered(&mut self, time: SimTime, order: u64, payload: E) -> EventId {
+        let key = self.issue(time, order, payload);
+        self.heap.push(key);
+        EventId(key.seq)
+    }
+
+    /// Like [`schedule_ordered`](Self::schedule_ordered), for a source
+    /// whose keys are (almost always) non-decreasing: the event joins
+    /// FIFO lane `lane` in `O(1)` when its key does not precede the
+    /// lane's newest pending key, and the general heap otherwise.
+    /// Delivery order is the same as if every event had been scheduled
+    /// with `schedule_ordered`; the lane only makes it cheaper. Lanes
+    /// are created on first use, so lane numbers should be small and
+    /// dense.
+    pub fn schedule_lane(&mut self, lane: usize, time: SimTime, order: u64, payload: E) -> EventId {
+        let key = self.issue(time, order, payload);
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let keys = &mut self.lanes[lane];
+        match keys.back() {
+            // Reversed `Ord`: greater means earlier.
+            Some(newest) if key > *newest => {
+                self.heap.push(key);
+                return EventId(key.seq);
+            }
+            Some(_) => {}
+            None => self.heads.push(LaneHead { key, lane }),
+        }
+        keys.push_back(key);
+        self.lane_keys += 1;
+        EventId(key.seq)
+    }
+
+    /// Issues the next sequence number for a new live event.
+    fn issue(&mut self, time: SimTime, order: u64, payload: E) -> Key {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live.insert(seq);
-        self.payloads.push_back(Some(payload));
-        self.heap.push(Key { time, order, seq });
-        EventId(seq)
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.payloads[slot as usize] = Some(payload);
+                slot
+            }
+            None => {
+                self.payloads.push(Some(payload));
+                u32::try_from(self.payloads.len() - 1).expect("over 2^32 pending events")
+            }
+        };
+        Key {
+            time,
+            order,
+            seq,
+            slot,
+        }
     }
 
     /// Returns `true` if the event with this id is still pending
@@ -212,17 +297,13 @@ impl<E> EventQueue<E> {
         id.0 < self.next_seq && self.live.contains(id.0)
     }
 
-    /// Frees the payload slot for `seq` (which must be occupied) and
-    /// advances the window past freed slots.
-    fn take_payload(&mut self, seq: u64) -> E {
-        let payload = self.payloads[(seq - self.base_seq) as usize]
+    /// Empties and frees `key`'s payload slot as the key leaves the
+    /// queue.
+    fn release(&mut self, key: Key) -> E {
+        self.free_slots.push(key.slot);
+        self.payloads[key.slot as usize]
             .take()
-            .expect("live seq without payload");
-        while matches!(self.payloads.front(), Some(None)) {
-            self.payloads.pop_front();
-            self.base_seq += 1;
-        }
-        payload
+            .expect("key without payload")
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
@@ -233,26 +314,74 @@ impl<E> EventQueue<E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         let hit = self.live.remove(id.0);
         if hit {
-            drop(self.take_payload(id.0));
             self.maybe_compact();
         }
         hit
     }
 
-    /// Rebuilds the heap without dead entries once they outnumber live
-    /// ones (and the heap is big enough for the `O(n)` rebuild to pay
-    /// for itself). Heap order is fully determined by `(time, seq)`, so
-    /// compaction never changes delivery order.
+    /// Drops dead keys from the heap and every lane once they outnumber
+    /// live ones (and there are enough keys for the `O(n)` rebuild to
+    /// pay for itself). Order is fully determined by the keys, and
+    /// removing keys from a lane keeps it sorted, so compaction never
+    /// changes delivery order.
     fn maybe_compact(&mut self) {
-        if self.heap.len() >= COMPACT_MIN_HEAP && self.heap.len() > 2 * self.live.count {
-            let live = &self.live;
-            let keys: Vec<Key> = self
-                .heap
-                .drain()
-                .filter(|key| live.contains(key.seq))
-                .collect();
-            self.heap = BinaryHeap::from(keys);
+        if self.raw_len() < COMPACT_MIN_KEYS || self.raw_len() <= 2 * self.live.count {
+            return;
         }
+        let (live, payloads, free_slots) = (&self.live, &mut self.payloads, &mut self.free_slots);
+        let mut keep = |key: &Key| {
+            let alive = live.contains(key.seq);
+            if !alive {
+                payloads[key.slot as usize] = None;
+                free_slots.push(key.slot);
+            }
+            alive
+        };
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.retain(&mut keep);
+        self.heap = BinaryHeap::from(keys);
+        self.heads.clear();
+        self.lane_keys = 0;
+        for (lane, keys) in self.lanes.iter_mut().enumerate() {
+            keys.retain(&mut keep);
+            self.lane_keys += keys.len();
+            if let Some(&key) = keys.front() {
+                self.heads.push(LaneHead { key, lane });
+            }
+        }
+    }
+
+    /// Whether the earliest key, live or not, is a lane head rather
+    /// than the top of the general heap; `None` when there is no key.
+    fn lane_is_next(&self) -> Option<bool> {
+        match (self.heap.peek(), self.heads.peek()) {
+            // Reversed `Ord`: greater means earlier.
+            (Some(general), Some(head)) => Some(head.key > *general),
+            (Some(_), None) => Some(false),
+            (None, Some(_)) => Some(true),
+            (None, None) => None,
+        }
+    }
+
+    /// Removes and returns the earliest key, live or not.
+    fn pop_key(&mut self) -> Option<Key> {
+        if !self.lane_is_next()? {
+            return self.heap.pop();
+        }
+        let mut head = self.heads.peek_mut().expect("peeked lane head vanished");
+        let key = head.key;
+        let keys = &mut self.lanes[head.lane];
+        keys.pop_front();
+        self.lane_keys -= 1;
+        match keys.front() {
+            // Replace-top: the lane's next key usually belongs near the
+            // top again, so the sift-down on drop stops early.
+            Some(&next) => head.key = next,
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        Some(key)
     }
 
     /// Removes and returns the earliest pending event, skipping cancelled
@@ -265,15 +394,14 @@ impl<E> EventQueue<E> {
     /// Like [`pop`](Self::pop), but also returns the event's order tag:
     /// the full `(time, order)` key.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, EventId, E)> {
-        while let Some(key) = self.heap.pop() {
+        while let Some(key) = self.pop_key() {
+            let payload = self.release(key);
             if self.live.remove(key.seq) {
-                let payload = self.take_payload(key.seq);
                 return Some((key.time, key.order, EventId(key.seq), payload));
             }
             // Not live: cancelled earlier; discard the dead key.
         }
-        debug_assert!(self.live.count == 0, "live id with no heap entry");
-        debug_assert!(self.payloads.is_empty(), "payload with no heap entry");
+        debug_assert!(self.live.count == 0, "live id with no key");
         None
     }
 
@@ -281,19 +409,23 @@ impl<E> EventQueue<E> {
     /// removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled keys from the head so the answer is live.
-        while let Some(key) = self.heap.peek() {
+        loop {
+            let key = if self.lane_is_next()? {
+                self.heads.peek()?.key
+            } else {
+                *self.heap.peek()?
+            };
             if self.live.contains(key.seq) {
                 return Some(key.time);
             }
-            self.heap.pop();
+            let dead = self.pop_key()?;
+            drop(self.release(dead));
         }
-        None
     }
 
-    /// Number of entries in the heap, *including* not-yet-skipped
-    /// cancelled entries.
+    /// Number of keys held, *including* not-yet-skipped cancelled ones.
     pub fn raw_len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane_keys
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -309,14 +441,19 @@ impl<E> EventQueue<E> {
     /// Discards all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lanes.clear();
+        self.heads.clear();
+        self.lane_keys = 0;
         self.live.clear();
         self.payloads.clear();
-        self.base_seq = self.next_seq;
+        self.free_slots.clear();
     }
 
     /// The live pending entries as `(time, order, seq, payload)` in
     /// delivery order, plus the next sequence number to issue —
     /// everything a checkpoint needs to rebuild this queue exactly.
+    /// Which lane an event waits in is not captured: it never affects
+    /// delivery order.
     pub(crate) fn snapshot_entries(&self) -> (u64, Vec<(SimTime, u64, u64, E)>)
     where
         E: Clone,
@@ -324,11 +461,12 @@ impl<E> EventQueue<E> {
         let mut entries: Vec<(SimTime, u64, u64, E)> = self
             .heap
             .iter()
+            .chain(self.lanes.iter().flatten())
             .filter(|key| self.live.contains(key.seq))
             .map(|key| {
-                let payload = self.payloads[(key.seq - self.base_seq) as usize]
+                let payload = self.payloads[key.slot as usize]
                     .as_ref()
-                    .expect("live seq without payload")
+                    .expect("key without payload")
                     .clone();
                 (key.time, key.order, key.seq, payload)
             })
@@ -341,18 +479,14 @@ impl<E> EventQueue<E> {
     /// sequence numbers — so ids captured alongside the snapshot (e.g.
     /// pending MRAI [`EventId`]s) stay valid, same-instant delivery
     /// order is unchanged, and events scheduled after restore continue
-    /// the original sequence.
+    /// the original sequence. Every restored entry waits in the general
+    /// heap; lanes refill from what is scheduled afterwards.
     ///
     /// # Panics
     ///
     /// Panics if an entry's seq is `>= next_seq` or duplicated.
     pub(crate) fn restore_entries(next_seq: u64, entries: Vec<(SimTime, u64, u64, E)>) -> Self {
-        let base_seq = entries
-            .iter()
-            .map(|&(_, _, seq, _)| seq)
-            .min()
-            .unwrap_or(next_seq);
-        let mut payloads: VecDeque<Option<E>> = (base_seq..next_seq).map(|_| None).collect();
+        let mut payloads = Vec::with_capacity(entries.len());
         let mut live = LiveBits {
             words: vec![0; (next_seq as usize).div_ceil(64)],
             count: 0,
@@ -360,18 +494,23 @@ impl<E> EventQueue<E> {
         let mut heap = BinaryHeap::with_capacity(entries.len());
         for (time, order, seq, payload) in entries {
             assert!(seq < next_seq, "snapshot seq {seq} >= next_seq {next_seq}");
-            let slot = &mut payloads[(seq - base_seq) as usize];
-            assert!(slot.is_none(), "duplicate seq {seq} in snapshot");
-            *slot = Some(payload);
+            assert!(!live.contains(seq), "duplicate seq {seq} in snapshot");
             live.set(seq);
-            heap.push(Key { time, order, seq });
+            let slot = u32::try_from(payloads.len()).expect("over 2^32 pending events");
+            payloads.push(Some(payload));
+            heap.push(Key {
+                time,
+                order,
+                seq,
+                slot,
+            });
         }
         EventQueue {
             heap,
             live,
             payloads,
-            base_seq,
             next_seq,
+            ..EventQueue::new()
         }
     }
 }
@@ -386,8 +525,8 @@ mod tests {
     fn bookkeeping_is_empty<E>(q: &EventQueue<E>) -> bool {
         q.live.count == 0
             && q.live.words.iter().all(|&w| w == 0)
-            && q.payloads.is_empty()
-            && q.base_seq == q.next_seq
+            && q.payloads.iter().all(Option::is_none)
+            && q.free_slots.len() == q.payloads.len()
     }
 
     #[test]
@@ -611,6 +750,86 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every operation the engine uses, interleaved at random,
+        /// against a reference that keeps the live events in a `Vec`
+        /// and delivers the smallest `(time, order, seq)`: same
+        /// deliveries, same `cancel` and `peek_time` answers, same
+        /// `len()` after every step (so the engine's `max_pending`
+        /// agrees too), across a snapshot/restore at any point. Times
+        /// and order tags come from tiny ranges, so same-instant ties,
+        /// reused tags and keys behind their lane's newest are the
+        /// common case, not the rare one.
+        #[test]
+        fn matches_reference_under_random_interleavings(
+            ops in proptest::collection::vec((0u8..13, 0u64..6, 0u64..4, 0u64..400), 1..400),
+        ) {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            // Live events as (time, order, seq, payload).
+            let mut model: Vec<(u64, u64, u64, u64)> = Vec::new();
+            let mut issued = 0u64;
+            let earliest = |model: &[(u64, u64, u64, u64)]| {
+                model.iter().copied().min_by_key(|&(t, order, seq, _)| (t, order, seq))
+            };
+            for (kind, time, order, pick) in ops {
+                let at = SimTime::from_nanos(time);
+                match kind {
+                    0..=6 => {
+                        let id = match kind {
+                            0 | 1 => q.schedule(at, pick),
+                            2 | 3 => q.schedule_ordered(at, order, pick),
+                            _ => q.schedule_lane((pick % 3) as usize, at, order, pick),
+                        };
+                        prop_assert_eq!(id.as_u64(), issued);
+                        let order = if kind < 2 { issued } else { order };
+                        model.push((time, order, issued, pick));
+                        issued += 1;
+                    }
+                    // Any id: live, delivered, cancelled or never issued;
+                    // kind 9 a burst, so dead keys come to dominate.
+                    7..=9 => {
+                        let burst = if kind == 9 { 8 * time } else { 1 };
+                        for seq in pick..pick + burst {
+                            let before = model.len();
+                            model.retain(|&(_, _, s, _)| s != seq);
+                            let hit = model.len() < before;
+                            prop_assert_eq!(q.cancel(EventId(seq)), hit);
+                            prop_assert!(
+                                !hit || q.raw_len() < COMPACT_MIN_KEYS || q.raw_len() <= 2 * q.len(),
+                                "{} keys for {} live events", q.raw_len(), q.len()
+                            );
+                        }
+                    }
+                    10 => {
+                        let expected = earliest(&model);
+                        model.retain(|&e| Some(e) != expected);
+                        let got = q.pop_keyed().map(|(t, order, id, e)| (t.as_nanos(), order, id.0, e));
+                        prop_assert_eq!(got, expected);
+                    }
+                    11 => {
+                        let expected = earliest(&model).map(|(t, ..)| SimTime::from_nanos(t));
+                        prop_assert_eq!(q.peek_time(), expected);
+                    }
+                    _ => {
+                        let (next_seq, entries) = q.snapshot_entries();
+                        prop_assert_eq!(next_seq, issued);
+                        q = EventQueue::restore_entries(next_seq, entries);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert!(q.raw_len() >= q.len());
+            }
+            model.sort_by_key(|&(t, order, seq, _)| (t, order, seq));
+            let drained: Vec<(u64, u64, u64, u64)> = std::iter::from_fn(|| {
+                q.pop_keyed().map(|(t, order, id, e)| (t.as_nanos(), order, id.0, e))
+            })
+            .collect();
+            prop_assert_eq!(drained, model);
+            prop_assert!(bookkeeping_is_empty(&q));
+            prop_assert_eq!(q.raw_len(), 0);
+        }
+
         /// The queue must agree with a reference model: a stable sort of
         /// the scheduled (time, seq) pairs.
         #[test]

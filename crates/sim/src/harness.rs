@@ -523,6 +523,26 @@ mod tests {
     }
 
     #[test]
+    fn run_that_converges_on_its_last_allowed_event_is_not_over_budget() {
+        let g = generators::clique(5);
+        let exp = ConvergenceExperiment::new(
+            g,
+            NodeId::new(0),
+            FailureEvent::WithdrawPrefix {
+                origin: NodeId::new(0),
+                prefix: Prefix::new(0),
+            },
+        )
+        .with_seed(2);
+        let full = exp.run();
+        let exact = RunBudget::unlimited().with_max_events(full.events_dispatched);
+        assert_eq!(exp.run_budgeted(&exact).expect("converged"), full);
+        let short = RunBudget::unlimited().with_max_events(full.events_dispatched - 1);
+        let err = exp.run_budgeted(&short).expect_err("one event short");
+        assert_eq!(err.record.events_dispatched, full.events_dispatched - 1);
+    }
+
+    #[test]
     fn expired_deadline_stops_at_first_check() {
         let g = generators::clique(5);
         let exp = ConvergenceExperiment::new(

@@ -57,7 +57,7 @@ struct MraiSlot {
 /// `bgpsim-checkpoint`).
 ///
 /// Everything is plain data: router tables as sorted entry lists,
-/// pending events with their original `(time, seq)` keys, and every
+/// pending events with their original `(time, order, seq)` keys, and every
 /// RNG mid-stream state (the main stream plus per-link loss streams).
 /// The trace handle and routing policies are deliberately absent; both
 /// are re-supplied at restore time because neither influences the
@@ -348,6 +348,17 @@ impl<P: RoutePolicy> SimNetwork<P> {
         self.engine.schedule_at_ordered(at, order, ev)
     }
 
+    /// [`schedule_event`](Self::schedule_event) on one of the engine's
+    /// FIFO lanes: lane `i` carries node `i`'s `MessageProcessed`
+    /// events (its serial processor completes in admission order), lane
+    /// `node_count` every `MessageArrival` (the link delay is one
+    /// constant, so arrivals keep send order). The event's key and
+    /// therefore its place in the run are the same as without a lane.
+    fn schedule_fifo(&mut self, lane: usize, at: SimTime, ev: NetEvent) {
+        let order = self.next_order();
+        self.engine.schedule_at_lane(lane, at, order, ev);
+    }
+
     /// Makes `origin` start originating `prefix` at the current time.
     pub fn originate(&mut self, origin: NodeId, prefix: Prefix) {
         self.sched_lane = self.harness_lane();
@@ -504,37 +515,46 @@ impl<P: RoutePolicy> SimNetwork<P> {
     }
 
     /// Runs the event loop until no events remain, or until `budget`
-    /// events have been dispatched.
+    /// events have been dispatched and more are pending. A run that
+    /// drains with its last allowed event is quiescent, not over
+    /// budget; a budget of zero dispatches nothing.
     pub fn run_to_quiescence(&mut self, budget: u64) -> RunOutcome {
-        let mut remaining = budget;
-        while let Some((now, ev)) = self.engine.pop() {
-            self.step(now, ev);
-            remaining -= 1;
-            if remaining == 0 {
-                return RunOutcome::BudgetExhausted;
-            }
-        }
-        RunOutcome::Quiescent
+        self.run_while(budget, |engine| !engine.is_quiescent())
     }
 
     /// Runs the event loop for `duration` of simulated time (or until
-    /// `budget` events), leaving later events pending. The clock ends
-    /// exactly at the horizon unless a pending event forbids it — use
-    /// this to observe transient state (e.g. damping suppression
-    /// windows) that [`run_to_quiescence`](Self::run_to_quiescence)
+    /// `budget` events, counted as in
+    /// [`run_to_quiescence`](Self::run_to_quiescence)), leaving later
+    /// events pending. The clock ends exactly at the horizon unless a
+    /// pending event forbids it — use this to observe transient state
+    /// (e.g. damping suppression windows) that `run_to_quiescence`
     /// would fast-forward through.
     pub fn run_for(&mut self, duration: SimDuration, budget: u64) -> RunOutcome {
         let horizon = self.engine.now() + duration;
+        let outcome = self.run_while(budget, |engine| {
+            engine.next_event_time().is_some_and(|t| t <= horizon)
+        });
+        if outcome == RunOutcome::Quiescent {
+            self.engine.advance_to(horizon);
+        }
+        outcome
+    }
+
+    /// Dispatches events while `due` says the next one should run,
+    /// testing the budget before each.
+    fn run_while(
+        &mut self,
+        budget: u64,
+        mut due: impl FnMut(&mut Engine<NetEvent>) -> bool,
+    ) -> RunOutcome {
         let mut remaining = budget;
-        while let Some((now, ev)) = self.engine.pop_until(horizon) {
-            self.step(now, ev);
-            remaining -= 1;
+        while due(&mut self.engine) {
             if remaining == 0 {
                 return RunOutcome::BudgetExhausted;
             }
-        }
-        if self.engine.next_event_time().is_none_or(|t| t >= horizon) {
-            self.engine.advance_to(horizon);
+            remaining -= 1;
+            let (now, ev) = self.engine.pop().expect("a due event is pending");
+            self.step(now, ev);
         }
         RunOutcome::Quiescent
     }
@@ -570,7 +590,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
     /// rebuilds a simulation whose every future observable — event
     /// deliveries, RNG draws, loss decisions, recorded outputs — is
     /// bit-identical to this one's. Pending events keep their original
-    /// `(time, seq)` keys, so [`EventId`]s captured before the snapshot
+    /// `(time, order, seq)` keys, so [`EventId`]s captured before the snapshot
     /// (the MRAI slots) remain valid against the restored engine.
     ///
     /// The trace handle is *not* captured — tracing is observational,
@@ -716,7 +736,11 @@ impl<P: RoutePolicy> SimNetwork<P> {
                 let service = self.rng_lanes[to.index()]
                     .uniform_duration(self.params.proc_delay_lo, self.params.proc_delay_hi);
                 let done = self.processors[to.index()].admit(now, service);
-                self.schedule_event(done, NetEvent::MessageProcessed { to, from, msg });
+                self.schedule_fifo(
+                    to.index(),
+                    done,
+                    NetEvent::MessageProcessed { to, from, msg },
+                );
             }
             NetEvent::MessageProcessed { to, from, msg } => {
                 self.tracer.emit(|| TraceEvent::UpdateRx {
@@ -896,7 +920,8 @@ impl<P: RoutePolicy> SimNetwork<P> {
                 .link_mut(node, to)
                 .unwrap_or_else(|| panic!("no link {node} -> {to}"));
             if let Some(arrival) = link.transmit(now) {
-                self.schedule_event(
+                self.schedule_fifo(
+                    self.routers.len(),
                     arrival,
                     NetEvent::MessageArrival {
                         to,
@@ -1168,6 +1193,41 @@ mod tests {
         let mut net = SimNetwork::new(&g, cfg(), SimParams::default(), 2);
         net.originate(n(0), p());
         assert_eq!(net.run_to_quiescence(3), RunOutcome::BudgetExhausted);
+    }
+
+    #[test]
+    fn budget_counts_dispatches_exactly() {
+        // n events need a budget of n, not n + 1; a budget of zero
+        // dispatches nothing and is exhausted only if work is pending.
+        let build = || {
+            let g = generators::clique(4);
+            let mut net = SimNetwork::new(&g, cfg(), SimParams::default(), 2);
+            net.originate(n(0), p());
+            net
+        };
+        let mut whole = build();
+        assert_eq!(whole.run_to_quiescence(u64::MAX), RunOutcome::Quiescent);
+        let events = whole.events_dispatched();
+        assert!(events > 2);
+        assert_eq!(whole.run_to_quiescence(0), RunOutcome::Quiescent);
+        let horizon = SimDuration::from_secs(1_000);
+        for (budget, outcome) in [
+            (0, RunOutcome::BudgetExhausted),
+            (events - 1, RunOutcome::BudgetExhausted),
+            (events, RunOutcome::Quiescent),
+            (events + 1, RunOutcome::Quiescent),
+        ] {
+            let mut net = build();
+            assert_eq!(net.run_to_quiescence(budget), outcome, "budget {budget}");
+            assert_eq!(net.events_dispatched(), budget.min(events));
+            let mut net = build();
+            assert_eq!(
+                net.run_for(horizon, budget),
+                outcome,
+                "run_for, budget {budget}"
+            );
+            assert_eq!(net.events_dispatched(), budget.min(events));
+        }
     }
 
     #[test]
