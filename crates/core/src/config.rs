@@ -9,7 +9,7 @@ use bgpsim_netsim::time::SimDuration;
 use crate::damping::DampingConfig;
 
 /// Multiplicative jitter applied to each MRAI interval.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Jitter {
     /// Lower bound as a fraction of the base interval.
     pub lo: f64,
@@ -44,7 +44,7 @@ impl Jitter {
 /// The four mechanisms compared in §5 of the paper. They compose freely
 /// in the implementation; the paper (and our experiments) evaluate them
 /// one at a time against standard BGP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Enhancements {
     /// Sender-side loop detection (Labovitz et al.): replace an
     /// announcement the receiver would discard (its own id is in the
@@ -125,7 +125,7 @@ impl Enhancements {
 }
 
 /// Full per-router protocol configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BgpConfig {
     /// The Minimum Route Advertisement Interval base value (default
     /// 30 s), applied per `(peer, prefix)`.

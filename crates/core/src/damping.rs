@@ -19,7 +19,7 @@ use bgpsim_topology::NodeId;
 use crate::prefix::Prefix;
 
 /// Damping parameters, defaulting to the classic Cisco values.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DampingConfig {
     /// Penalty added per withdrawal flap (default 1000).
     pub withdrawal_penalty: f64,
@@ -85,8 +85,8 @@ struct Entry {
 }
 
 /// The raw damping state of one `(peer, prefix)` route, as exported by
-/// [`DampingTable::export_entries`] for checkpointing.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// [`DampingTable::export_entries`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DampingEntryState {
     /// Undecayed penalty as of `updated_at`.
     pub penalty: f64,
@@ -223,8 +223,7 @@ impl DampingTable {
         self.entries.retain(|&(p, _), _| p != peer);
     }
 
-    /// Exports the per-route state in ascending key order (checkpoint
-    /// export).
+    /// Exports the per-route state in ascending key order.
     pub fn export_entries(&self) -> Vec<((NodeId, Prefix), DampingEntryState)> {
         self.entries
             .iter()
@@ -239,34 +238,6 @@ impl DampingTable {
                 )
             })
             .collect()
-    }
-
-    /// Rebuilds a table from exported entries (checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn from_entries(
-        config: DampingConfig,
-        entries: Vec<((NodeId, Prefix), DampingEntryState)>,
-    ) -> DampingTable {
-        config.validate();
-        DampingTable {
-            config,
-            entries: entries
-                .into_iter()
-                .map(|(k, e)| {
-                    (
-                        k,
-                        Entry {
-                            penalty: e.penalty,
-                            updated_at: e.updated_at,
-                            suppressed: e.suppressed,
-                        },
-                    )
-                })
-                .collect(),
-        }
     }
 }
 

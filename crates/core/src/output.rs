@@ -14,7 +14,7 @@ use crate::message::BgpMessage;
 use crate::prefix::Prefix;
 
 /// A forwarding-table entry for one prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FibEntry {
     /// The prefix is locally originated: deliver.
     Local,
@@ -61,7 +61,7 @@ pub struct ReuseTimerRequest {
 }
 
 /// The route selected for a prefix, as exposed to observers.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocRoute {
     /// Forwarding entry (local or via a neighbor).
     pub fib: FibEntry,

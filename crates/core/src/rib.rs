@@ -101,14 +101,6 @@ impl RibIn {
         self.iter().filter(move |(_, path)| !path.contains(myself))
     }
 
-    /// Rebuilds a table from `(peer, path)` entries (checkpoint
-    /// restore); later duplicates of a peer are dropped.
-    pub fn from_entries(mut entries: Vec<(NodeId, AsPath)>) -> RibIn {
-        entries.sort_by_key(|&(p, _)| p);
-        entries.dedup_by_key(|e| e.0);
-        RibIn { entries }
-    }
-
     /// Removes entries for which `predicate` returns `true`, returning
     /// the removed `(peer, path)` pairs. Used by the Assertion
     /// enhancement to purge obsolete backups.

@@ -91,7 +91,7 @@ impl PrefixTable {
 }
 
 /// Counters describing a router's protocol activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Announcements sent.
     pub announcements_sent: u64,
@@ -120,14 +120,13 @@ impl RouterStats {
     }
 }
 
-/// A full capture of a [`Router`]'s state for deterministic
-/// checkpointing: every protocol table exported as a sorted vector of
-/// plain data.
+/// A read-only export of a [`Router`]'s full state: every protocol
+/// table as a sorted vector of plain data, so two routers (or one
+/// router before and after an input) can be compared with `==`.
 ///
-/// The route policy is **not** captured — it is stateless configuration
-/// (e.g. `ShortestPath`), so [`Router::from_state`] takes it as an
-/// argument, exactly like [`Router::with_policy`] does.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// The route policy is not included — it is stateless configuration
+/// (e.g. `ShortestPath`).
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterState {
     /// This router's node id.
     pub id: NodeId,
@@ -136,8 +135,7 @@ pub struct RouterState {
     /// The protocol configuration.
     pub config: BgpConfig,
     /// Per-prefix Adj-RIB-In contents. Empty tables are included: their
-    /// presence decides which prefixes later session events re-decide,
-    /// so dropping them would skew decision counters after restore.
+    /// presence decides which prefixes later session events re-decide.
     pub ribs: Vec<(Prefix, Vec<(NodeId, AsPath)>)>,
     /// Locally originated prefixes.
     pub originated: Vec<Prefix>,
@@ -724,8 +722,8 @@ impl<P: RoutePolicy> Router<P> {
     }
 
     /// `((peer, prefix), value)` for every slot `field` yields a value
-    /// for, in ascending key order — the checkpoint form of the
-    /// per-slot tables.
+    /// for, in ascending key order — the exported form of the per-slot
+    /// tables.
     fn export_slots<T>(
         &self,
         field: impl Fn(&PeerSlot) -> Option<T>,
@@ -739,15 +737,7 @@ impl<P: RoutePolicy> Router<P> {
         rows
     }
 
-    /// Applies `set` to the slot of `(peer, prefix)`, if `peer` is one.
-    fn restore_slot(&mut self, peer: NodeId, prefix: Prefix, set: impl FnOnce(&mut PeerSlot)) {
-        if let Some(i) = self.slot_of(peer) {
-            let t = self.table_index(prefix);
-            set(&mut self.tables[t].slots[i]);
-        }
-    }
-
-    /// Captures the full router state for checkpointing.
+    /// Exports the full router state (see [`RouterState`]).
     pub fn snapshot(&self) -> RouterState {
         let learned = self.tables.iter().filter(|t| t.learned);
         RouterState {
@@ -782,43 +772,6 @@ impl<P: RoutePolicy> Router<P> {
                 .unwrap_or_default(),
             stats: self.stats,
         }
-    }
-
-    /// Rebuilds a router from a captured [`RouterState`] and its
-    /// (stateless) route policy; the restored router processes every
-    /// future input exactly as the original would have. Rows naming a
-    /// node that is not in `state.peers` are dropped: a router holds
-    /// nothing for a session it does not have.
-    pub fn from_state(state: RouterState, policy: P) -> Router<P> {
-        let mut router = Router::with_policy(state.id, state.peers, state.config, policy);
-        router.stats = state.stats;
-        router.damping = state
-            .config
-            .damping
-            .map(|cfg| DampingTable::from_entries(cfg, state.damping));
-        for (prefix, entries) in state.ribs {
-            let t = router.table_index(prefix);
-            router.tables[t].learned = true;
-            for (peer, path) in entries {
-                let poisoned = path.contains(router.id);
-                router.restore_slot(peer, prefix, |slot| slot.rib_in = Some((path, poisoned)));
-            }
-        }
-        for prefix in state.originated {
-            let t = router.table_index(prefix);
-            router.tables[t].originated = true;
-        }
-        for (prefix, route) in state.loc {
-            let t = router.table_index(prefix);
-            router.tables[t].loc = Some(route);
-        }
-        for ((peer, prefix), path) in state.adj_out {
-            router.restore_slot(peer, prefix, |slot| slot.adj_out = Some(path));
-        }
-        for ((peer, prefix), at) in state.mrai {
-            router.restore_slot(peer, prefix, |slot| slot.mrai = Some(at));
-        }
-        router
     }
 }
 
@@ -1376,77 +1329,6 @@ mod tests {
     #[should_panic(expected = "cannot peer with itself")]
     fn self_peering_rejected() {
         let _ = Router::new(n(1), [n(1)], cfg());
-    }
-
-    #[test]
-    fn snapshot_restore_is_behavior_preserving() {
-        // Drive a router mid-convergence (MRAI timers running, multiple
-        // RIB entries, adj-out populated), snapshot it, and check the
-        // restored router produces identical outputs for an identical
-        // tail of inputs.
-        let mut r = Router::new(n(5), [n(3), n(4), n(6)], BgpConfig::default());
-        let mut rg = SimRng::new(11);
-        r.handle_message(n(4), &announce(&[4, 0]), SimTime::ZERO, &mut rg);
-        r.handle_message(n(6), &announce(&[6, 4, 0]), SimTime::ZERO, &mut rg);
-        r.handle_message(
-            n(3),
-            &announce(&[3, 2, 0]),
-            SimTime::from_millis(500),
-            &mut rg,
-        );
-
-        let state = r.snapshot();
-        let mut restored = Router::from_state(state.clone(), ShortestPath);
-        assert_eq!(restored.snapshot(), state, "snapshot must round-trip");
-        assert_eq!(restored.stats(), r.stats());
-        assert_eq!(restored.best(p()), r.best(p()));
-
-        let mut rg2 = rg.clone();
-        let tail = |r: &mut Router, rg: &mut SimRng| {
-            vec![
-                r.handle_message(n(4), &BgpMessage::withdraw(p()), SimTime::from_secs(1), rg),
-                r.on_mrai_expire(n(6), p(), SimTime::from_secs(30), rg),
-                r.on_peer_down(n(3), SimTime::from_secs(31), rg),
-            ]
-        };
-        let a = tail(&mut r, &mut rg);
-        let b = tail(&mut restored, &mut rg2);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.sends, y.sends);
-            assert_eq!(x.timers, y.timers);
-            assert_eq!(x.fib_changes, y.fib_changes);
-        }
-        assert_eq!(r.stats(), restored.stats());
-        assert_eq!(r.snapshot(), restored.snapshot());
-    }
-
-    #[test]
-    fn snapshot_restore_preserves_damping_state() {
-        let cfg = BgpConfig::default().with_damping(crate::damping::DampingConfig::default());
-        let mut r = Router::new(n(5), [n(4)], cfg);
-        let mut rg = rng();
-        // Repeated withdrawal flaps suppress the route from peer 4
-        // (two would decay to just under the 2000 threshold).
-        for s in 0..3u64 {
-            r.handle_message(n(4), &announce(&[4, 0]), SimTime::from_secs(2 * s), &mut rg);
-            r.handle_message(
-                n(4),
-                &BgpMessage::withdraw(p()),
-                SimTime::from_secs(2 * s + 1),
-                &mut rg,
-            );
-        }
-        assert!(r.stats().damping_suppressions > 0, "setup must suppress");
-        let state = r.snapshot();
-        assert!(!state.damping.is_empty());
-        let mut restored = Router::from_state(state, ShortestPath);
-        let mut rg2 = rg.clone();
-        let now = SimTime::from_secs(10);
-        let a = r.handle_message(n(4), &announce(&[4, 0]), now, &mut rg);
-        let b = restored.handle_message(n(4), &announce(&[4, 0]), now, &mut rg2);
-        assert_eq!(a.sends, b.sends);
-        assert_eq!(a.reuse_timers, b.reuse_timers);
-        assert_eq!(r.snapshot(), restored.snapshot());
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct Packet {
 }
 
 /// What finally happened to a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketFate {
     /// Reached the AS originating its destination prefix.
     Delivered {

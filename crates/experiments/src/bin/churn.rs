@@ -4,14 +4,12 @@
 //! ```text
 //! churn [quick|paper] [--flap-period <s>] [--flaps <n>] [--flap-jitter <f>]
 //!       [--loss <p>] [--seeds <n>] [--trace <file.jsonl>]
-//!       [--bench <file.json>] [--jobs <n>] [--cache-dir <dir>] [--forked]
+//!       [--bench <file.json>] [--jobs <n>] [--cache-dir <dir>]
 //! ```
 //!
 //! `--flap-period` may be given multiple times to sweep an explicit
 //! period list (default: the scale's range). The sweep output is
-//! deterministic for a fixed configuration, regardless of `--jobs`,
-//! and bit-identical with or without `--forked` (which shares each
-//! seed's warm-up across all flap periods).
+//! deterministic for a fixed configuration, regardless of `--jobs`.
 
 use bgpsim_experiments::binopts::{dispatch_worker, BinOptions, USAGE};
 use bgpsim_experiments::churn::{self, ChurnOptions};

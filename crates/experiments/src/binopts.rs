@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! figN [quick|paper] [--trace <file.jsonl>] [--bench <file.json>]
-//!      [--jobs <n>] [--cache-dir <dir>] [--forked]
+//!      [--jobs <n>] [--cache-dir <dir>]
 //! ```
 //!
 //! The flags are layered *on top of* the `BGPSIM_*` environment
@@ -34,14 +34,11 @@ pub struct BinOptions {
     pub jobs: Option<usize>,
     /// `--cache-dir <dir>`: run cache (overrides `BGPSIM_CACHE_DIR`).
     pub cache_dir: Option<PathBuf>,
-    /// `--forked`: share warm-ups across sweep cells (checkpoint/fork;
-    /// overrides `BGPSIM_FORK`). Results are bit-identical either way.
-    pub forked: bool,
 }
 
 /// The usage string appended to parse errors.
 pub const USAGE: &str = "usage: [quick|paper] [--trace <file.jsonl>] [--bench <file.json>] \
-     [--jobs <n>] [--cache-dir <dir>] [--forked]";
+     [--jobs <n>] [--cache-dir <dir>]";
 
 /// Answers the supervisor's `<exe> worker` re-exec: when the first
 /// argument is `worker`, runs [`worker::run`](crate::worker::run) and
@@ -69,7 +66,6 @@ impl BinOptions {
                 "--trace" => opts.trace = Some(PathBuf::from(value("--trace")?)),
                 "--bench" => opts.bench = Some(PathBuf::from(value("--bench")?)),
                 "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--forked" => opts.forked = true,
                 "--jobs" => {
                     let v = value("--jobs")?;
                     let n: usize = v
@@ -120,9 +116,6 @@ impl BinOptions {
     /// it. Exits with status 1 if the configuration cannot be applied
     /// (unwritable cache dir, trace sink already installed, …).
     pub fn init_runner(&self) -> &'static Runner {
-        if self.forked {
-            crate::forked::set_fork_enabled(true);
-        }
         let mut config = RunnerConfig::from_env();
         if let Some(jobs) = self.jobs {
             config = config.jobs(jobs);
@@ -187,7 +180,6 @@ mod tests {
             "4",
             "--cache-dir",
             "/tmp/c",
-            "--forked",
         ]))
         .unwrap();
         assert_eq!(opts.scale, Some(Scale::Quick));
@@ -198,7 +190,6 @@ mod tests {
             opts.cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/c"))
         );
-        assert!(opts.forked);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Canonical JSON serialization of [`ScenarioSpec`].
 //!
-//! The fingerprint strings ([`ScenarioSpec::fingerprint`],
-//! [`ScenarioSpec::warmup_fingerprint`]) are one-way keys; this module
-//! is the **round-trippable** form — the spec a checkpoint header
-//! embeds so a saved warm-up can be inspected and forked by a process
-//! that never saw the original submission.
+//! The fingerprint string ([`ScenarioSpec::fingerprint`]) is a one-way
+//! key; this module is the **round-trippable** form — the spec an
+//! isolated worker child receives, so it can run a scenario it never
+//! saw constructed.
 //!
 //! The encoding is canonical in the byte-for-byte sense: field order
 //! is fixed, absent options serialize as `null`, durations are
@@ -24,8 +23,7 @@ use serde::value::{field, Value};
 use crate::scenario::{EventKind, ScenarioSpec, TopologySpec};
 
 /// Schema version of the canonical encoding; bump on any change to the
-/// field set so stale embedded specs are rejected instead of
-/// misparsed.
+/// field set so stale specs are rejected instead of misparsed.
 pub const CANONICAL_VERSION: u64 = 1;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -432,7 +430,6 @@ mod tests {
         // because FaultPlan floats make it awkward; fingerprints cover
         // everything).
         assert_eq!(spec.fingerprint(), back.fingerprint());
-        assert_eq!(spec.warmup_fingerprint(), back.warmup_fingerprint());
         assert_eq!(spec.faults, back.faults);
         assert_eq!(spec.flap, back.flap);
         // The encoding itself is canonical: encode(parse(encode(x)))

@@ -34,11 +34,6 @@ pub struct ChurnOptions {
     pub loss: f64,
     /// Seeds to run; `None` uses the scale's seed set.
     pub seeds: Option<Vec<u64>>,
-    /// Share warm-ups across flap periods (every `(period, seed)` cell
-    /// of one seed has the same converged pre-failure state). Results
-    /// are bit-identical either way. Combined with the process-wide
-    /// toggle ([`crate::forked::fork_enabled`]) by `run`.
-    pub forked: bool,
 }
 
 impl Default for ChurnOptions {
@@ -49,7 +44,6 @@ impl Default for ChurnOptions {
             jitter: 0.0,
             loss: 0.0,
             seeds: None,
-            forked: false,
         }
     }
 }
@@ -106,41 +100,27 @@ pub fn run(scale: Scale, options: &ChurnOptions) -> ChurnSweep {
     let seeds = options.seeds.clone().unwrap_or_else(|| scale.seeds());
     assert!(!seeds.is_empty(), "churn sweep needs at least one seed");
     let bclique_n = scale.fixed_bclique();
-    let forked = options.forked || crate::forked::fork_enabled();
-    let scenarios: Vec<Scenario> = periods
+    let jobs = periods
         .iter()
         .flat_map(|&period| {
             seeds
                 .iter()
-                .map(move |&seed| cell_scenario(bclique_n, period, options, seed))
+                .map(move |&seed| cell_scenario(bclique_n, period, options, seed).into_job())
         })
         .collect();
-    let jobs = if forked {
-        crate::forked::forked_jobs(scenarios)
-    } else {
-        scenarios.into_iter().map(Scenario::into_job).collect()
-    };
     let flat = bgpsim_runner::global()
         .run_jobs(jobs)
         .expect("churn sweep job failed");
     // The cached runner path only carries paper metrics, so the churn
     // counters come from one deterministic local replay per period.
-    // Every replay shares the first seed's warm-up (all periods do),
-    // so in forked mode it is captured once and each period forks its
-    // tail from it.
-    let replay_warmup =
-        forked.then(|| cell_scenario(bclique_n, periods[0], options, seeds[0]).snapshot_warmup());
     let rows = flat
         .chunks(seeds.len())
         .zip(&periods)
         .map(|(metrics, &period)| {
-            let replay = cell_scenario(bclique_n, period, options, seeds[0]);
-            let churn = match &replay_warmup {
-                Some(snap) => replay.run_forked(snap),
-                None => replay.run(),
-            }
-            .measurement
-            .churn;
+            let churn = cell_scenario(bclique_n, period, options, seeds[0])
+                .run()
+                .measurement
+                .churn;
             ChurnPoint {
                 point: aggregate(period as f64, metrics).expect("at least one seed per cell"),
                 churn,
@@ -227,38 +207,10 @@ mod tests {
             jitter: 0.2,
             loss: 0.3,
             seeds: Some(vec![1, 2]),
-            forked: false,
         };
         let a = run(Scale::Quick, &options);
         let b = run(Scale::Quick, &options);
         assert_eq!(a, b);
         assert_eq!(a.render(), b.render());
-    }
-
-    #[test]
-    fn forked_sweep_is_bit_identical_to_from_scratch() {
-        // Distinct parameters from every other test so neither variant
-        // can be served from a cache entry the other one warmed.
-        let options = ChurnOptions {
-            periods: Some(vec![12, 24]),
-            count: 2,
-            jitter: 0.1,
-            loss: 0.05,
-            seeds: Some(vec![41]),
-            forked: false,
-        };
-        // Forked runs first: its batch executes cold (warm-up + forked
-        // tails) and populates the cache the from-scratch sweep then
-        // hits — so equal rows mean the forked executions produced the
-        // canonical results.
-        let forked = run(
-            Scale::Quick,
-            &ChurnOptions {
-                forked: true,
-                ..options.clone()
-            },
-        );
-        let scratch = run(Scale::Quick, &options);
-        assert_eq!(scratch.rows, forked.rows, "forking must not change results");
     }
 }

@@ -52,20 +52,17 @@ impl Cell {
 /// Runs every `(cell, seed)` pair as **one batch** on the global
 /// runner and returns the per-cell metrics (`result[i][j]` = cell `i`,
 /// seed `j`). This is the single point where experiment sweeps meet
-/// the execution subsystem. With the fork toggle on (`--forked` /
-/// `BGPSIM_FORK=1`), cells sharing a warm-up fingerprint execute their
-/// warm-up once and fork the tails — results are bit-identical either
-/// way.
+/// the execution subsystem.
 pub fn run_cells(cells: &[Cell], seeds: &[u64]) -> Vec<Vec<PaperMetrics>> {
     if seeds.is_empty() {
         return vec![Vec::new(); cells.len()];
     }
-    let scenarios = cells
+    let jobs = cells
         .iter()
-        .flat_map(|cell| seeds.iter().map(|&seed| cell.scenario(seed)))
+        .flat_map(|cell| seeds.iter().map(|&seed| cell.scenario(seed).into_job()))
         .collect();
     let flat = bgpsim_runner::global()
-        .run_jobs(crate::forked::sweep_jobs(scenarios))
+        .run_jobs(jobs)
         .expect("sweep job failed");
     flat.chunks(seeds.len())
         .map(<[PaperMetrics]>::to_vec)

@@ -30,16 +30,13 @@ pub const MAX_SEEDS_PER_JOB: usize = 256;
 /// stanza.
 pub const JOBSPEC_VERSION: u32 = 2;
 
-/// The `"fork"` stanza of a version-2 submission: replay several tail
-/// events per seed from one shared warm-up.
+/// The `"fork"` stanza of a version-2 submission: run several tail
+/// events per seed.
 ///
-/// Each seed's runs share their converged warm-up state whenever their
-/// warm-up fingerprints agree (always on clique/b-clique families;
-/// Internet-like tails regroup by resolved destination), so a
-/// submission of `seeds × tails` runs executes each warm-up once. The
-/// per-run cache fingerprints are unchanged — forked and from-scratch
-/// runs are bit-identical — so result streams stay byte-identical to
-/// the equivalent unforked submissions.
+/// It only names *which* runs a submission asks for: `seeds × tails`
+/// ordinary runs, each with its ordinary cache fingerprint, so the
+/// result stream is byte-identical to the equivalent single-event
+/// submissions concatenated seed-major.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForkSpec {
     /// The tail events to replay per seed, in stream order.
@@ -65,8 +62,8 @@ pub struct JobSpec {
     pub seeds: Vec<u64>,
     /// Flap parameters for [`EventKind::Flap`] submissions.
     pub flap: Option<FlapProfile>,
-    /// Version-2 fork stanza: tail variants sharing one warm-up per
-    /// seed. Replaces `event` when present.
+    /// Version-2 fork stanza: several tail events per seed. Replaces
+    /// `event` when present.
     pub fork: Option<ForkSpec>,
 }
 
@@ -134,7 +131,7 @@ impl JobSpec {
     }
 
     /// Materializes the scenarios, seed-major (every tail of seed 0,
-    /// then every tail of seed 1, …) so forked runs of one warm-up sit
+    /// then every tail of seed 1, …) so the runs of one seed sit
     /// adjacently in the result stream.
     pub fn scenarios(&self) -> Vec<ScenarioSpec> {
         let config = BgpConfig::default()
@@ -438,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_fork_fans_tails_per_seed_sharing_warmups() {
+    fn v2_fork_fans_tails_per_seed() {
         let spec = JobSpec::parse(
             r#"{"v": 2, "topology": "clique:6", "seeds": [1, 2],
                 "fork": {"tails": ["tdown", "flap"]}}"#,
@@ -454,15 +451,6 @@ mod tests {
         assert_eq!(scenarios[1].seed, 1);
         assert_eq!(scenarios[1].event, EventKind::Flap);
         assert_eq!(scenarios[2].seed, 2);
-        // Tails of one seed share a warm-up; distinct seeds never do.
-        assert_eq!(
-            scenarios[0].warmup_fingerprint(),
-            scenarios[1].warmup_fingerprint()
-        );
-        assert_ne!(
-            scenarios[0].warmup_fingerprint(),
-            scenarios[2].warmup_fingerprint()
-        );
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod canonical;
 pub mod chart;
 pub mod churn;
 pub mod figures;
-pub mod forked;
 pub mod jobspec;
 pub mod scenario;
 pub mod sweep;
@@ -46,7 +45,6 @@ pub use bgpsim_runner as runner;
 pub use canonical::CANONICAL_VERSION;
 pub use churn::{ChurnOptions, ChurnPoint, ChurnSweep};
 pub use figures::{ClaimCheck, Scale};
-pub use forked::{forked_jobs, plan_forked, warmup_cells, ForkPlan};
 pub use jobspec::{ForkSpec, JobSpec, JOBSPEC_VERSION};
 pub use scenario::{EventKind, Scenario, ScenarioResult, ScenarioSpec, TopologySpec};
 pub use sweep::{aggregate, linear_fit, AggregatedPoint, LinearFit, Series};

@@ -5,24 +5,21 @@
 //! protocol configuration, physical parameters, fault plan, and seed.
 //! Every path into the sim harness goes through it: the figure
 //! binaries, the root CLI, the `bgpsim-serve` wire format
-//! ([`JobSpec`](crate::jobspec::JobSpec)) and the checkpoint/fork
-//! machinery all construct `ScenarioSpec` values and run them.
+//! ([`JobSpec`](crate::jobspec::JobSpec)) and the isolated worker all
+//! construct `ScenarioSpec` values and run them.
 //!
 //! Its canonical serializations key everything downstream:
-//! [`ScenarioSpec::fingerprint`] is the run-cache key,
-//! [`ScenarioSpec::warmup_fingerprint`] groups runs that share a
-//! warm-up for checkpoint forking, and
-//! [`ScenarioSpec::to_canonical_json`] is the portable on-disk /
-//! on-wire form embedded in checkpoint headers.
+//! [`ScenarioSpec::fingerprint`] is the run-cache key and
+//! [`ScenarioSpec::to_canonical_json`] is the portable on-wire form a
+//! supervised worker child receives.
 
 use bgpsim_core::{BgpConfig, Prefix};
 use bgpsim_dataplane::loopscan::{emit_census, loop_census};
 use bgpsim_metrics::{measure_run, RunMeasurement};
 use bgpsim_netsim::rng::SimRng;
-use bgpsim_runner::SharedWarmup;
 use bgpsim_sim::{
     BudgetExceeded, ConvergenceExperiment, FailureEvent, FaultPlan, FlapProfile, RunBudget,
-    RunRecord, RunSnapshot, SimParams, SnapshotBeat,
+    RunRecord, SimParams,
 };
 use bgpsim_topology::{algo, generators, Graph, NodeId};
 use bgpsim_trace::{RunCounters, TraceEvent, TraceHandle};
@@ -272,8 +269,8 @@ impl ScenarioSpec {
         s
     }
 
-    /// The shared `|mrai=…` … `|seed=…` fragment of both fingerprints:
-    /// protocol configuration, physical parameters, and seed.
+    /// The `|mrai=…` … `|seed=…` fragment of the fingerprint: protocol
+    /// configuration, physical parameters, and seed.
     fn write_config_fragment(&self, s: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(
@@ -317,57 +314,6 @@ impl ScenarioSpec {
         );
     }
 
-    /// A canonical fingerprint of this scenario's **warm-up phase**
-    /// alone: everything that determines the converged pre-failure
-    /// state, and nothing that only matters afterwards.
-    ///
-    /// Two scenarios with equal warm-up fingerprints run bit-identical
-    /// warm-ups, so a checkpoint captured at quiescence under one is a
-    /// valid fork point for the other. The event kind is deliberately
-    /// excluded — `T_down` vs `T_long` vs flap variants differ only in
-    /// their tail — but the **resolved destination** is included,
-    /// because event kinds that re-pick the destination (`T_long` on
-    /// Internet-like graphs) change the warm-up itself. Fault plans
-    /// and flap profiles never appear: their events are anchored after
-    /// warm-up quiescence.
-    pub fn warmup_fingerprint(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("warmup/v1");
-        match &self.topology {
-            TopologySpec::Clique(n) => {
-                let _ = write!(s, "|topo=clique:{n}");
-            }
-            TopologySpec::BClique(n) => {
-                let _ = write!(s, "|topo=bclique:{n}");
-            }
-            TopologySpec::InternetLike { n, topo_seed } => {
-                let _ = write!(s, "|topo=internet:{n}:{topo_seed}");
-            }
-            TopologySpec::Custom { graph, destination } => {
-                let mut edges: Vec<(u32, u32)> = graph
-                    .edges()
-                    .map(|e| (e.lo().as_u32(), e.hi().as_u32()))
-                    .collect();
-                edges.sort_unstable();
-                let _ = write!(
-                    s,
-                    "|topo=custom:{}:d{}:",
-                    graph.node_count(),
-                    destination.as_u32()
-                );
-                for (a, b) in edges {
-                    let _ = write!(s, "{a}-{b},");
-                }
-            }
-        }
-        let (graph, built) = self.topology.build();
-        let destination = self.resolve_destination(&graph, built);
-        let _ = write!(s, "|dest={}", destination.as_u32());
-        self.write_config_fragment(&mut s);
-        s.push_str("|prefix=0");
-        s
-    }
-
     /// Converts the scenario into a cacheable [`runner
     /// job`](bgpsim_runner::Job) producing the paper metrics of the
     /// run. The job's fingerprint is [`ScenarioSpec::fingerprint`], so
@@ -391,8 +337,6 @@ impl ScenarioSpec {
         // Portable form for process isolation: scenarios with a
         // canonical JSON spec can run in a supervised `bgpsim worker`
         // child (custom topologies cannot, and stay in-process).
-        // Forked jobs never carry a payload — they need the batch's
-        // shared in-process warm-up state.
         let payload = self
             .to_canonical_json()
             .ok()
@@ -453,7 +397,7 @@ impl ScenarioSpec {
         self.measured(destination, failure, record, sim_started)
     }
 
-    /// The measurement half of every run entry: times the simulation
+    /// The measurement half of both run entries: times the simulation
     /// that started at `sim_started` and the measurement it feeds.
     fn measured(
         &self,
@@ -489,110 +433,6 @@ impl ScenarioSpec {
         let sim_started = Instant::now();
         let record = experiment.run_budgeted(limit)?;
         Ok(self.measured(destination, failure, record, sim_started))
-    }
-
-    /// Runs this scenario's warm-up to quiescence and captures the
-    /// converged state as a fork point.
-    ///
-    /// Any scenario with an equal [`warmup_fingerprint`]
-    /// (same topology, resolved destination, config, params, seed —
-    /// tails may differ) can [`run_forked`](Self::run_forked) from the
-    /// returned snapshot and produce a result bit-identical to its own
-    /// from-scratch [`run`](Self::run).
-    ///
-    /// [`warmup_fingerprint`]: Self::warmup_fingerprint
-    ///
-    /// # Panics
-    ///
-    /// Panics if warm-up exhausts the default event budget.
-    pub fn snapshot_warmup(&self) -> RunSnapshot {
-        let (experiment, _, _) = self.build_experiment();
-        experiment.snapshot_at(SnapshotBeat::Quiescence)
-    }
-
-    /// [`snapshot_warmup`](Self::snapshot_warmup) under watchdog
-    /// `limit`s.
-    ///
-    /// # Errors
-    ///
-    /// Returns the interrupted phase and partial record when the budget
-    /// trips during warm-up.
-    pub fn snapshot_warmup_budgeted(
-        &self,
-        limit: &RunBudget,
-    ) -> Result<RunSnapshot, Box<BudgetExceeded>> {
-        let (experiment, _, _) = self.build_experiment();
-        experiment.snapshot_at_budgeted(SnapshotBeat::Quiescence, limit)
-    }
-
-    /// Runs the scenario from a shared warm-up snapshot: the restored
-    /// converged state plays this scenario's own tail (failure or fault
-    /// plan), skipping the warm-up entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was not captured under an equal
-    /// [`warmup_fingerprint`](Self::warmup_fingerprint) scenario, or on
-    /// budget exhaustion.
-    pub fn run_forked(&self, snap: &RunSnapshot) -> ScenarioResult {
-        self.run_forked_budgeted(snap, &RunBudget::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// [`run_forked`](Self::run_forked) under watchdog `limit`s.
-    ///
-    /// # Errors
-    ///
-    /// Returns the interrupted phase and partial record when the budget
-    /// trips during the tail.
-    pub fn run_forked_budgeted(
-        &self,
-        snap: &RunSnapshot,
-        limit: &RunBudget,
-    ) -> Result<ScenarioResult, Box<BudgetExceeded>> {
-        let (experiment, destination, failure) = self.build_experiment();
-        let sim_started = Instant::now();
-        let record = experiment.resume_from_budgeted(snap, limit)?;
-        Ok(self.measured(destination, failure, record, sim_started))
-    }
-
-    /// Like [`into_job`](Self::into_job), but the job draws its warm-up
-    /// from `warmup`, a [`SharedWarmup`] cell shared by every job of a
-    /// batch with an equal
-    /// [`warmup_fingerprint`](Self::warmup_fingerprint).
-    ///
-    /// The first batch job to miss the run cache builds the warm-up
-    /// snapshot once; the rest fork from it. A batch served entirely
-    /// from cache never builds it, so cache hits keep charging zero
-    /// simulation work. The job's cache fingerprint is the unchanged
-    /// [`fingerprint`](Self::fingerprint) — forked and from-scratch
-    /// runs are bit-identical, so they share cache entries.
-    pub fn into_forked_job(self, warmup: SharedWarmup) -> bgpsim_runner::Job {
-        let label = format!(
-            "{} {} seed {} (forked)",
-            self.topology.label(),
-            self.event.label(),
-            self.seed
-        );
-        let fingerprint = Some(self.fingerprint());
-        let seed = self.seed;
-        bgpsim_runner::Job::budgeted(label, fingerprint, move |budget| {
-            let limit = run_budget(budget);
-            type WarmupResult = Result<RunSnapshot, Box<BudgetExceeded>>;
-            let shared: std::sync::Arc<WarmupResult> =
-                warmup.get_or_build(|| self.snapshot_warmup_budgeted(&limit));
-            let outcome = match shared.as_ref() {
-                Ok(snap) => self.run_forked_budgeted(snap, &limit),
-                // A budget-tripped warm-up is shared too: every fork of
-                // this batch would trip identically, so report the stop
-                // without re-running it.
-                Err(stopped) => Err(Box::new(BudgetExceeded {
-                    phase: stopped.phase,
-                    record: stopped.record.clone(),
-                })),
-            };
-            job_outcome(outcome, seed)
-        })
     }
 }
 
@@ -793,74 +633,6 @@ mod tests {
         assert_ne!(base.fingerprint(), other_cfg.fingerprint());
         let other_topo = Scenario::new(TopologySpec::Clique(6), EventKind::TDown).with_seed(1);
         assert_ne!(base.fingerprint(), other_topo.fingerprint());
-    }
-
-    #[test]
-    fn warmup_fingerprint_is_tail_blind_but_warmup_sensitive() {
-        let tdown = Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
-        let tlong = Scenario::new(TopologySpec::Clique(5), EventKind::TLong).with_seed(1);
-        // Tail-only inputs — the event kind, a fault plan, a flap
-        // profile — must not split warm-up batches.
-        assert_eq!(tdown.warmup_fingerprint(), tlong.warmup_fingerprint());
-        let faulted = tdown.clone().with_faults(FaultPlan::new().session_reset(
-            bgpsim_netsim::time::SimDuration::ZERO,
-            NodeId::new(1),
-            NodeId::new(2),
-        ));
-        assert_eq!(tdown.warmup_fingerprint(), faulted.warmup_fingerprint());
-        let flap = Scenario::new(TopologySpec::Clique(5), EventKind::Flap)
-            .with_seed(1)
-            .with_flap(FlapProfile {
-                count: 9,
-                ..Default::default()
-            });
-        assert_eq!(tdown.warmup_fingerprint(), flap.warmup_fingerprint());
-        // Warm-up inputs must split them.
-        assert_ne!(
-            tdown.warmup_fingerprint(),
-            tdown.clone().with_seed(2).warmup_fingerprint()
-        );
-        assert_ne!(
-            tdown.warmup_fingerprint(),
-            tdown
-                .clone()
-                .with_config(
-                    bgpsim_core::BgpConfig::default()
-                        .with_enhancements(bgpsim_core::Enhancements::ssld())
-                )
-                .warmup_fingerprint()
-        );
-        assert_ne!(
-            tdown.warmup_fingerprint(),
-            Scenario::new(TopologySpec::Clique(6), EventKind::TDown)
-                .with_seed(1)
-                .warmup_fingerprint()
-        );
-    }
-
-    #[test]
-    fn warmup_fingerprint_tracks_resolved_destination() {
-        // On Internet-like graphs T_long re-picks a multi-homed
-        // destination, changing the warm-up itself; the fingerprint
-        // must record the destination actually used.
-        let topo = TopologySpec::InternetLike {
-            n: 48,
-            topo_seed: 4,
-        };
-        let tdown = Scenario::new(topo.clone(), EventKind::TDown).with_seed(1);
-        let tlong = Scenario::new(topo.clone(), EventKind::TLong).with_seed(1);
-        let flap = Scenario::new(topo.clone(), EventKind::Flap).with_seed(1);
-        let dest_of = |s: &Scenario| {
-            let fp = s.warmup_fingerprint();
-            let dest = fp.split("|dest=").nth(1).unwrap();
-            dest.split('|').next().unwrap().parse::<u32>().unwrap()
-        };
-        let (graph, built) = topo.build();
-        assert_eq!(dest_of(&tdown), built.as_u32());
-        let repicked = super::pick_tlong_destination(&graph, 4).unwrap();
-        assert_eq!(dest_of(&tlong), repicked.as_u32());
-        // Both re-picking event kinds share the warm-up.
-        assert_eq!(tlong.warmup_fingerprint(), flap.warmup_fingerprint());
     }
 
     #[test]

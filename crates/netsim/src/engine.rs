@@ -10,7 +10,7 @@ use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// Statistics about engine execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events delivered so far.
     pub delivered: u64,
@@ -58,56 +58,6 @@ pub enum StopReason {
     Budget,
     /// The handler requested a stop via [`Engine::request_stop`].
     Requested,
-}
-
-/// A full capture of an [`Engine`]'s state for deterministic
-/// checkpointing: the clock, the statistics, and every live pending
-/// event with its original `(time, order, seq)` ordering key.
-///
-/// Sequence numbers are preserved verbatim so that [`EventId`]s held
-/// outside the engine (e.g. pending MRAI timers) stay valid against the
-/// restored engine, same-instant delivery order is unchanged, and
-/// events scheduled after restore continue the original sequence.
-#[derive(Debug, Clone)]
-pub struct EngineSnapshot<E> {
-    /// The simulation clock at capture time.
-    pub now: SimTime,
-    /// Execution statistics at capture time.
-    pub stats: EngineStats,
-    /// The next sequence number the queue would issue.
-    pub next_seq: u64,
-    /// Live pending events as `(time, order, seq, payload)` in delivery
-    /// order.
-    pub events: Vec<(SimTime, u64, u64, E)>,
-}
-
-// Manual impls: the vendored serde derive does not support generics.
-impl<E: serde::Serialize> serde::Serialize for EngineSnapshot<E> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("now".to_string(), serde::Serialize::to_value(&self.now)),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-            (
-                "next_seq".to_string(),
-                serde::Serialize::to_value(&self.next_seq),
-            ),
-            (
-                "events".to_string(),
-                serde::Serialize::to_value(&self.events),
-            ),
-        ])
-    }
-}
-
-impl<E: serde::Deserialize> serde::Deserialize for EngineSnapshot<E> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(EngineSnapshot {
-            now: serde::Deserialize::from_value(serde::value::field(v, "now")?)?,
-            stats: serde::Deserialize::from_value(serde::value::field(v, "stats")?)?,
-            next_seq: serde::Deserialize::from_value(serde::value::field(v, "next_seq")?)?,
-            events: serde::Deserialize::from_value(serde::value::field(v, "events")?)?,
-        })
-    }
 }
 
 /// A deterministic discrete-event simulator core.
@@ -378,32 +328,6 @@ impl<E> Engine<E> {
     pub fn clear(&mut self) {
         self.queue.clear();
     }
-
-    /// Captures the full engine state for checkpointing.
-    pub fn snapshot(&self) -> EngineSnapshot<E>
-    where
-        E: Clone,
-    {
-        let (next_seq, events) = self.queue.snapshot_entries();
-        EngineSnapshot {
-            now: self.now,
-            stats: self.stats,
-            next_seq,
-            events,
-        }
-    }
-
-    /// Rebuilds an engine from a captured [`EngineSnapshot`]. The
-    /// restored engine delivers the exact same event sequence the
-    /// original would have.
-    pub fn from_snapshot(snap: EngineSnapshot<E>) -> Self {
-        Engine {
-            queue: EventQueue::restore_entries(snap.next_seq, snap.events),
-            now: snap.now,
-            stats: snap.stats,
-            stop_requested: false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -583,50 +507,6 @@ mod tests {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(SimTime::from_secs(2), 1);
         e.advance_to(SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_isomorphic() {
-        let mut e: Engine<u32> = Engine::new();
-        for s in 1..=8 {
-            e.schedule_at(SimTime::from_secs(s), s as u32);
-        }
-        // Same-instant events to exercise seq-order preservation.
-        e.schedule_at(SimTime::from_secs(3), 100);
-        e.schedule_at(SimTime::from_secs(3), 101);
-        let dead = e.schedule_at(SimTime::from_secs(4), 999);
-        e.cancel(dead);
-        e.run_until(SimTime::from_secs(2), |_, _| {});
-
-        let mut restored = Engine::from_snapshot(e.snapshot());
-        assert_eq!(restored.now(), e.now());
-        assert_eq!(restored.stats(), e.stats());
-        assert_eq!(restored.pending(), e.pending());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        e.run(|eng, ev| a.push((eng.now(), ev)));
-        restored.run(|eng, ev| b.push((eng.now(), ev)));
-        assert_eq!(a, b);
-        assert_eq!(e.stats(), restored.stats());
-    }
-
-    #[test]
-    fn snapshot_preserves_event_ids_and_seq_continuation() {
-        let mut e: Engine<&str> = Engine::new();
-        e.schedule_at(SimTime::from_secs(1), "early");
-        let timer = e.schedule_at(SimTime::from_secs(5), "timer");
-        let mut restored = Engine::from_snapshot(e.snapshot());
-        // An id captured before the snapshot still cancels the event.
-        assert!(restored.cancel(timer));
-        // New events continue the original sequence: deliver after the
-        // pre-snapshot same-instant event.
-        let t = SimTime::from_secs(1);
-        restored.schedule_at(t, "late");
-        let mut seen = Vec::new();
-        restored.run(|_, ev| seen.push(ev));
-        assert_eq!(seen, vec!["early", "late"]);
-        // Cancel of an already-cancelled id is a no-op.
-        assert!(!restored.cancel(timer));
     }
 
     #[test]

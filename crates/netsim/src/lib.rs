@@ -49,11 +49,11 @@ pub mod time;
 
 /// Convenient glob-import of the most used engine types.
 pub mod prelude {
-    pub use crate::engine::{Engine, EngineSnapshot, EngineStats, StopReason};
-    pub use crate::link::{Link, LinkSnapshot};
-    pub use crate::process::{Processor, ProcessorSnapshot};
+    pub use crate::engine::{Engine, EngineStats, StopReason};
+    pub use crate::link::Link;
+    pub use crate::process::Processor;
     pub use crate::queue::EventId;
-    pub use crate::rng::{SimRng, SimRngState};
+    pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
 }
 

@@ -9,11 +9,11 @@
 //! magnitude below the message processing delay — so transport details
 //! are deliberately negligible.
 
-use crate::rng::{SimRng, SimRngState};
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Statistics for a link direction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Messages accepted for delivery.
     pub delivered: u64,
@@ -31,23 +31,6 @@ pub struct LinkStats {
 struct LossModel {
     probability: f64,
     rng: SimRng,
-}
-
-/// A full capture of a [`Link`]'s state for deterministic
-/// checkpointing, including the mid-stream loss generator so post-fork
-/// loss decisions match the uninterrupted run bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LinkSnapshot {
-    /// The propagation delay.
-    pub delay: SimDuration,
-    /// Whether the link is up.
-    pub up: bool,
-    /// Latest arrival handed out so far (preserves FIFO across restore).
-    pub last_arrival: SimTime,
-    /// The loss model, as `(probability, generator state)`, if installed.
-    pub loss: Option<(f64, SimRngState)>,
-    /// Delivery statistics.
-    pub stats: LinkStats,
 }
 
 /// A unidirectional reliable FIFO channel with propagation delay.
@@ -149,32 +132,6 @@ impl Link {
         self.stats.delivered += 1;
         Some(arrival)
     }
-
-    /// Captures the full link state for checkpointing.
-    pub fn snapshot(&self) -> LinkSnapshot {
-        LinkSnapshot {
-            delay: self.delay,
-            up: self.up,
-            last_arrival: self.last_arrival,
-            loss: self.loss.as_ref().map(|l| (l.probability, l.rng.capture())),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a link from a captured [`LinkSnapshot`]; the restored
-    /// link transmits (and loses) exactly as the original would have.
-    pub fn from_snapshot(snap: LinkSnapshot) -> Link {
-        Link {
-            delay: snap.delay,
-            up: snap.up,
-            last_arrival: snap.last_arrival,
-            loss: snap.loss.map(|(probability, state)| LossModel {
-                probability,
-                rng: SimRng::restore(state),
-            }),
-            stats: snap.stats,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -256,37 +213,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_loss_stream() {
-        let mut original = Link::new(SimDuration::from_millis(2));
-        original.set_loss(0.3, SimRng::new(9));
-        for ms in 0..40u64 {
-            original.transmit(SimTime::from_millis(ms));
-        }
-        let mut restored = Link::from_snapshot(original.snapshot());
-        assert_eq!(restored.stats(), original.stats());
-        let a: Vec<bool> = (40..120u64)
-            .map(|ms| original.transmit(SimTime::from_millis(ms)).is_some())
-            .collect();
-        let b: Vec<bool> = (40..120u64)
-            .map(|ms| restored.transmit(SimTime::from_millis(ms)).is_some())
-            .collect();
-        assert_eq!(a, b, "loss decisions diverged after restore");
-        assert_eq!(restored.stats(), original.stats());
-    }
-
-    #[test]
-    fn snapshot_round_trip_without_loss_model() {
-        let mut l = Link::new(SimDuration::from_secs(1));
-        l.transmit(SimTime::ZERO);
-        l.fail();
-        let restored = Link::from_snapshot(l.snapshot());
-        assert!(!restored.is_up());
-        assert_eq!(restored.delay(), l.delay());
-        assert_eq!(restored.stats(), l.stats());
-        assert_eq!(restored.snapshot(), l.snapshot());
     }
 
     #[test]

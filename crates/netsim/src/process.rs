@@ -14,7 +14,7 @@
 use crate::time::{SimDuration, SimTime};
 
 /// Statistics about a processor's workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessorStats {
     /// Work items admitted.
     pub admitted: u64,
@@ -24,16 +24,6 @@ pub struct ProcessorStats {
     pub total_wait: SimDuration,
     /// Maximum queueing delay seen by any single item.
     pub max_wait: SimDuration,
-}
-
-/// A full capture of a [`Processor`]'s state for deterministic
-/// checkpointing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ProcessorSnapshot {
-    /// The time at which all admitted work completes.
-    pub busy_until: SimTime,
-    /// Workload statistics.
-    pub stats: ProcessorStats,
 }
 
 /// A single-server FIFO work queue with busy-until semantics.
@@ -104,22 +94,6 @@ impl Processor {
     pub fn reset(&mut self) {
         *self = Processor::default();
     }
-
-    /// Captures the full processor state for checkpointing.
-    pub fn snapshot(&self) -> ProcessorSnapshot {
-        ProcessorSnapshot {
-            busy_until: self.busy_until,
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a processor from a captured [`ProcessorSnapshot`].
-    pub fn from_snapshot(snap: ProcessorSnapshot) -> Processor {
-        Processor {
-            busy_until: snap.busy_until,
-            stats: snap.stats,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,19 +158,6 @@ mod tests {
         p.reset();
         assert!(p.is_idle_at(SimTime::ZERO));
         assert_eq!(p.stats(), ProcessorStats::default());
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_queueing() {
-        let mut p = Processor::new();
-        p.admit(SimTime::ZERO, SimDuration::from_millis(300));
-        let mut restored = Processor::from_snapshot(p.snapshot());
-        let d = SimDuration::from_millis(100);
-        assert_eq!(
-            p.admit(SimTime::from_millis(50), d),
-            restored.admit(SimTime::from_millis(50), d)
-        );
-        assert_eq!(p.stats(), restored.stats());
     }
 
     #[test]

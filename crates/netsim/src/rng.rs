@@ -30,20 +30,6 @@ pub struct SimRng {
     seed: u64,
 }
 
-/// The full serializable state of a [`SimRng`], for deterministic
-/// checkpointing.
-///
-/// Two pieces are needed to reproduce a generator exactly: the fork
-/// `seed` (which [`SimRng::fork`] mixes, independent of how many draws
-/// were made) and the raw xoshiro words advanced by every draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct SimRngState {
-    /// The seed the generator was created from (drives future forks).
-    pub seed: u64,
-    /// The mid-stream generator state (drives future draws).
-    pub state: [u64; 4],
-}
-
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
@@ -56,23 +42,6 @@ impl SimRng {
     /// Returns the seed this generator was created from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Captures the full mid-stream state for checkpointing.
-    pub fn capture(&self) -> SimRngState {
-        SimRngState {
-            seed: self.seed,
-            state: self.inner.state(),
-        }
-    }
-
-    /// Rebuilds a generator from a captured state: future draws *and*
-    /// future forks continue exactly as the original would have.
-    pub fn restore(state: SimRngState) -> SimRng {
-        SimRng {
-            inner: StdRng::from_state(state.state),
-            seed: state.seed,
-        }
     }
 
     /// Derives an independent generator for a named sub-stream.
@@ -222,23 +191,6 @@ mod tests {
         let c: Vec<usize> = (0..16).map(|_| s2.index(1 << 20)).collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn capture_restore_preserves_draws_and_forks() {
-        let mut original = SimRng::new(42);
-        for _ in 0..13 {
-            original.index(1 << 20); // advance mid-stream
-        }
-        let mut restored = SimRng::restore(original.capture());
-        // Future draws continue the exact sequence...
-        let a: Vec<usize> = (0..16).map(|_| original.index(1 << 20)).collect();
-        let b: Vec<usize> = (0..16).map(|_| restored.index(1 << 20)).collect();
-        assert_eq!(a, b);
-        // ...and future forks derive the same sub-streams.
-        let mut fa = original.fork(9);
-        let mut fb = restored.fork(9);
-        assert_eq!(fa.index(1000), fb.index(1000));
     }
 
     #[test]

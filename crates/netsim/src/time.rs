@@ -31,19 +31,7 @@ pub const NANOS_PER_MICRO: u64 = 1_000;
 /// let t = SimTime::from_secs(2) + SimDuration::from_millis(500);
 /// assert_eq!(t.as_secs_f64(), 2.5);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulation time, in nanoseconds.
@@ -56,19 +44,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(30_000);
 /// assert_eq!(d, SimDuration::from_secs(30));
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

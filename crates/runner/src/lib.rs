@@ -64,7 +64,6 @@ pub mod executor;
 pub mod recovery;
 mod retry;
 pub mod supervisor;
-pub mod warmup;
 
 pub use cache::{RunCache, SCHEMA_VERSION};
 pub use config::{init_global, RunnerConfig};
@@ -75,4 +74,3 @@ pub use executor::{
 };
 pub use recovery::{recover_journal, RecoveryReport};
 pub use supervisor::{IsolationConfig, WorkerPayload, WorkerRequest};
-pub use warmup::SharedWarmup;

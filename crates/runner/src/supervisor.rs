@@ -37,8 +37,8 @@ use crate::executor::{CancelToken, JobOutput};
 
 /// What a job carries so the executor *can* run it in a child process:
 /// the canonical scenario JSON (the portable spec form) and its seed.
-/// Jobs without a payload (closures, non-canonical topologies, forked
-/// tails that need in-process warm state) always run in-process.
+/// Jobs without a payload (closures, non-canonical topologies) always
+/// run in-process.
 #[derive(Debug, Clone)]
 pub struct WorkerPayload {
     /// Canonical scenario JSON (`ScenarioSpec::to_canonical_json`).

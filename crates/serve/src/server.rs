@@ -29,9 +29,8 @@ use std::time::{Duration, Instant};
 
 use bgpsim_experiments::jobspec::JobSpec;
 use bgpsim_experiments::scenario::ScenarioSpec;
-use bgpsim_experiments::warmup_cells;
 use bgpsim_metrics::MetricsRow;
-use bgpsim_runner::{Error as RunnerError, Runner, SharedWarmup};
+use bgpsim_runner::{Error as RunnerError, Runner};
 use bgpsim_trace::{TraceEvent, TraceHandle};
 use serde::value::Value;
 
@@ -79,11 +78,6 @@ struct QueuedRun {
     /// Node count of the topology, precomputed at admission so result
     /// lines need no graph rebuild.
     nodes: f64,
-    /// The warm-up cell shared by this run's fork batch (version-2
-    /// `fork` submissions only): the first batch run to miss the cache
-    /// builds the warm-up once, siblings fork from it. `None` runs
-    /// from scratch.
-    warmup: Option<SharedWarmup>,
 }
 
 struct Shared {
@@ -394,25 +388,14 @@ fn submit_job(shared: &Arc<Shared>, request: &Request) -> Routed {
         .create(&client, spec.label(), runs, spec.version);
     shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
     let nodes = spec.topology.build().0.node_count() as f64;
-    let scenarios = spec.scenarios();
-    // A fork stanza opts the submission into warm-up sharing: runs
-    // whose warm-up fingerprints agree get one shared cell. Results
-    // stay byte-identical (forked == from-scratch), so the stream is
-    // unchanged.
-    let warmups = if spec.fork.is_some() {
-        warmup_cells(&scenarios)
-    } else {
-        vec![None; scenarios.len()]
-    };
     {
         let mut queue = shared.queue.lock().expect("queue lock");
-        for (index, (scenario, warmup)) in scenarios.into_iter().zip(warmups).enumerate() {
+        for (index, scenario) in spec.scenarios().into_iter().enumerate() {
             queue.push_back(QueuedRun {
                 entry: Arc::clone(&entry),
                 index,
                 scenario,
                 nodes,
-                warmup,
             });
         }
     }
@@ -472,10 +455,7 @@ fn executor_loop(shared: &Arc<Shared>) {
             continue;
         }
         run.entry.mark_running();
-        let job = match &run.warmup {
-            Some(cell) => run.scenario.clone().into_forked_job(cell.clone()),
-            None => run.scenario.clone().into_job(),
-        };
+        let job = run.scenario.clone().into_job();
         match shared.runner.run_job(job, &run.entry.handle) {
             Ok(done) => {
                 shared.breaker.record_success();

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bgpsim_runner::RunnerConfig;
+use bgpsim_runner::{IsolationConfig, Runner, RunnerConfig};
 use bgpsim_serve::client::{request, Response};
 use bgpsim_serve::{AdmissionLimits, ServeConfig, Server};
 
@@ -17,6 +17,17 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 fn boot(tag: &str, workers: usize, limits: AdmissionLimits) -> (Server, String, PathBuf) {
+    boot_with(tag, workers, limits, |runner| runner)
+}
+
+/// [`boot`], with the runner adjusted by `tune` before the daemon
+/// takes it.
+fn boot_with(
+    tag: &str,
+    workers: usize,
+    limits: AdmissionLimits,
+    tune: impl FnOnce(Runner) -> Runner,
+) -> (Server, String, PathBuf) {
     let dir = scratch(tag);
     let runner = RunnerConfig::new()
         .jobs(1)
@@ -24,6 +35,7 @@ fn boot(tag: &str, workers: usize, limits: AdmissionLimits) -> (Server, String, 
         .journal(dir.join("journal.jsonl"))
         .build()
         .expect("build runner");
+    let runner = tune(runner);
     let server = Server::start(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -217,6 +229,39 @@ fn v2_fork_submission_streams_identically_to_its_unforked_equivalents() {
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("\\\"v\\\": 2"), "{}", resp.text());
 
+    server.shutdown();
+}
+
+#[test]
+fn v2_fork_runs_are_supervised_like_any_other_run() {
+    // An isolating daemon whose worker command always dies: no run can
+    // succeed unless it bypasses the supervisor and executes in the
+    // daemon process. Each tail kind leads one submission, because a
+    // job fails at its first failed run and discards the rest.
+    let (server, addr, _dir) = boot_with("fork-crash", 1, AdmissionLimits::default(), |runner| {
+        runner
+            .with_isolation(true)
+            .with_isolation_config(IsolationConfig {
+                retries: 0,
+                worker_cmd: Some(vec!["/bin/sh".into(), "-c".into(), "exit 3".into()]),
+                ..IsolationConfig::default()
+            })
+    });
+    for (seed, tails) in [(5, r#"["tdown","flap"]"#), (6, r#"["flap","tdown"]"#)] {
+        let body = format!(
+            r#"{{"v":2,"topology":"clique:6","seeds":[{seed}],"fork":{{"tails":{tails}}}}}"#
+        );
+        let resp = post(&addr, "/v1/jobs", "bob", &body);
+        assert_eq!(resp.status, 201, "{}", resp.text());
+        let id = field(&resp.text(), "id").unwrap();
+        let stream = get(&addr, &format!("/v1/jobs/{id}/results"));
+        assert_eq!(stream.text(), "", "no run may succeed in-process");
+        let status = get(&addr, &format!("/v1/jobs/{id}")).text();
+        assert!(status.contains("\"status\":\"failed\""), "{status}");
+        assert!(status.contains("crashed its isolated worker"), "{status}");
+    }
+    let stats = get(&addr, "/v1/stats").text();
+    assert_eq!(field(&stats, "worker_crashes"), Some(2), "{stats}");
     server.shutdown();
 }
 

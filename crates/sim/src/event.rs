@@ -6,7 +6,7 @@ use bgpsim_topology::NodeId;
 use crate::failure::FailureHalf;
 
 /// Events dispatched by the network simulation loop.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum NetEvent {
     /// A BGP message reached a node's input queue (after link delay).
     /// It still has to wait for the node's serial processor.

@@ -15,7 +15,7 @@ use bgpsim_core::Prefix;
 use bgpsim_topology::NodeId;
 
 /// A topology or policy change injected into a running simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureEvent {
     /// The origin withdraws `prefix` — the canonical `T_down` trigger
     /// (Labovitz et al.'s "route withdrawn" event).
@@ -88,7 +88,7 @@ impl FailureEvent {
 /// (the *primary* half), which carries the run-level bookkeeping: the
 /// `faults_injected` / `session_resets` counters and the
 /// `fault_injected` / `session_reset` trace lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailureHalf {
     /// The single-node action this half performs.
     pub action: HalfAction,
@@ -104,7 +104,7 @@ impl FailureHalf {
 }
 
 /// The single-node effect of a [`FailureHalf`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HalfAction {
     /// `origin` withdraws `prefix` (a `WithdrawPrefix` has one half).
     Withdraw {

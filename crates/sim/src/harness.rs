@@ -20,10 +20,8 @@ use bgpsim_faults::FaultPlan;
 use bgpsim_netsim::time::SimDuration;
 use bgpsim_topology::{Graph, NodeId};
 
-use bgpsim_netsim::time::SimTime;
-
 use crate::failure::FailureEvent;
-use crate::network::{NetworkSnapshot, RunOutcome, SimNetwork};
+use crate::network::{RunOutcome, SimNetwork};
 use crate::params::SimParams;
 use crate::record::RunRecord;
 
@@ -96,40 +94,6 @@ impl std::error::Error for BudgetExceeded {}
 /// wall-clock deadlines are honored promptly, large enough that the
 /// chunking overhead is invisible.
 const BUDGET_CHUNK: u64 = 8192;
-
-/// When [`ConvergenceExperiment::snapshot_at`] captures the state of a
-/// two-phase run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotBeat {
-    /// After warm-up drains, *before* the failure (or fault plan) is
-    /// scheduled. The canonical fork point: one warm-up snapshot can be
-    /// resumed under many different tail events.
-    Quiescence,
-    /// At an absolute simulation instant during the convergence phase
-    /// (the failure is already scheduled/applied). Must not precede the
-    /// end of warm-up; beats beyond quiescence shift the recorded
-    /// quiescence instant and break bit-identity with an uninterrupted
-    /// run.
-    At(SimTime),
-}
-
-/// A captured two-phase run, produced by
-/// [`ConvergenceExperiment::snapshot_at`].
-///
-/// Holds the full [`NetworkSnapshot`] plus whether the tail (failure
-/// or fault plan) was already applied at capture time — a
-/// [`SnapshotBeat::Quiescence`] capture has `tail_applied == false`
-/// and accepts any tail on resume; a [`SnapshotBeat::At`] capture has
-/// the original tail baked in.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct RunSnapshot {
-    /// The complete simulation state at the beat.
-    pub network: NetworkSnapshot,
-    /// `true` when the failure / fault plan was scheduled before the
-    /// capture (so [`ConvergenceExperiment::resume_from`] must not
-    /// schedule another).
-    pub tail_applied: bool,
-}
 
 /// A declarative two-phase convergence run.
 #[derive(Debug, Clone)]
@@ -233,132 +197,21 @@ impl ConvergenceExperiment {
     /// Panics if `origin` is not in the graph or the fault plan is
     /// rejected (configuration errors, not runtime conditions).
     pub fn run_budgeted(&self, limit: &RunBudget) -> Result<RunRecord, Box<BudgetExceeded>> {
-        let mut net = self.launch(limit)?;
-        self.apply_tail(&mut net);
-        self.drive(net, None, limit, "convergence")
-            .map(SimNetwork::into_record)
-    }
-
-    /// Runs the experiment up to `beat` and captures a [`RunSnapshot`]
-    /// there instead of finishing the run.
-    ///
-    /// Resuming the snapshot with [`ConvergenceExperiment::resume_from`]
-    /// (same experiment, or — for a [`SnapshotBeat::Quiescence`]
-    /// capture — an experiment that differs only in its tail
-    /// failure/faults) yields a [`RunRecord`] bit-identical to running
-    /// that experiment from scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on budget exhaustion, an origin not in the graph, an
-    /// invalid fault plan, or an [`SnapshotBeat::At`] instant that
-    /// precedes the end of warm-up.
-    pub fn snapshot_at(&self, beat: SnapshotBeat) -> RunSnapshot {
-        self.snapshot_at_budgeted(beat, &RunBudget::unlimited())
-            .unwrap_or_else(|e| budget_panic(&e))
-    }
-
-    /// [`snapshot_at`](Self::snapshot_at) under watchdog `limit`s; on a
-    /// budget trip the partial record is returned instead of a
-    /// snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on configuration errors (origin not in graph, invalid
-    /// fault plan, beat before the end of warm-up).
-    pub fn snapshot_at_budgeted(
-        &self,
-        beat: SnapshotBeat,
-        limit: &RunBudget,
-    ) -> Result<RunSnapshot, Box<BudgetExceeded>> {
-        let mut net = self.launch(limit)?;
-        let tail_applied = match beat {
-            SnapshotBeat::Quiescence => false,
-            SnapshotBeat::At(at) => {
-                assert!(
-                    at >= net.now(),
-                    "snapshot beat {at} precedes the end of warm-up ({})",
-                    net.now()
-                );
-                self.apply_tail(&mut net);
-                net = self.drive(net, Some(at), limit, "convergence")?;
-                true
-            }
-        };
-        Ok(RunSnapshot {
-            network: net.snapshot(),
-            tail_applied,
-        })
-    }
-
-    /// Resumes a captured run to completion, returning the full
-    /// [`RunRecord`] — bit-identical to the record an uninterrupted
-    /// [`ConvergenceExperiment::run`] of this experiment produces.
-    ///
-    /// When `snap` was captured at [`SnapshotBeat::Quiescence`], this
-    /// experiment's own failure/fault plan is scheduled against the
-    /// restored state — so one warm-up snapshot forks into arbitrarily
-    /// many tail variants. When the tail was already applied at capture
-    /// time, the experiment's tail fields are ignored and the run
-    /// simply drains.
-    ///
-    /// # Panics
-    ///
-    /// Panics on budget exhaustion or an invalid fault plan.
-    pub fn resume_from(&self, snap: &RunSnapshot) -> RunRecord {
-        self.resume_from_budgeted(snap, &RunBudget::unlimited())
-            .unwrap_or_else(|e| budget_panic(&e))
-    }
-
-    /// [`resume_from`](Self::resume_from) under watchdog `limit`s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault plan is rejected (a configuration error).
-    pub fn resume_from_budgeted(
-        &self,
-        snap: &RunSnapshot,
-        limit: &RunBudget,
-    ) -> Result<RunRecord, Box<BudgetExceeded>> {
-        let mut net = self.traced(SimNetwork::restore(snap.network.clone()));
-        if !snap.tail_applied {
-            self.apply_tail(&mut net);
-        }
-        self.drive(net, None, limit, "convergence")
-            .map(SimNetwork::into_record)
-    }
-
-    /// Attaches this experiment's trace handle, if it has one.
-    fn traced(&self, net: SimNetwork) -> SimNetwork {
-        match &self.tracer {
-            Some(tracer) => net.with_tracer(tracer.clone()),
-            None => net,
-        }
-    }
-
-    /// The launch step every from-scratch entry shares: builds the
-    /// network, originates the prefix and drains warm-up to quiescence.
-    fn launch(&self, limit: &RunBudget) -> Result<SimNetwork, Box<BudgetExceeded>> {
         assert!(
             self.graph.contains(self.origin),
             "origin {} not in graph",
             self.origin
         );
-        let mut net = self.traced(SimNetwork::new(
-            &self.graph,
-            self.config,
-            self.params,
-            self.seed,
-        ));
+        let mut net = SimNetwork::new(&self.graph, self.config, self.params, self.seed);
+        if let Some(tracer) = &self.tracer {
+            net = net.with_tracer(tracer.clone());
+        }
         net.originate(self.origin, self.prefix);
-        self.drive(net, None, limit, "warmup")
-    }
-
-    /// Schedules the tail — the fault plan when one is attached, else
-    /// the single failure — one second past the current instant: a
-    /// short beat between quiescence and the failure keeps the failure
-    /// time strictly after the last warm-up activity.
-    fn apply_tail(&self, net: &mut SimNetwork) {
+        let mut net = self.drive(net, limit, "warmup")?;
+        // The tail — the fault plan when one is attached, else the
+        // single failure — lands one second past quiescence: a short
+        // beat keeps the failure time strictly after the last warm-up
+        // activity.
         match &self.faults {
             Some(plan) => {
                 let anchor = net.now() + SimDuration::from_secs(1);
@@ -368,19 +221,17 @@ impl ConvergenceExperiment {
             }
             None => net.schedule_failure(SimDuration::from_secs(1), self.failure),
         }
+        self.drive(net, limit, "convergence")
+            .map(SimNetwork::into_record)
     }
 
-    /// Drives `net` forward in chunks, honoring the per-phase event
-    /// budget and the watchdog `limit`: to quiescence when `until` is
-    /// `None`, else to the absolute instant `until` (pending events
-    /// strictly after it stay queued and the clock lands exactly on
-    /// it). Chunked execution is observationally identical to an
-    /// uninterrupted drain. When a budget trips first, the partial
-    /// record comes back as the error.
+    /// Drives `net` to quiescence in chunks, honoring the per-phase
+    /// event budget and the watchdog `limit`. Chunked execution is
+    /// observationally identical to an uninterrupted drain. When a
+    /// budget trips first, the partial record comes back as the error.
     fn drive(
         &self,
         mut net: SimNetwork,
-        until: Option<SimTime>,
         limit: &RunBudget,
         phase: &'static str,
     ) -> Result<SimNetwork, Box<BudgetExceeded>> {
@@ -405,11 +256,7 @@ impl ConvergenceExperiment {
             if let Some(max) = limit.max_events {
                 step = step.min(max - total);
             }
-            let outcome = match until {
-                Some(at) => net.run_for(at - net.now(), step),
-                None => net.run_to_quiescence(step),
-            };
-            if outcome == RunOutcome::Quiescent {
+            if net.run_to_quiescence(step) == RunOutcome::Quiescent {
                 return Ok(net);
             }
         }
@@ -638,110 +485,6 @@ mod tests {
         )
         .with_faults(FaultPlan::new());
         let _ = exp.run();
-    }
-
-    #[test]
-    fn quiescence_snapshot_forks_into_different_tails() {
-        let (g, layout) = generators::bclique(3);
-        let base = ConvergenceExperiment::new(
-            g,
-            layout.destination,
-            FailureEvent::LinkDown {
-                a: layout.destination,
-                b: layout.core_gateway,
-            },
-        )
-        .with_seed(14);
-        // One warm-up, two tails.
-        let snap = base.snapshot_at(SnapshotBeat::Quiescence);
-        assert!(!snap.tail_applied);
-        let linkdown_forked = base.resume_from(&snap);
-        let withdraw = ConvergenceExperiment {
-            failure: FailureEvent::WithdrawPrefix {
-                origin: layout.destination,
-                prefix: Prefix::new(0),
-            },
-            ..base.clone()
-        };
-        let withdraw_forked = withdraw.resume_from(&snap);
-        // Each fork is bit-identical to the from-scratch run of its
-        // variant.
-        assert_eq!(linkdown_forked, base.run());
-        assert_eq!(withdraw_forked, withdraw.run());
-        assert_ne!(linkdown_forked.sends, withdraw_forked.sends);
-    }
-
-    #[test]
-    fn mid_convergence_snapshot_resumes_bit_identically() {
-        let g = generators::clique(6);
-        let exp = ConvergenceExperiment::new(
-            g,
-            NodeId::new(0),
-            FailureEvent::WithdrawPrefix {
-                origin: NodeId::new(0),
-                prefix: Prefix::new(0),
-            },
-        )
-        .with_seed(15);
-        let full = exp.run();
-        let fail_at = full.failure_at.expect("failure fired");
-        // A beat strictly inside the convergence window.
-        let beat = fail_at + (full.quiescent_at - fail_at) / 2;
-        let snap = exp.snapshot_at(SnapshotBeat::At(beat));
-        assert!(snap.tail_applied);
-        assert_eq!(snap.network.now(), beat);
-        assert_eq!(exp.resume_from(&snap), full);
-    }
-
-    #[test]
-    fn mid_flap_train_snapshot_resumes_bit_identically() {
-        let (g, layout) = generators::bclique(3);
-        let exp = ConvergenceExperiment::new(
-            g,
-            layout.destination,
-            FailureEvent::LinkDown {
-                a: layout.destination,
-                b: layout.core_gateway,
-            },
-        )
-        .with_seed(16)
-        .with_faults(
-            FaultPlan::new().flap(
-                FlapTrain::new(layout.destination, layout.core_gateway)
-                    .with_period(SimDuration::from_secs(60))
-                    .with_count(3),
-            ),
-        );
-        let full = exp.run();
-        assert_eq!(full.faults_injected, 6);
-        let fail_at = full.failure_at.expect("first flap fired");
-        // Land between flap cycles: one period past the first fault.
-        let beat = fail_at + SimDuration::from_secs(61);
-        assert!(beat < full.quiescent_at, "beat inside the train");
-        let snap = exp.snapshot_at(SnapshotBeat::At(beat));
-        let resumed = exp.resume_from(&snap);
-        assert_eq!(resumed, full);
-    }
-
-    #[test]
-    fn budgeted_snapshot_reports_partial_record() {
-        let g = generators::clique(6);
-        let exp = ConvergenceExperiment::new(
-            g,
-            NodeId::new(0),
-            FailureEvent::WithdrawPrefix {
-                origin: NodeId::new(0),
-                prefix: Prefix::new(0),
-            },
-        )
-        .with_seed(2);
-        let err = exp
-            .snapshot_at_budgeted(
-                SnapshotBeat::Quiescence,
-                &RunBudget::unlimited().with_max_events(10),
-            )
-            .expect_err("10 events cannot complete warm-up");
-        assert_eq!(err.phase, "warmup");
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub mod params;
 pub mod record;
 
 pub use failure::{FailureEvent, FailureHalf, HalfAction};
-pub use harness::{BudgetExceeded, ConvergenceExperiment, RunBudget, RunSnapshot, SnapshotBeat};
-pub use network::{NetworkSnapshot, RunOutcome, SimNetwork};
+pub use harness::{BudgetExceeded, ConvergenceExperiment, RunBudget};
+pub use network::{RunOutcome, SimNetwork};
 pub use params::SimParams;
 pub use record::{RunRecord, UpdateSend};
 
@@ -54,10 +54,9 @@ pub use bgpsim_faults::{FaultError, FaultKind, FaultPlan, FlapProfile, FlapTrain
 pub mod prelude {
     pub use crate::failure::FailureEvent;
     pub use crate::harness::{
-        BudgetExceeded, ConvergenceExperiment, RunBudget, RunSnapshot, SnapshotBeat,
-        DEFAULT_EVENT_BUDGET,
+        BudgetExceeded, ConvergenceExperiment, RunBudget, DEFAULT_EVENT_BUDGET,
     };
-    pub use crate::network::{NetworkSnapshot, RunOutcome, SimNetwork};
+    pub use crate::network::{RunOutcome, SimNetwork};
     pub use crate::params::SimParams;
     pub use crate::record::{RunRecord, UpdateSend};
     pub use bgpsim_faults::{FaultKind, FaultPlan, FlapProfile, FlapTrain};

@@ -9,14 +9,14 @@
 //! for cross-validation.
 
 use bgpsim_core::decision::{RoutePolicy, ShortestPath};
-use bgpsim_core::{BgpConfig, FibEntry, Prefix, Router, RouterOutput, RouterState};
+use bgpsim_core::{BgpConfig, FibEntry, Prefix, Router, RouterOutput};
 use bgpsim_dataplane::{NetworkFib, Packet, PacketFate};
 use bgpsim_faults::{FaultError, FaultKind, FaultPlan};
-use bgpsim_netsim::engine::{Engine, EngineSnapshot};
-use bgpsim_netsim::link::{Link, LinkSnapshot};
-use bgpsim_netsim::process::{Processor, ProcessorSnapshot};
+use bgpsim_netsim::engine::Engine;
+use bgpsim_netsim::link::Link;
+use bgpsim_netsim::process::Processor;
 use bgpsim_netsim::queue::EventId;
-use bgpsim_netsim::rng::{SimRng, SimRngState};
+use bgpsim_netsim::rng::SimRng;
 use bgpsim_netsim::time::{SimDuration, SimTime};
 use bgpsim_topology::{Graph, NodeId};
 use bgpsim_trace::{TraceEvent, TraceHandle};
@@ -24,7 +24,7 @@ use bgpsim_trace::{TraceEvent, TraceHandle};
 use crate::event::NetEvent;
 use crate::failure::{FailureEvent, FailureHalf, HalfAction};
 use crate::params::SimParams;
-use crate::record::{PathChange, RunRecord, UpdateSend};
+use crate::record::{RunRecord, UpdateSend};
 
 /// Stream tag for per-node RNG lanes, disjoint from the fault-plan
 /// stream tags (`0x1055…`, `0xF1A9…`, …). Lane `i` draws from
@@ -46,79 +46,6 @@ struct MraiSlot {
     prefix: Prefix,
     event: EventId,
     at: SimTime,
-}
-
-/// A complete, deterministic snapshot of a running [`SimNetwork`].
-///
-/// Produced by [`SimNetwork::snapshot`]; consumed by
-/// [`SimNetwork::restore`] / [`SimNetwork::restore_with_policies`].
-/// Restoring and draining yields outputs bit-identical to continuing
-/// the original simulation — the basis of checkpoint/fork (see
-/// `bgpsim-checkpoint`).
-///
-/// Everything is plain data: router tables as sorted entry lists,
-/// pending events with their original `(time, order, seq)` keys, and every
-/// RNG mid-stream state (the main stream plus per-link loss streams).
-/// The trace handle and routing policies are deliberately absent; both
-/// are re-supplied at restore time because neither influences the
-/// simulation's observable behavior (tracing) or carries state
-/// (policies).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct NetworkSnapshot {
-    /// Engine clock, queue statistics, and pending events.
-    pub engine: EngineSnapshot<NetEvent>,
-    /// Per-router protocol state, indexed by node id.
-    pub routers: Vec<RouterState>,
-    /// Directed links as `(from, to, state)` triples.
-    pub links: Vec<(NodeId, NodeId, LinkSnapshot)>,
-    /// Per-node serial processors, indexed by node id.
-    pub processors: Vec<ProcessorSnapshot>,
-    /// The root RNG (loss-stream fork source), mid-stream.
-    pub rng: SimRngState,
-    /// Per-node RNG lanes, mid-stream, indexed by node id.
-    pub rng_lanes: Vec<SimRngState>,
-    /// Per-lane order counters (`node_count + 1` entries; the last is
-    /// the harness lane).
-    pub lane_ctrs: Vec<u64>,
-    /// Physical parameters.
-    pub params: SimParams,
-    /// The recorded FIB history as `(node, prefix, time, entry)`
-    /// changes in per-node, per-prefix time order (the
-    /// [`NetworkFib::iter_changes`] stream, valid to replay through
-    /// [`NetworkFib::record`]).
-    pub fib_changes: Vec<(NodeId, Prefix, SimTime, Option<FibEntry>)>,
-    /// BGP message sends recorded so far.
-    pub sends: Vec<UpdateSend>,
-    /// Route-selection changes recorded so far.
-    pub path_changes: Vec<PathChange>,
-    /// Live-packet fates recorded so far.
-    pub live_fates: Vec<(u64, PacketFate)>,
-    /// When the (first) failure was injected, if any.
-    pub failure_at: Option<SimTime>,
-    /// Engine events dispatched so far.
-    pub events_dispatched: u64,
-    /// Fault-plan events fired so far.
-    pub faults_injected: u64,
-    /// Session resets applied so far.
-    pub session_resets: u64,
-    /// The run seed (fork streams derive from it).
-    pub seed: u64,
-    /// Per-node MRAI slot lists as `(peer, prefix, raw event id, at)`
-    /// tuples; the raw ids stay valid because the engine snapshot
-    /// preserves sequence numbers.
-    pub mrai_pending: Vec<Vec<(NodeId, Prefix, u64, SimTime)>>,
-}
-
-impl NetworkSnapshot {
-    /// Number of nodes in the captured network.
-    pub fn node_count(&self) -> usize {
-        self.routers.len()
-    }
-
-    /// The simulation clock at capture time.
-    pub fn now(&self) -> SimTime {
-        self.engine.now
-    }
 }
 
 /// Why [`SimNetwork::run_to_quiescence`] returned.
@@ -207,16 +134,6 @@ impl SimNetwork<ShortestPath> {
     /// Panics if the configuration or parameters are invalid.
     pub fn new(graph: &Graph, config: BgpConfig, params: SimParams, seed: u64) -> Self {
         SimNetwork::with_policies(graph, config, params, seed, |_| ShortestPath)
-    }
-
-    /// Rebuilds a shortest-path simulation from a snapshot. See
-    /// [`SimNetwork::restore_with_policies`] for the general form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot is internally inconsistent.
-    pub fn restore(snap: NetworkSnapshot) -> Self {
-        SimNetwork::restore_with_policies(snap, |_| ShortestPath)
     }
 }
 
@@ -581,142 +498,6 @@ impl<P: RoutePolicy> SimNetwork<P> {
             faults_injected: self.faults_injected,
             session_resets: self.session_resets,
             messages_lost,
-        }
-    }
-
-    /// Captures the complete simulation state at the current instant.
-    ///
-    /// The snapshot is **isomorphic**: [`SimNetwork::restore_with_policies`]
-    /// rebuilds a simulation whose every future observable — event
-    /// deliveries, RNG draws, loss decisions, recorded outputs — is
-    /// bit-identical to this one's. Pending events keep their original
-    /// `(time, order, seq)` keys, so [`EventId`]s captured before the snapshot
-    /// (the MRAI slots) remain valid against the restored engine.
-    ///
-    /// The trace handle is *not* captured — tracing is observational,
-    /// and the restorer attaches its own sink (or inherits the global
-    /// one). Routing policies are not captured either: like
-    /// [`SimNetwork::with_policies`], the restorer supplies them,
-    /// because policies are stateless decision functions.
-    pub fn snapshot(&self) -> NetworkSnapshot {
-        let links = self
-            .links
-            .iter()
-            .enumerate()
-            .flat_map(|(i, adj)| {
-                adj.iter()
-                    .map(move |(to, link)| (NodeId::new(i as u32), *to, link.snapshot()))
-            })
-            .collect();
-        NetworkSnapshot {
-            engine: self.engine.snapshot(),
-            routers: self.routers.iter().map(|r| r.snapshot()).collect(),
-            links,
-            processors: self.processors.iter().map(|p| p.snapshot()).collect(),
-            rng: self.rng_root.capture(),
-            rng_lanes: self.rng_lanes.iter().map(|r| r.capture()).collect(),
-            lane_ctrs: self.lane_ctrs.clone(),
-            params: self.params,
-            fib_changes: self.fib.iter_changes().collect(),
-            sends: self.sends.clone(),
-            path_changes: self.path_changes.clone(),
-            live_fates: self.live_fates.clone(),
-            failure_at: self.failure_at,
-            events_dispatched: self.events_dispatched,
-            faults_injected: self.faults_injected,
-            session_resets: self.session_resets,
-            seed: self.seed,
-            mrai_pending: self
-                .mrai_pending
-                .iter()
-                .map(|slots| {
-                    slots
-                        .iter()
-                        .map(|s| (s.peer, s.prefix, s.event.as_u64(), s.at))
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a simulation from a snapshot, supplying per-node
-    /// routing policies (the snapshot does not carry them — see
-    /// [`SimNetwork::snapshot`]). The restored network uses the
-    /// process-wide trace sink; attach a specific one with
-    /// [`SimNetwork::with_tracer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot is internally inconsistent (out-of-range
-    /// node ids, invalid router config, time-order violations in the
-    /// FIB history).
-    pub fn restore_with_policies<F>(snap: NetworkSnapshot, mut policy_for: F) -> Self
-    where
-        F: FnMut(NodeId) -> P,
-    {
-        let n = snap.routers.len();
-        assert_eq!(snap.processors.len(), n, "one processor per node");
-        assert_eq!(snap.mrai_pending.len(), n, "one MRAI slot list per node");
-        assert_eq!(snap.rng_lanes.len(), n, "one RNG lane per node");
-        assert_eq!(snap.lane_ctrs.len(), n + 1, "node lanes plus harness lane");
-        let routers: Vec<Router<P>> = snap
-            .routers
-            .into_iter()
-            .map(|state| {
-                let policy = policy_for(state.id);
-                Router::from_state(state, policy)
-            })
-            .collect();
-        let mut links: Vec<Vec<(NodeId, Link)>> = vec![Vec::new(); n];
-        for (from, to, link) in snap.links {
-            links[from.index()].push((to, Link::from_snapshot(link)));
-        }
-        for adj in &mut links {
-            adj.sort_by_key(|&(to, _)| to);
-        }
-        let mut fib = NetworkFib::new(n);
-        for (node, prefix, time, entry) in snap.fib_changes {
-            fib.record(node, prefix, time, entry);
-        }
-        SimNetwork {
-            engine: Engine::from_snapshot(snap.engine),
-            routers,
-            links,
-            processors: snap
-                .processors
-                .into_iter()
-                .map(Processor::from_snapshot)
-                .collect(),
-            rng_root: SimRng::restore(snap.rng),
-            rng_lanes: snap.rng_lanes.into_iter().map(SimRng::restore).collect(),
-            lane_ctrs: snap.lane_ctrs,
-            sched_lane: n as u32,
-            params: snap.params,
-            fib,
-            sends: snap.sends,
-            path_changes: snap.path_changes,
-            live_fates: snap.live_fates,
-            failure_at: snap.failure_at,
-            events_dispatched: snap.events_dispatched,
-            faults_injected: snap.faults_injected,
-            session_resets: snap.session_resets,
-            seed: snap.seed,
-            tracer: TraceHandle::global(),
-            mrai_pending: snap
-                .mrai_pending
-                .into_iter()
-                .map(|slots| {
-                    slots
-                        .into_iter()
-                        .map(|(peer, prefix, event, at)| MraiSlot {
-                            peer,
-                            prefix,
-                            event: EventId::from_raw(event),
-                            at,
-                        })
-                        .collect()
-                })
-                .collect(),
         }
     }
 
@@ -1368,70 +1149,6 @@ mod tests {
         assert!(a.messages_lost > 0, "p=0.5 on a busy link must drop some");
         assert_eq!(a.faults_injected, 1);
         assert_eq!(a.session_resets, 1);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        // Run partway (mid-flood, with jitter so the RNG is mid-stream
-        // and MRAI timers are pending), snapshot, restore, and drain
-        // both copies: every recorded observation must match.
-        let build = || {
-            let g = generators::clique(6);
-            let mut net = SimNetwork::new(&g, BgpConfig::default(), SimParams::default(), 17);
-            net.originate(n(0), p());
-            net.run_for(SimDuration::from_millis(700), 10_000_000);
-            net.inject_failure(FailureEvent::LinkDown { a: n(0), b: n(1) });
-            net.run_for(SimDuration::from_millis(300), 10_000_000);
-            net
-        };
-        let mut original = build();
-        let snap = original.snapshot();
-        let mut restored = SimNetwork::restore(snap.clone());
-        assert_eq!(original.now(), restored.now());
-        assert_eq!(
-            original.run_to_quiescence(10_000_000),
-            RunOutcome::Quiescent
-        );
-        assert_eq!(
-            restored.run_to_quiescence(10_000_000),
-            RunOutcome::Quiescent
-        );
-        let a = original.into_record();
-        let b = restored.into_record();
-        assert_eq!(a, b, "restored run must be bit-identical");
-        // The snapshot is also reusable: a second restore replays the
-        // same tail again.
-        let mut again = SimNetwork::restore(snap);
-        again.run_to_quiescence(10_000_000);
-        assert_eq!(again.into_record(), a);
-    }
-
-    #[test]
-    fn snapshot_restore_preserves_loss_streams_and_fault_queue() {
-        // Snapshot after a fault plan is installed but before its
-        // events fire: pending Fault events and mid-stream loss RNGs
-        // must survive the round-trip.
-        let build = || {
-            let g = generators::clique(5);
-            let mut net = SimNetwork::new(&g, BgpConfig::default(), SimParams::default(), 23);
-            let plan = bgpsim_faults::FaultPlan::new()
-                .loss(n(0), n(1), 0.4)
-                .session_reset(SimDuration::from_secs(40), n(0), n(1))
-                .withdraw(SimDuration::from_secs(80), n(0), p());
-            net.originate(n(0), p());
-            net.apply_fault_plan(&plan, net.now()).unwrap();
-            net.run_for(SimDuration::from_secs(41), 10_000_000);
-            net
-        };
-        let mut original = build();
-        let mut restored = SimNetwork::restore(original.snapshot());
-        original.run_to_quiescence(10_000_000);
-        restored.run_to_quiescence(10_000_000);
-        let a = original.into_record();
-        let b = restored.into_record();
-        assert_eq!(a.faults_injected, 2, "both plan events fired");
-        assert!(a.messages_lost > 0, "loss model must have dropped some");
-        assert_eq!(a, b);
     }
 
     #[test]

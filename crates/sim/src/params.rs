@@ -3,7 +3,7 @@
 use bgpsim_netsim::time::SimDuration;
 
 /// Delays outside the BGP protocol itself, per the study's §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimParams {
     /// Link propagation delay (paper: 2 ms).
     pub link_delay: SimDuration,

@@ -6,7 +6,7 @@ use bgpsim_netsim::time::{SimDuration, SimTime};
 use bgpsim_topology::NodeId;
 
 /// One BGP message leaving a router.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateSend {
     /// When the message left the router.
     pub at: SimTime,
@@ -21,7 +21,7 @@ pub struct UpdateSend {
 }
 
 /// One change of a router's selected route.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathChange {
     /// When the decision process switched routes.
     pub at: SimTime,
@@ -36,8 +36,7 @@ pub struct PathChange {
 /// Everything observed during a simulation run, for offline analysis.
 ///
 /// `PartialEq` compares every recorded observation — two equal records
-/// describe byte-identical runs, which is exactly the bar the
-/// checkpoint/fork machinery is held to.
+/// describe byte-identical runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunRecord {
     /// Number of nodes in the simulated network.

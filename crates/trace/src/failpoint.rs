@@ -12,9 +12,11 @@
 //! Grammar: a comma-separated list of specs, each
 //! `site:action[@N][#substr]` where
 //!
-//! * `site` names an instrumented I/O site (`cache_write`,
-//!   `journal_append`, `journal_fsync`, `checkpoint_write`,
-//!   `worker_spawn`, `worker_run`);
+//! * `site` names an instrumented I/O site, one of [`SITES`]
+//!   (`cache_write`, `journal_append`, `journal_fsync`,
+//!   `worker_spawn`, `worker_run`) — any other name is a parse error,
+//!   so a misspelt spec cannot arm nothing and let a crash test pass
+//!   vacuously;
 //! * `action` is `err` (the site reports an injected I/O error),
 //!   `torn` (the site leaves a half-written artifact behind and
 //!   reports success — a torn write), or `abort` (the process aborts
@@ -32,6 +34,16 @@
 use std::sync::{Mutex, OnceLock};
 
 use crate::{flush_global, TraceEvent, TraceHandle};
+
+/// Every instrumented site: the only names [`FailpointSet::parse`]
+/// accepts and [`check`] is called with.
+pub const SITES: [&str; 5] = [
+    "cache_write",
+    "journal_append",
+    "journal_fsync",
+    "worker_spawn",
+    "worker_run",
+];
 
 /// What an armed failpoint injects at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +131,11 @@ impl FailpointSet {
                     ))
                 }
             };
-            if site.is_empty() {
-                return Err(format!("failpoint {part:?}: empty site"));
+            if !SITES.contains(&site) {
+                return Err(format!(
+                    "failpoint {part:?}: unknown site {site:?} ({})",
+                    SITES.join("|")
+                ));
             }
             specs.push(FailpointSpec {
                 site: site.to_string(),
@@ -196,6 +211,7 @@ fn global_set() -> Option<&'static FailpointSet> {
 /// site to act on, while `abort` flushes the trace sink and aborts the
 /// process right here — the caller never observes it.
 pub fn check(site: &str, ctx: &str) -> Option<FailpointAction> {
+    debug_assert!(SITES.contains(&site), "uninstrumented site {site:?}");
     let set = global_set()?;
     let (action, hit) = set.eval(site, ctx)?;
     TraceHandle::global().emit(|| TraceEvent::FailpointHit {
@@ -223,10 +239,26 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_specs() {
         assert!(FailpointSet::parse("no-colon").is_err());
-        assert!(FailpointSet::parse("site:explode").is_err());
-        assert!(FailpointSet::parse("site:err@zero").is_err());
-        assert!(FailpointSet::parse("site:err@0").is_err());
+        assert!(FailpointSet::parse("cache_write:explode").is_err());
+        assert!(FailpointSet::parse("cache_write:err@zero").is_err());
+        assert!(FailpointSet::parse("cache_write:err@0").is_err());
         assert!(FailpointSet::parse(":err").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_sites_nothing_is_instrumented_with() {
+        // A misspelt site and the retired checkpoint one (spelled in
+        // halves so the name stays out of the tree).
+        let retired = format!("{}_{}", "checkpoint", "write");
+        for site in ["cache_wrte", retired.as_str()] {
+            let err = FailpointSet::parse(&format!("{site}:err")).unwrap_err();
+            assert!(err.contains("unknown site"), "{err}");
+            assert!(err.contains(site), "{err}");
+            assert!(err.contains(&SITES.join("|")), "{err}");
+        }
+        for site in SITES {
+            assert!(FailpointSet::parse(&format!("{site}:err")).is_ok());
+        }
     }
 
     #[test]
@@ -290,10 +322,13 @@ mod tests {
 
     #[test]
     fn first_matching_spec_wins_but_all_count() {
-        let set = FailpointSet::parse("s:err@2,s:torn").unwrap();
-        assert_eq!(set.eval("s", ""), Some((FailpointAction::Torn, 1)));
+        let set = FailpointSet::parse("cache_write:err@2,cache_write:torn").unwrap();
+        assert_eq!(
+            set.eval("cache_write", ""),
+            Some((FailpointAction::Torn, 1))
+        );
         // Second evaluation: the @2 err spec is now due and listed first.
-        assert_eq!(set.eval("s", ""), Some((FailpointAction::Err, 2)));
+        assert_eq!(set.eval("cache_write", ""), Some((FailpointAction::Err, 2)));
     }
 
     #[test]

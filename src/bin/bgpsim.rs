@@ -6,10 +6,8 @@
 //! ```
 
 use bgpsim::bgp::BgpConfig;
-use bgpsim::checkpoint::{Checkpoint, CheckpointHeader};
 use bgpsim::cli::{
-    parse_args, parse_checkpoint_args, parse_recover_args, parse_serve_args, CheckpointCmd,
-    CliOptions, RecoverOptions, ServeOptions,
+    parse_args, parse_recover_args, parse_serve_args, CliOptions, RecoverOptions, ServeOptions,
 };
 use bgpsim::metrics::MetricsRow;
 use bgpsim::netsim::time::SimDuration;
@@ -42,17 +40,6 @@ fn main() {
             }
         };
         serve(&opts);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("checkpoint") {
-        let cmd = match parse_checkpoint_args(&args[1..]) {
-            Ok(cmd) => cmd,
-            Err(err) => {
-                eprintln!("{err}");
-                std::process::exit(2);
-            }
-        };
-        checkpoint_cmd(&cmd);
         return;
     }
     let opts = match parse_args(args) {
@@ -181,35 +168,7 @@ fn scenario_of(opts: &CliOptions) -> Scenario {
         .with_seed(opts.seed)
 }
 
-fn fail_checkpoint(err: &dyn std::fmt::Display) -> ! {
-    eprintln!("{err}");
-    std::process::exit(1);
-}
-
-/// Prints a checkpoint header as aligned human-readable lines.
-fn print_header(header: &CheckpointHeader) {
-    println!("  schema                   : v{}", header.schema);
-    println!("  warm-up fingerprint      : {}", header.fingerprint);
-    println!(
-        "  capture beat             : {:>10.2} s",
-        header.beat_nanos as f64 / 1e9
-    );
-    println!(
-        "  tail applied             : {:>10}",
-        if header.tail_applied {
-            "yes (mid-convergence)"
-        } else {
-            "no (quiescence)"
-        }
-    );
-    println!("  routers                  : {:>10}", header.nodes);
-    match &header.spec {
-        Some(spec) => println!("  embedded scenario        : {spec}"),
-        None => println!("  embedded scenario        : (none)"),
-    }
-}
-
-/// Prints the shared measurement block of a scenario result.
+/// Prints the measurement block of a scenario result.
 fn print_measurement(result: &ScenarioResult) {
     let m = &result.measurement.metrics;
     println!("  destination              : {}", result.destination);
@@ -237,93 +196,6 @@ fn print_measurement(result: &ScenarioResult) {
         c.max_size,
         c.two_node_fraction * 100.0
     );
-}
-
-/// Executes a parsed `bgpsim checkpoint` subcommand.
-fn checkpoint_cmd(cmd: &CheckpointCmd) {
-    match cmd {
-        CheckpointCmd::Save { out, scenario } => {
-            let spec = scenario_of(scenario);
-            let canonical = match spec.to_canonical_json() {
-                Ok(json) => json,
-                Err(err) => fail_checkpoint(&err),
-            };
-            let snap = spec.snapshot_warmup();
-            let ckpt = Checkpoint::capture(snap, spec.warmup_fingerprint(), Some(canonical));
-            if let Err(err) = ckpt.save(out) {
-                fail_checkpoint(&err);
-            }
-            println!("saved warm-up checkpoint to {out}");
-            print_header(&ckpt.header);
-        }
-        CheckpointCmd::Inspect { file } => {
-            let header = match Checkpoint::inspect(file) {
-                Ok(header) => header,
-                Err(err) => fail_checkpoint(&err),
-            };
-            println!("{file}:");
-            print_header(&header);
-        }
-        CheckpointCmd::Run { file, event, json } => {
-            let ckpt = match Checkpoint::load(file) {
-                Ok(ckpt) => ckpt,
-                Err(err) => fail_checkpoint(&err),
-            };
-            let embedded = match &ckpt.header.spec {
-                Some(spec) => spec,
-                None => fail_checkpoint(
-                    &"this checkpoint embeds no scenario (raw harness capture); \
-                      the CLI cannot derive a tail from it",
-                ),
-            };
-            let mut spec = match Scenario::from_canonical_json(embedded) {
-                Ok(spec) => spec,
-                Err(err) => fail_checkpoint(&err),
-            };
-            if let Some(event) = event {
-                if ckpt.header.tail_applied && *event != spec.event {
-                    fail_checkpoint(&format!(
-                        "mid-convergence checkpoint: its {} tail is already \
-                         baked in and cannot be replaced by --event",
-                        spec.event.label()
-                    ));
-                }
-                spec.event = *event;
-            }
-            if spec.warmup_fingerprint() != ckpt.header.fingerprint {
-                fail_checkpoint(&format!(
-                    "scenario/checkpoint mismatch: the scenario warms up as \
-                     {:?} but the checkpoint was captured under {:?}",
-                    spec.warmup_fingerprint(),
-                    ckpt.header.fingerprint
-                ));
-            }
-            let result = spec.run_forked(&ckpt.snapshot);
-            if *json {
-                let row = MetricsRow::from_metrics(
-                    "cli-fork",
-                    spec.topology.label(),
-                    spec.config.enhancements.label(),
-                    ckpt.header.nodes as f64,
-                    spec.seed,
-                    &result.measurement.metrics,
-                );
-                match bgpsim::metrics::to_json(std::slice::from_ref(&row)) {
-                    Ok(json) => println!("{json}"),
-                    Err(err) => fail_checkpoint(&err),
-                }
-                return;
-            }
-            println!(
-                "forked {} under {} from {file} — seed {}, capture beat {:.2}s",
-                spec.topology.label(),
-                spec.event.label(),
-                spec.seed,
-                ckpt.header.beat_nanos as f64 / 1e9
-            );
-            print_measurement(&result);
-        }
-    }
 }
 
 fn run(opts: &CliOptions) {

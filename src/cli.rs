@@ -104,8 +104,6 @@ OPTIONS:
 
 SUBCOMMANDS:
   bgpsim serve …        long-running experiment service (see serve --help)
-  bgpsim checkpoint …   save / inspect / fork warm-up checkpoints
-                        (see checkpoint --help)
   bgpsim recover …      replay the write-ahead journal after a crash
                         (see recover --help)
 ";
@@ -257,116 +255,6 @@ where
         }
     }
     Ok(opts)
-}
-
-/// A parsed `bgpsim checkpoint` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckpointCmd {
-    /// Capture a scenario's warm-up (converged pre-failure state) to a
-    /// file.
-    Save {
-        /// Destination checkpoint file.
-        out: String,
-        /// The scenario whose warm-up is captured (ordinary `bgpsim`
-        /// flags).
-        scenario: CliOptions,
-    },
-    /// Print a checkpoint file's header without reading the state
-    /// blob.
-    Inspect {
-        /// The checkpoint file.
-        file: String,
-    },
-    /// Fork a tail off a saved checkpoint and report the run.
-    Run {
-        /// The checkpoint file.
-        file: String,
-        /// Tail event to fork (`None` = the event the checkpoint's
-        /// embedded scenario was saved with).
-        event: Option<EventKind>,
-        /// Emit metrics as JSON instead of the human report.
-        json: bool,
-    },
-}
-
-/// The usage text for `bgpsim checkpoint`.
-pub const CHECKPOINT_USAGE: &str = "\
-bgpsim checkpoint — save, inspect, and fork deterministic warm-up checkpoints
-
-USAGE:
-  bgpsim checkpoint save <FILE> [SCENARIO OPTIONS]
-  bgpsim checkpoint inspect <FILE>
-  bgpsim checkpoint run <FILE> [--event tdown|tlong] [--json]
-
-save runs the scenario's warm-up to quiescence and captures the full
-simulator state to FILE; SCENARIO OPTIONS are the ordinary bgpsim
-flags (--topology, --event, --mrai, --no-jitter, --enhancement,
---seed). inspect prints the header (schema, fingerprint, capture
-beat, …) without parsing the state blob. run replays the embedded
-scenario from the checkpoint with the given tail event (default: the
-one it was saved with) — bit-identical to the from-scratch run.
-";
-
-/// Parses the arguments of the `checkpoint` subcommand (without the
-/// program name or the `checkpoint` token itself).
-///
-/// # Errors
-///
-/// Returns a [`CliError`] describing the offending argument.
-pub fn parse_checkpoint_args<I, S>(args: I) -> Result<CheckpointCmd, CliError>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut iter = args.into_iter();
-    let sub = iter
-        .next()
-        .ok_or_else(|| CliError(CHECKPOINT_USAGE.to_string()))?;
-    let file_of = |iter: &mut dyn Iterator<Item = S>, sub: &str| match iter.next() {
-        Some(s) if matches!(s.as_ref(), "--help" | "-h") => {
-            Err(CliError(CHECKPOINT_USAGE.to_string()))
-        }
-        Some(s) if !s.as_ref().starts_with("--") => Ok(s.as_ref().to_string()),
-        _ => Err(CliError(format!("checkpoint {sub} needs a <FILE> operand"))),
-    };
-    match sub.as_ref() {
-        "save" => {
-            let out = file_of(&mut iter, "save")?;
-            let scenario = parse_args(iter)?;
-            Ok(CheckpointCmd::Save { out, scenario })
-        }
-        "inspect" => {
-            let file = file_of(&mut iter, "inspect")?;
-            if let Some(extra) = iter.next() {
-                return Err(CliError(format!(
-                    "checkpoint inspect takes no options, got {:?}",
-                    extra.as_ref()
-                )));
-            }
-            Ok(CheckpointCmd::Inspect { file })
-        }
-        "run" => {
-            let file = file_of(&mut iter, "run")?;
-            let mut event = None;
-            let mut json = false;
-            while let Some(arg) = iter.next() {
-                match arg.as_ref() {
-                    "--event" => {
-                        let v = expect_value(&mut iter, "--event")?;
-                        event = Some(parse_event(v.as_ref())?);
-                    }
-                    "--json" => json = true,
-                    "--help" | "-h" => return Err(CliError(CHECKPOINT_USAGE.to_string())),
-                    other => return Err(CliError(format!("unknown option {other:?}"))),
-                }
-            }
-            Ok(CheckpointCmd::Run { file, event, json })
-        }
-        "--help" | "-h" => Err(CliError(CHECKPOINT_USAGE.to_string())),
-        other => Err(CliError(format!(
-            "unknown checkpoint subcommand {other:?} (save | inspect | run)"
-        ))),
-    }
 }
 
 /// A parsed `bgpsim recover` invocation.
@@ -636,70 +524,6 @@ mod tests {
     fn help_surfaces_usage() {
         let err = parse_args(["--help"]).unwrap_err();
         assert!(err.to_string().contains("USAGE"));
-    }
-
-    #[test]
-    fn checkpoint_save_takes_file_then_scenario_flags() {
-        let cmd =
-            parse_checkpoint_args(["save", "/tmp/warm.ckpt", "--topology", "clique:7"]).unwrap();
-        assert_eq!(
-            cmd,
-            CheckpointCmd::Save {
-                out: "/tmp/warm.ckpt".to_string(),
-                scenario: CliOptions {
-                    topology: TopologySpec::Clique(7),
-                    ..CliOptions::default()
-                },
-            }
-        );
-    }
-
-    #[test]
-    fn checkpoint_inspect_takes_only_a_file() {
-        assert_eq!(
-            parse_checkpoint_args(["inspect", "warm.ckpt"]).unwrap(),
-            CheckpointCmd::Inspect {
-                file: "warm.ckpt".to_string()
-            }
-        );
-        let err = parse_checkpoint_args(["inspect", "warm.ckpt", "--json"]).unwrap_err();
-        assert!(err.to_string().contains("takes no options"));
-    }
-
-    #[test]
-    fn checkpoint_run_defaults_to_the_saved_event() {
-        assert_eq!(
-            parse_checkpoint_args(["run", "warm.ckpt"]).unwrap(),
-            CheckpointCmd::Run {
-                file: "warm.ckpt".to_string(),
-                event: None,
-                json: false,
-            }
-        );
-        assert_eq!(
-            parse_checkpoint_args(["run", "warm.ckpt", "--event", "tlong", "--json"]).unwrap(),
-            CheckpointCmd::Run {
-                file: "warm.ckpt".to_string(),
-                event: Some(EventKind::TLong),
-                json: true,
-            }
-        );
-    }
-
-    #[test]
-    fn checkpoint_errors_are_descriptive() {
-        let err = parse_checkpoint_args(Vec::<&str>::new()).unwrap_err();
-        assert!(err.to_string().contains("USAGE"));
-        let err = parse_checkpoint_args(["frobnicate"]).unwrap_err();
-        assert!(err.to_string().contains("save | inspect | run"));
-        let err = parse_checkpoint_args(["save"]).unwrap_err();
-        assert!(err.to_string().contains("<FILE> operand"));
-        let err = parse_checkpoint_args(["run", "x.ckpt", "--event", "boom"]).unwrap_err();
-        assert!(err.to_string().contains("unknown event"));
-        let err = parse_checkpoint_args(["--help"]).unwrap_err();
-        assert!(err.to_string().contains("bgpsim checkpoint"));
-        let err = parse_checkpoint_args(["save", "--help"]).unwrap_err();
-        assert!(err.to_string().contains("bgpsim checkpoint"));
     }
 
     #[test]

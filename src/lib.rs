@@ -49,7 +49,6 @@
 
 pub mod cli;
 
-pub use bgpsim_checkpoint as checkpoint;
 pub use bgpsim_core as bgp;
 pub use bgpsim_dataplane as dataplane;
 pub use bgpsim_experiments as experiments;

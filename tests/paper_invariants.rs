@@ -9,7 +9,8 @@
 //! * the overall looping duration never (materially) exceeds the
 //!   convergence time;
 //! * `T_down` leaves every node route-less, `T_long` leaves every node
-//!   routed.
+//!   routed;
+//! * the event kind changes nothing before the failure instant.
 
 use bgpsim::netsim::time::SimDuration;
 use bgpsim::prelude::*;
@@ -66,6 +67,22 @@ fn tlong_final_routes_match_bfs_oracle() {
     }
 }
 
+/// A lowest-degree destination and a link it can lose without being
+/// cut off, as the paper's `T_long` on Internet graphs needs.
+fn multihomed_destination(graph: &Graph) -> (NodeId, NodeId) {
+    let bridges = algo::bridges(graph);
+    graph
+        .nodes()
+        .filter_map(|v| {
+            graph
+                .neighbors(v)
+                .find(|&m| !bridges.contains(&bgpsim::topology::Edge::new(v, m)))
+                .map(|m| (v, m))
+        })
+        .min_by_key(|&(v, _)| graph.degree(v))
+        .expect("a multi-homed node")
+}
+
 /// Shortest-path policy with a deterministic tie-break admits one
 /// stable state, so whatever order the event loop dispatched things
 /// in — across seeds, MRAI values and all five protocol variants — the
@@ -80,19 +97,7 @@ fn tlong_stable_state_is_unique_and_matches_bfs_oracle() {
         topo_seed: 1,
     }
     .build();
-    // A lowest-degree destination with a link it can lose without
-    // being cut off, as the paper's T_long on Internet graphs needs.
-    let bridges = algo::bridges(&internet);
-    let (dest, peer) = internet
-        .nodes()
-        .filter_map(|v| {
-            internet
-                .neighbors(v)
-                .find(|&m| !bridges.contains(&bgpsim::topology::Edge::new(v, m)))
-                .map(|m| (v, m))
-        })
-        .min_by_key(|&(v, _)| internet.degree(v))
-        .expect("a multi-homed node");
+    let (dest, peer) = multihomed_destination(&internet);
     for (label, graph, a, b) in [
         (
             "clique-15",
@@ -135,6 +140,52 @@ fn tlong_stable_state_is_unique_and_matches_bfs_oracle() {
                     let at_rest = rec.fib.snapshot(prefix, rec.quiescent_at);
                     assert!(find_loops(&at_rest).is_empty(), "{case}");
                 }
+            }
+        }
+    }
+}
+
+/// The paper's method is "converge first, then fail": the event kind
+/// only decides what happens at the failure instant. So from-scratch
+/// runs of one (topology, config, seed) under `T_down`, `T_long` and a
+/// flap train must agree on that instant and on every message sent and
+/// every route selected before it.
+#[test]
+fn event_kind_changes_nothing_before_the_failure() {
+    let (internet, _) = TopologySpec::InternetLike {
+        n: 110,
+        topo_seed: 1,
+    }
+    .build();
+    // `T_long` and flap runs re-pick a multi-homed destination on
+    // Internet-like topologies; a fixed one keeps the warm-ups equal.
+    let (destination, _) = multihomed_destination(&internet);
+    for topology in [
+        TopologySpec::Clique(10),
+        TopologySpec::BClique(6),
+        TopologySpec::Custom {
+            graph: internet,
+            destination,
+        },
+    ] {
+        for seed in 1..=2 {
+            let before_failure = |event: EventKind| {
+                let record = Scenario::new(topology.clone(), event)
+                    .with_seed(seed)
+                    .run()
+                    .record;
+                let at = record.failure_at.expect("the event fired");
+                let mut sends = record.sends;
+                sends.retain(|s| s.at < at);
+                let mut path_changes = record.path_changes;
+                path_changes.retain(|c| c.at < at);
+                assert!(!sends.is_empty() && !path_changes.is_empty());
+                (at, sends, path_changes)
+            };
+            let tdown = before_failure(EventKind::TDown);
+            for event in [EventKind::TLong, EventKind::Flap] {
+                let case = format!("{} {} seed {seed}", topology.label(), event.label());
+                assert!(before_failure(event) == tdown, "{case}");
             }
         }
     }
