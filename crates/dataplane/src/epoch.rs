@@ -7,8 +7,8 @@
 //! instants plus an `O(1)` `(node, epoch) → entry` table — so the
 //! packet-replay engine can replace one binary search per hop
 //! ([`FibHistory::at`](crate::fib::FibHistory::at)) with a monotone
-//! epoch cursor, and so one walk per launch epoch can stand for every
-//! packet that repeats it (see
+//! epoch cursor, and so one walk can stand for every packet that
+//! repeats it until a change reaches its trajectory (see
 //! [`replay_fleet`](crate::replay::replay_fleet)).
 //!
 //! The index owns the same grouped delta stream

@@ -8,16 +8,21 @@
 //! this equivalence).
 //!
 //! [`replay_fleet`] is the production path: it replays a CBR fleet
-//! against a per-prefix [`EpochIndex`] source by source, executing one
-//! walk per `(source, launch epoch)` and accounting for the packets
-//! that provably repeat it with arithmetic on the source's send times.
-//! A packet in flight across a FIB change is answered from its source's
-//! last recorded trajectory for as long as no change has touched a node
-//! on it, and walked from where the first such change finds it.
-//! [`walk_indexed_batch`] / [`walk_all_batched`] drive the same engine
-//! packet by packet and return every fate. Fates and tallies are
-//! bit-identical to per-packet [`walk_packet`] (property-tested here
-//! and in CI); the naive walk is retained as the oracle.
+//! against a per-prefix [`EpochIndex`] source by source. A walk from
+//! the source leaves its trajectory behind as the source's trail, and
+//! every later packet whose flight ends before the first FIB change
+//! that touches a node on it is counted with arithmetic on the
+//! source's send times, however many epochs that spans. The packets
+//! in flight at that change are walked from where it finds them, the
+//! next one sent is walked from the source, and so replay costs a walk
+//! per change that concerns a source. [`walk_indexed_batch`] /
+//! [`walk_all_batched`] drive the same engine packet by packet and
+//! return every fate; the fleet path derives the counters they report
+//! rather than enacting them. Fates and tallies are bit-identical to
+//! per-packet [`walk_packet`] (property-tested here and in CI); the
+//! naive walk is retained as the oracle.
+
+use std::ops::Range;
 
 use bgpsim_core::{FibEntry, Prefix};
 use bgpsim_netsim::time::{SimDuration, SimTime};
@@ -125,12 +130,16 @@ pub struct ReplayStats {
     /// Packets replayed.
     pub packets: u64,
     /// Packets accounted for by their `(source, launch epoch)` walk
-    /// without being walked themselves: one memo check each on the
-    /// per-packet path, one division per epoch on the fleet path.
+    /// without a walk of their own: one memo check each for a packet
+    /// that goes through the engine; for the ones the fleet path counts
+    /// along a trail, derived from the send times and the boundaries
+    /// between two trail breaks.
     pub memo_hits: u64,
-    /// Walks actually executed (`packets - memo_hits`): the first
-    /// packet of each `(source, launch epoch)` plus every packet whose
-    /// reconstructed fate instant reaches the epoch boundary.
+    /// Walks (`packets - memo_hits`): the first packet of each
+    /// `(source, launch epoch)` plus every packet whose reconstructed
+    /// fate instant reaches the epoch boundary. The per-packet path
+    /// executes each of them; the fleet path executes the ones the
+    /// source's trail cannot answer in full and counts the rest.
     pub walks: u64,
     /// Epoch boundaries (distinct FIB change instants) in the indexes
     /// the batch ran against.
@@ -140,9 +149,9 @@ pub struct ReplayStats {
     pub trail_hits: u64,
     /// Table lookups the executed walks made.
     pub hops: u64,
-    /// Table lookups the executed walks were spared, by following the
-    /// trail or by jumping whole turns of an in-epoch forwarding cycle:
-    /// walked hop by hop they would have made `hops + hops_skipped`.
+    /// Table lookups the walks were spared, by following the trail or
+    /// by jumping whole turns of an in-epoch forwarding cycle: walked
+    /// hop by hop they would have made `hops + hops_skipped`.
     pub hops_skipped: u64,
 }
 
@@ -418,6 +427,91 @@ impl<'a> Replayer<'a> {
         None
     }
 
+    /// Counts the packets `sends` of `source` (the one before them just
+    /// executed, in epoch `launch`) that repeat the walk of the source's
+    /// trail, as [`packet`](Self::packet) would have counted them one by
+    /// one. The repeaters are the packets whose last lookup precedes the
+    /// first boundary that touches the trail, found by moving the
+    /// trail's cursor. Returns the walk and the end of the run of
+    /// repeaters (`sends.start` when there is none), or `None` when the
+    /// source has no trail: its packets then go through `packet` and
+    /// its memo one by one.
+    ///
+    /// One by one, the repeaters launched in an epoch, `n` of them of
+    /// which `c` end their flight inside it, would make `n − c + 1`
+    /// walks if `c ≥ 1` and `n` otherwise, each answered by the trail in
+    /// full (sparing `steps + 1` lookups), and memo hits for the rest.
+    /// Summed over the epochs: a repeater after the first is a memo hit
+    /// iff no boundary falls in `(sent − interval, sent + flight]`, so
+    /// the hits between two consecutive boundaries `b < b'` are the
+    /// packets sent in `[b + interval, b' − flight)`, one division where
+    /// that is not empty and none for the epochs that launch nothing.
+    /// The first repeater is a hit iff it ends its flight inside its
+    /// epoch and the memo holds that epoch.
+    fn repeat(
+        &mut self,
+        source: &CbrSource,
+        start: SimTime,
+        ttl: u32,
+        launch: usize,
+        sends: Range<u64>,
+    ) -> Option<(MemoWalk, u64)> {
+        let src = source.node();
+        if self.trail.src != Some(src) {
+            return None;
+        }
+        let boundaries = self.index.boundaries();
+        let walk = self.trail.walk(ttl);
+        let (interval, flight) = (source.interval(), self.link_delay * u64::from(walk.steps));
+        let first = sends.start;
+        let sent_at = source.send_time(start, first);
+        let last_lookup = source.send_time(start, sends.end - 1) + flight;
+        let passed_from = self.trail.cursor;
+        let end = match self.trail_break(last_lookup) {
+            Some(b) if sent_at + flight < b => {
+                source.sends_before(start, b - flight).min(sends.end)
+            }
+            Some(_) => first,
+            None => sends.end,
+        };
+        if end > first {
+            // The memo hits after the first repeater: between each two
+            // boundaries passed on the way to the break, then behind the
+            // last one.
+            let passed = &boundaries[passed_from..self.trail.cursor];
+            let mut hits = 0;
+            let mut prev = sent_at;
+            for &b in passed.iter().filter(|&&b| b > sent_at) {
+                if prev + interval + flight < b {
+                    hits += source.sends_before(start, b - flight)
+                        - source.sends_before(start, prev + interval);
+                }
+                prev = b;
+            }
+            let after_prev = match prev == sent_at {
+                true => first + 1,
+                false => source.sends_before(start, prev + interval),
+            };
+            hits += end.saturating_sub(after_prev);
+            // The first repeater's own launch epoch.
+            let mut epoch = launch;
+            while boundaries.get(epoch).is_some_and(|&b| b <= sent_at) {
+                epoch += 1;
+            }
+            let crosses = boundaries
+                .get(epoch)
+                .is_some_and(|&b| b <= sent_at + flight);
+            hits += u64::from(!crosses && self.memo((src, epoch, ttl)).is_some());
+            let walks = end - first - hits;
+            self.stats.packets += end - first;
+            self.stats.memo_hits += hits;
+            self.stats.walks += walks;
+            self.stats.trail_hits += walks;
+            self.stats.hops_skipped += walks * (u64::from(walk.steps) + 1);
+        }
+        Some((walk, end))
+    }
+
     /// Makes the recorded nodes the trail of the first of them, in
     /// force from epoch `launch` on.
     fn seal_trail(&mut self, launch: usize, end: TrailEnd) {
@@ -554,16 +648,21 @@ impl<'a> Replayer<'a> {
 /// toward `index.prefix()` in `[start, end)` with initial TTL `ttl`,
 /// plus the [`ReplayStats`] — without materializing a packet or a fate.
 ///
-/// A [`CbrSource`]'s send times are an arithmetic progression, and
-/// inside one FIB epoch a packet's trajectory is a pure function of
-/// its source. So per `(source, launch epoch)` one walk is executed,
-/// and if it stayed inside the epoch with `steps` hops, the later
-/// packets of that epoch whose reconstructed fate instant
-/// `sent + steps × link_delay` still precedes the boundary are counted
-/// with one division: they share the walk's fate and their instants
-/// run from the first to the last of them. Only the remainder — the
-/// packets in flight when the FIB changes — is executed one by one,
-/// each in O(1) while no change has touched its source's trail.
+/// A [`CbrSource`]'s send times are an arithmetic progression, and a
+/// packet's trajectory reads only the entries of the nodes on it. So
+/// once a walk from the source has sealed its trail, every later packet
+/// whose last lookup `sent + steps × link_delay` precedes the first FIB
+/// change that touches the trail repeats it, however many epochs that
+/// spans: those packets are counted with one division, they share the
+/// walk's fate and their instants run from the first to the last of
+/// them. Only the packets in flight at that change, which resume from
+/// where it finds them, and the ones sent after it are executed. While
+/// a source has no trail (its last walk ran out of TTL or left its
+/// launch epoch before it reached a terminal node or closed a cycle),
+/// its packets go through the engine one by one, behind its one-slot
+/// memo. The [`ReplayStats`] of the
+/// counted packets are derived per launch epoch, as if they had been
+/// replayed one by one.
 ///
 /// The tally equals tallying [`walk_all`] over
 /// [`generate_packets`]`(sources, ..)`, and the stats equal
@@ -590,24 +689,18 @@ pub fn replay_fleet(
             }
             tally.record(&engine.packet(source.node(), ttl, sent_at, launch));
             k += 1;
-            let Some(walk) = engine.memo((source.node(), launch, ttl)) else {
+            if k == total {
+                break;
+            }
+            let Some((walk, run_end)) = engine.repeat(source, start, ttl, launch, k..total) else {
                 continue;
             };
-            // The packets after this one that pass `packet`'s hit
-            // predicate are a prefix of the rest: send times only grow.
-            let flight = link_delay * u64::from(walk.steps);
-            let hit_end = match boundaries.get(launch) {
-                Some(&b) => source.sends_before(start, b - flight).min(total),
-                None => total,
-            };
-            if hit_end > k {
-                let hits = hit_end - k;
+            if run_end > k {
+                let flight = link_delay * u64::from(walk.steps);
                 let first = walk.fate_at(source.send_time(start, k) + flight);
-                let last_at = source.send_time(start, hit_end - 1) + flight;
-                tally.record_run(&first, hits, last_at);
-                engine.stats.packets += hits;
-                engine.stats.memo_hits += hits;
-                k = hit_end;
+                let last_at = source.send_time(start, run_end - 1) + flight;
+                tally.record_run(&first, run_end - k, last_at);
+                k = run_end;
             }
         }
     }
@@ -776,7 +869,13 @@ mod tests {
 
     /// A 3-node chain 2 → 1 → 0 with stable routes.
     fn chain_fib() -> NetworkFib {
-        let mut fib = NetworkFib::new(3);
+        chain_and_bystanders(3)
+    }
+
+    /// 2 → 1 → 0 (delivery in two hops) and nodes `3..nodes` with no
+    /// entry yet.
+    fn chain_and_bystanders(nodes: usize) -> NetworkFib {
+        let mut fib = NetworkFib::new(nodes);
         fib.record(n(0), p(), SimTime::ZERO, Some(FibEntry::Local));
         fib.record(n(1), p(), SimTime::ZERO, Some(FibEntry::Via(n(0))));
         fib.record(n(2), p(), SimTime::ZERO, Some(FibEntry::Via(n(1))));
@@ -1484,6 +1583,182 @@ mod tests {
         assert_eq!(stats.walks, 3);
     }
 
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_millis(millis)
+    }
+
+    /// A source at `node` sending every `every_ms` from `phase_ms` on.
+    fn cbr(node: u32, every_ms: u64, phase_ms: u64) -> CbrSource {
+        CbrSource::new(
+            n(node),
+            SimDuration::from_millis(every_ms),
+            SimDuration::from_millis(phase_ms),
+        )
+    }
+
+    /// `sources` over `[start, end)` through the fleet face, checked
+    /// against the oracle and the per-packet face: the tally is the
+    /// tally of [`walk_all`]'s fates, the stats are
+    /// [`walk_indexed_batch`]'s (whose per-epoch classification
+    /// [`replay_checked_on`] checks in turn).
+    fn fleet_checked(
+        fib: &NetworkFib,
+        sources: &[CbrSource],
+        ttl: u32,
+        (start, end): (SimTime, SimTime),
+        delay: SimDuration,
+    ) -> (FateTally, ReplayStats) {
+        let index = EpochIndex::build(fib, p());
+        let (tally, stats) = replay_fleet(&index, sources, ttl, start, end, delay);
+        let packets = generate_packets(sources, p(), ttl, start, end);
+        assert_eq!(
+            tally,
+            FateTally::from_fates(&walk_all(fib, &packets, delay))
+        );
+        assert_eq!(stats, replay_checked_on(&index, fib, &packets, delay).1);
+        (tally, stats)
+    }
+
+    /// `node` switching between delivering and no route `count` times,
+    /// every `every_ms` from `from_ms` on.
+    fn toggle(fib: &mut NetworkFib, node: u32, from_ms: u64, every_ms: u64, count: u64) {
+        for k in 0..count {
+            let entry = (k % 2 == 0).then_some(FibEntry::Local);
+            fib.record(n(node), p(), ms(from_ms + every_ms * k), entry);
+        }
+    }
+
+    #[test]
+    fn fleet_counts_a_trail_across_sixty_changes_elsewhere() {
+        // 2 → 1 → 0 delivers in 4 ms while the bystander 3 changes every
+        // 10 ms, 60 times. Sent every 3 ms, one or two packets are in
+        // flight at each of those boundaries. None of them touches the
+        // trail, so the first walk is the only one that looks anything
+        // up, and every later walk is a whole trail answer.
+        let mut fib = chain_and_bystanders(4);
+        toggle(&mut fib, 3, 1000, 10, 60);
+        let source = [cbr(2, 3, 1)];
+        let (tally, stats) = fleet_checked(&fib, &source, DEFAULT_TTL, (ms(990), ms(1700)), d2());
+        assert_eq!(tally.delivered, 237);
+        assert_eq!(stats.hops, 3);
+        assert_eq!(stats.trail_hits, stats.walks - 1);
+        assert!(
+            stats.walks > 2 * 60,
+            "the crossers and the first of each epoch"
+        );
+    }
+
+    #[test]
+    fn fleet_counts_epochs_that_launch_nothing() {
+        // The bystander 5 changes every 7 ms, 40 times, and the sources
+        // send every 20 ms: most epochs launch no packet of either.
+        // Source 2 delivers in 4 ms, source 3 spins in the 3 ⇄ 4 loop
+        // for 256 ms and crosses every boundary up to the last.
+        let mut fib = chain_and_bystanders(6);
+        fib.record(n(3), p(), SimTime::ZERO, Some(FibEntry::Via(n(4))));
+        fib.record(n(4), p(), SimTime::ZERO, Some(FibEntry::Via(n(3))));
+        toggle(&mut fib, 5, 1000, 7, 40);
+        let sources = [cbr(2, 20, 5), cbr(3, 20, 5)];
+        let (tally, stats) = fleet_checked(&fib, &sources, DEFAULT_TTL, (ms(1000), ms(1600)), d2());
+        assert_eq!((tally.delivered, tally.ttl_exhausted), (30, 30));
+        // The routes at zero, then 40 changes in the 273 ms over which
+        // each source sends 14 packets.
+        assert_eq!(stats.epochs, 41);
+    }
+
+    #[test]
+    fn fleet_resumes_where_a_break_at_the_next_boundary_finds_the_packets() {
+        // Node 1 turns to the detour 1 → 3 → 0 at 1 s, the first
+        // boundary after the first walk. Of the packets sent every ms
+        // from 980 ms, the ones up to 995 ms are home before it (memo
+        // hits), the ones of 996–999 ms are in flight across it and
+        // resume there, and the one of 1000 ms is walked from the
+        // source and leaves the detour's trail for the rest.
+        let mut fib = chain_and_bystanders(4);
+        fib.record(n(3), p(), SimTime::ZERO, Some(FibEntry::Via(n(0))));
+        fib.record(n(1), p(), ms(1000), Some(FibEntry::Via(n(3))));
+        let source = [cbr(2, 1, 0)];
+        let (tally, stats) = fleet_checked(&fib, &source, DEFAULT_TTL, (ms(980), ms(1010)), d2());
+        assert_eq!(tally.delivered, 30);
+        assert_eq!(
+            (stats.walks, stats.memo_hits, stats.trail_hits),
+            (1 + 4 + 1, 15 + 9, 4)
+        );
+    }
+
+    #[test]
+    fn fleet_is_strict_at_a_break_on_the_last_lookup_instant() {
+        // 2 → 1 → 0 delivers in 4 ms until node 0 loses its route at
+        // 1004 ms; the bystander's change at 950 ms only ends an epoch.
+        // Sent every ms from 940 ms, the packet of 999 ms makes its last
+        // lookup at 1003 ms and repeats the trail; the one of 1000 ms
+        // makes it at 1004 ms, reads the new entry and is walked.
+        let mut fib = chain_and_bystanders(4);
+        fib.record(n(3), p(), ms(950), None);
+        fib.record(n(0), p(), ms(1004), None);
+        let source = [cbr(2, 1, 0)];
+        let (tally, stats) = fleet_checked(&fib, &source, DEFAULT_TTL, (ms(940), ms(1010)), d2());
+        assert_eq!((tally.delivered, tally.no_route), (60, 10));
+        // Walked: the first packet, the crossers of 950 ms, the first
+        // packet behind it, the four in flight at 1004 ms and the first
+        // one behind that.
+        assert_eq!((stats.walks, stats.memo_hits), (1 + 4 + 1 + 4 + 1, 59));
+        assert_eq!(stats.trail_hits, 4 + 1 + 4);
+    }
+
+    #[test]
+    fn fleet_with_zero_link_delay_counts_every_fate_at_its_send_time() {
+        // No time passes in flight, so no packet crosses a boundary. The
+        // bystander's changes only end epochs; node 0's switch to
+        // delivering at 1055 ms breaks the trail into the 1 ⇄ 0 loop for
+        // the packets sent from then on.
+        let mut fib = tail_and_cycle_fib();
+        toggle(&mut fib, 4, 1000, 10, 10);
+        fib.record(n(0), p(), ms(1055), Some(FibEntry::Local));
+        let source = [cbr(3, 3, 0)];
+        for ttl in [9, DEFAULT_TTL] {
+            let window = (ms(990), ms(1100));
+            let (tally, _) = fleet_checked(&fib, &source, ttl, window, SimDuration::ZERO);
+            assert_eq!((tally.ttl_exhausted, tally.delivered), (22, 15));
+            assert_eq!(tally.last_exhaustion, Some(ms(1053)));
+        }
+    }
+
+    #[test]
+    fn fleet_with_ttl_zero_replays_walks_that_seal_no_trail_one_by_one() {
+        // With no TTL a packet of source 2 dies at its source: its walk
+        // neither closes a cycle nor reaches a terminal node, so it
+        // seals no trail, and the packets after it go through the
+        // engine one at a time, memo hits up to the end of the epoch.
+        // Source 0 delivers to itself and leaves a one-node trail that
+        // no change touches.
+        let mut fib = chain_and_bystanders(4);
+        toggle(&mut fib, 3, 1000, 10, 5);
+        let sources = [cbr(0, 3, 1), cbr(2, 3, 2)];
+        let window = (ms(990), ms(1100));
+        let (tally, stats) = fleet_checked(&fib, &sources, 0, window, d2());
+        let sends = |source: &CbrSource| source.sends_before(window.0, window.1);
+        assert_eq!(
+            (tally.delivered, tally.ttl_exhausted),
+            (sends(&sources[0]), sends(&sources[1]))
+        );
+        // One walk per source and epoch; source 0's are trail answers
+        // but for the first.
+        assert_eq!(stats.walks, 2 * 6);
+        assert_eq!((stats.trail_hits, stats.hops), (5, 1 + 6));
+    }
+
+    #[test]
+    fn fleet_skips_a_source_with_no_sends() {
+        // Source 1's phase lies past the end of the window: it sends
+        // nothing, before and after source 2's five packets.
+        let silent = cbr(1, 10, 7);
+        let sources = [silent, cbr(2, 1, 0), silent];
+        let (tally, stats) =
+            fleet_checked(&chain_fib(), &sources, DEFAULT_TTL, (ms(0), ms(5)), d2());
+        assert_eq!((tally.delivered, stats.packets, stats.walks), (5, 5, 1));
+    }
+
     /// Builds a random FIB history from `(node, dt, hop)` triples using
     /// per-node clocks (each history time-ordered, global interleaving
     /// arbitrary) — the same scheme as the loop-census proptests.
@@ -1494,18 +1769,35 @@ mod tests {
     /// [`random_fib`] with every step of every clock `stretch` times
     /// as long: the same changes, further apart.
     fn stretched_fib(nodes: u32, raw: &[(u32, u32, Option<u32>)], stretch: u64) -> NetworkFib {
+        quiet_fib(nodes, 0, &[], raw, stretch)
+    }
+
+    /// [`stretched_fib`] in which the first `quiet` nodes take their
+    /// entry from `initial` at time zero and keep it: every change goes
+    /// to one of the others. A trail that stays among the quiet nodes
+    /// outlives every boundary up to the first change that reaches it.
+    fn quiet_fib(
+        nodes: u32,
+        quiet: u32,
+        initial: &[u32],
+        raw: &[(u32, u32, Option<u32>)],
+        stretch: u64,
+    ) -> NetworkFib {
+        let entry = |node: u32, hop: Option<u32>| match hop.map(|h| h % nodes) {
+            Some(h) if h != node => Some(FibEntry::Via(n(h))),
+            Some(_) => Some(FibEntry::Local),
+            None => None,
+        };
         let mut fib = NetworkFib::new(nodes as usize);
+        for (node, &hop) in (0..quiet).zip(initial) {
+            fib.record(n(node), p(), SimTime::ZERO, entry(node, Some(hop)));
+        }
         let mut clock = vec![0u64; nodes as usize];
         for &(node, dt, hop) in raw {
-            let node = node % nodes;
+            let node = quiet + node % (nodes - quiet);
             let t = clock[node as usize] + u64::from(dt) * stretch;
             clock[node as usize] = t;
-            let entry = match hop.map(|h| h % nodes) {
-                Some(h) if h != node => Some(FibEntry::Via(n(h))),
-                Some(_) => Some(FibEntry::Local),
-                None => None,
-            };
-            fib.record(n(node), p(), SimTime::from_nanos(t), entry);
+            fib.record(n(node), p(), SimTime::from_nanos(t), entry(node, hop));
         }
         fib
     }
@@ -1561,7 +1853,9 @@ mod tests {
         /// fleet and mixed TTLs per packet, on both table layouts.
         /// Nanosecond intervals, phases and link delays keep walks
         /// straddling epoch boundaries; `stretch` moves the changes
-        /// apart, so that trails outlive some of them.
+        /// apart, so that trails outlive some of them; `quiet` nodes
+        /// never change after time zero, so that a trail among them
+        /// outlives many.
         #[test]
         fn fleet_equals_naive_tally_and_batch_stats(
             raw in proptest::collection::vec(
@@ -1569,6 +1863,8 @@ mod tests {
             fleet in proptest::collection::vec(
                 proptest::option::of((1u64..25, 0u64..25)), 8..9),
             nodes in 2u32..8,
+            quiet in proptest::option::of(1u32..8),
+            initial in proptest::collection::vec(0u32..8, 8..9),
             ttl in 0u32..12,
             ttls in proptest::collection::vec(0u32..12, 1..4),
             delay in 0u64..4,
@@ -1576,7 +1872,8 @@ mod tests {
             start in 0u64..40,
             len in 0u64..200,
         ) {
-            let fib = stretched_fib(nodes, &raw, stretch);
+            let quiet = quiet.map_or(0, |quiet| quiet.min(nodes - 1));
+            let fib = quiet_fib(nodes, quiet, &initial, &raw, stretch);
             let sources: Vec<CbrSource> = (0..nodes)
                 .zip(&fleet)
                 .filter_map(|(node, cbr)| {

@@ -8,11 +8,12 @@
 //! The replay and the loop census share one
 //! [`EpochIndex`](bgpsim_dataplane::EpochIndex) built from
 //! the run's FIB history: the fleet replay walks the index's
-//! `(node, epoch)` table once per `(source, epoch)` and counts the rest
-//! of each source's send schedule arithmetically (see
-//! `bgpsim-dataplane::replay`), and the census consumes the index's
-//! delta stream, so the whole measurement makes a single pass over the
-//! recorded history and never materializes a packet. The naive
+//! `(node, epoch)` table once per FIB change that touches a source's
+//! trajectory and counts the rest of each source's send schedule
+//! arithmetically (see `bgpsim-dataplane::replay`), and the census
+//! consumes the index's delta stream, so the whole measurement makes a
+//! single pass over the recorded history and never materializes a
+//! packet. The naive
 //! per-packet [`walk_all`](bgpsim_dataplane::walk_all) is kept as the
 //! oracle and cross-checked in tests and CI.
 

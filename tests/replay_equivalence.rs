@@ -7,6 +7,7 @@
 //! by the measurement pipeline.
 
 use bgpsim::dataplane::epoch::DENSE_CELL_CAP;
+use bgpsim::experiments::figures::common::config_with_mrai;
 use bgpsim::netsim::rng::SimRng;
 use bgpsim::netsim::time::SimDuration;
 use bgpsim::prelude::*;
@@ -196,7 +197,10 @@ fn batched_matches_naive_on_flap_train() {
 /// materializes a packet) produces the same metrics as recomputing them
 /// with the naive per-packet walk, and the same replay counters as the
 /// per-packet batched entry point — on every topology family × both
-/// failure events, plus one flap train.
+/// failure events, one flap train, and the two regimes the benchmark's
+/// replay workloads are built from: long FIB epochs (Clique-15
+/// `T_down` at MRAI 60 s) and dense trail breaks (Internet-110 `T_long`
+/// at MRAI 5 s).
 #[test]
 fn measure_run_agrees_with_naive_oracle() {
     let mut scenarios = Vec::new();
@@ -213,6 +217,21 @@ fn measure_run_agrees_with_naive_oracle() {
         }
     }
     scenarios.push(flap_train_scenario());
+    let internet = TopologySpec::InternetLike {
+        n: 110,
+        topo_seed: 1,
+    };
+    for (topology, event, mrai) in [
+        (TopologySpec::Clique(15), EventKind::TDown, 60),
+        (internet, EventKind::TLong, 5),
+    ] {
+        let config = config_with_mrai(mrai, Enhancements::standard());
+        scenarios.push(
+            Scenario::new(topology, event)
+                .with_config(config)
+                .with_seed(1),
+        );
+    }
     let prefix = Prefix::new(0);
     let delay = SimDuration::from_millis(2);
     for scenario in &scenarios {
