@@ -6,8 +6,6 @@
 
 use bgpsim_netsim::time::SimDuration;
 
-use crate::damping::DampingConfig;
-
 /// Multiplicative jitter applied to each MRAI interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Jitter {
@@ -134,9 +132,6 @@ pub struct BgpConfig {
     pub mrai_jitter: Jitter,
     /// Active convergence enhancements.
     pub enhancements: Enhancements,
-    /// Route flap damping (RFC 2439), disabled by default — an
-    /// extension beyond the paper's mechanisms.
-    pub damping: Option<DampingConfig>,
 }
 
 impl Default for BgpConfig {
@@ -145,7 +140,6 @@ impl Default for BgpConfig {
             mrai: SimDuration::from_secs(30),
             mrai_jitter: Jitter::SSFNET,
             enhancements: Enhancements::standard(),
-            damping: None,
         }
     }
 }
@@ -174,12 +168,6 @@ impl BgpConfig {
         self
     }
 
-    /// Returns a copy with route flap damping enabled.
-    pub fn with_damping(mut self, damping: DampingConfig) -> Self {
-        self.damping = Some(damping);
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -187,9 +175,6 @@ impl BgpConfig {
     /// Panics if the jitter bounds are invalid.
     pub fn validate(&self) {
         self.mrai_jitter.validate();
-        if let Some(d) = &self.damping {
-            d.validate();
-        }
     }
 }
 

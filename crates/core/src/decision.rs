@@ -98,25 +98,9 @@ pub struct Selection {
 /// assert_eq!(best.path, AsPath::from_ids([5, 4, 0]));
 /// ```
 pub fn select_best<P: RoutePolicy>(rib: &RibIn, myself: NodeId, policy: &P) -> Option<Selection> {
-    select_best_where(rib, myself, policy, |_| true)
-}
-
-/// Like [`select_best`], but additionally excludes candidates from
-/// peers for which `usable` returns `false` — used by route flap
-/// damping to hide suppressed routes from the decision process.
-pub fn select_best_where<P, F>(
-    rib: &RibIn,
-    myself: NodeId,
-    policy: &P,
-    mut usable: F,
-) -> Option<Selection>
-where
-    P: RoutePolicy,
-    F: FnMut(NodeId) -> bool,
-{
     let candidates = rib
         .candidates(myself)
-        .filter(|&(peer, path)| usable(peer) && policy.accepts(peer, path));
+        .filter(|&(peer, path)| policy.accepts(peer, path));
     most_preferred(policy, candidates).map(|(peer, path)| Selection {
         next_hop: peer,
         path: path.prepend(myself),
@@ -125,7 +109,7 @@ where
 
 /// The most preferred of `candidates` under `policy`, by reference; of
 /// equally preferred ones, the first. This is the one scan behind both
-/// [`select_best_where`] and the router's own decision process, which
+/// [`select_best`] and the router's own decision process, which
 /// feeds it straight from its peer slots.
 pub fn most_preferred<'r, P: RoutePolicy>(
     policy: &P,

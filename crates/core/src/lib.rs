@@ -44,7 +44,6 @@
 
 pub mod aspath;
 pub mod config;
-pub mod damping;
 pub mod decision;
 pub mod message;
 pub mod output;
@@ -56,7 +55,7 @@ pub mod router;
 pub use aspath::AsPath;
 pub use config::{BgpConfig, Enhancements, Jitter};
 pub use message::BgpMessage;
-pub use output::{FibEntry, LocRoute, MraiTimerRequest, ReuseTimerRequest, RouterOutput};
+pub use output::{FibEntry, LocRoute, MraiTimerRequest, RouterOutput};
 pub use prefix::Prefix;
 pub use router::{Router, RouterState, RouterStats};
 
@@ -64,12 +63,9 @@ pub use router::{Router, RouterState, RouterStats};
 pub mod prelude {
     pub use crate::aspath::AsPath;
     pub use crate::config::{BgpConfig, Enhancements, Jitter};
-    pub use crate::damping::{DampingConfig, DampingTable, FlapKind};
     pub use crate::decision::{RoutePolicy, ShortestPath};
     pub use crate::message::BgpMessage;
-    pub use crate::output::{
-        FibEntry, LocRoute, MraiTimerRequest, ReuseTimerRequest, RouterOutput,
-    };
+    pub use crate::output::{FibEntry, LocRoute, MraiTimerRequest, RouterOutput};
     pub use crate::policy::GaoRexford;
     pub use crate::prefix::Prefix;
     pub use crate::router::{Router, RouterState, RouterStats};

@@ -46,20 +46,6 @@ pub struct MraiTimerRequest {
     pub at: SimTime,
 }
 
-/// A request to schedule a route-flap-damping reuse check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReuseTimerRequest {
-    /// The peer whose suppressed route may become reusable.
-    pub peer: NodeId,
-    /// The prefix concerned.
-    pub prefix: Prefix,
-    /// When the penalty decays to the reuse threshold. The host must
-    /// call [`Router::on_damping_reuse`] at this instant.
-    ///
-    /// [`Router::on_damping_reuse`]: crate::router::Router::on_damping_reuse
-    pub at: SimTime,
-}
-
 /// The route selected for a prefix, as exposed to observers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocRoute {
@@ -76,8 +62,6 @@ pub struct RouterOutput {
     pub sends: Vec<(NodeId, BgpMessage)>,
     /// MRAI expiries the host must schedule.
     pub timers: Vec<MraiTimerRequest>,
-    /// Damping reuse checks the host must schedule.
-    pub reuse_timers: Vec<ReuseTimerRequest>,
     /// Forwarding-table changes (`None` = route lost).
     pub fib_changes: Vec<(Prefix, Option<FibEntry>)>,
 }
@@ -90,17 +74,13 @@ impl RouterOutput {
 
     /// Returns `true` if the output carries no effects.
     pub fn is_empty(&self) -> bool {
-        self.sends.is_empty()
-            && self.timers.is_empty()
-            && self.reuse_timers.is_empty()
-            && self.fib_changes.is_empty()
+        self.sends.is_empty() && self.timers.is_empty() && self.fib_changes.is_empty()
     }
 
     /// Appends all effects from `other`.
     pub fn merge(&mut self, other: RouterOutput) {
         self.sends.extend(other.sends);
         self.timers.extend(other.timers);
-        self.reuse_timers.extend(other.reuse_timers);
         self.fib_changes.extend(other.fib_changes);
     }
 }

@@ -19,10 +19,9 @@ use bgpsim_topology::NodeId;
 
 use crate::aspath::AsPath;
 use crate::config::BgpConfig;
-use crate::damping::{DampingEntryState, DampingTable, FlapKind};
 use crate::decision::{most_preferred, RoutePolicy, ShortestPath};
 use crate::message::BgpMessage;
-use crate::output::{FibEntry, LocRoute, MraiTimerRequest, ReuseTimerRequest, RouterOutput};
+use crate::output::{FibEntry, LocRoute, MraiTimerRequest, RouterOutput};
 use crate::prefix::Prefix;
 
 /// Everything a router holds about one `(prefix, peer)` pair. A
@@ -107,8 +106,6 @@ pub struct RouterStats {
     pub assertion_removals: u64,
     /// Decision-process runs that changed the selected route.
     pub route_changes: u64,
-    /// Routes suppressed by flap damping (RFC 2439 extension).
-    pub damping_suppressions: u64,
     /// Decision-process runs, whether or not the selection changed.
     pub decisions_run: u64,
 }
@@ -145,9 +142,6 @@ pub struct RouterState {
     pub adj_out: Vec<((NodeId, Prefix), AsPath)>,
     /// Pending MRAI expiry per `(peer, prefix)`.
     pub mrai: Vec<((NodeId, Prefix), SimTime)>,
-    /// Flap-damping state per `(peer, prefix)`; empty when damping is
-    /// disabled in `config`.
-    pub damping: Vec<((NodeId, Prefix), DampingEntryState)>,
     /// Activity counters.
     pub stats: RouterStats,
 }
@@ -194,7 +188,6 @@ pub struct Router<P: RoutePolicy = ShortestPath> {
     policy: P,
     /// Per-prefix state, sorted by prefix.
     tables: Vec<PrefixTable>,
-    damping: Option<DampingTable>,
     stats: RouterStats,
 }
 
@@ -215,7 +208,6 @@ impl<P: RoutePolicy> Router<P> {
             config,
             policy,
             tables: Vec::new(),
-            damping: config.damping.map(DampingTable::new),
             stats: RouterStats::default(),
         }
     }
@@ -340,30 +332,6 @@ impl<P: RoutePolicy> Router<P> {
         let t = self.table_index(prefix);
         let table = &mut self.tables[t];
         table.learned = true;
-        // Route flap damping (extension): penalize flaps before the
-        // table is updated, so the previous state defines the flap.
-        let mut reuse_timer: Option<ReuseTimerRequest> = None;
-        if let Some(damping) = &mut self.damping {
-            let flap = match (msg, &table.slots[slot].rib_in) {
-                (BgpMessage::Withdraw { .. }, Some(_)) => Some(FlapKind::Withdrawal),
-                (BgpMessage::Announce { path, .. }, Some((old, _))) if old != path => {
-                    Some(FlapKind::AttributeChange)
-                }
-                _ => None,
-            };
-            if let Some(kind) = flap {
-                if damping.record_flap(from, prefix, kind, now) {
-                    self.stats.damping_suppressions += 1;
-                    if let Some(at) = damping.reuse_time(from, prefix) {
-                        reuse_timer = Some(ReuseTimerRequest {
-                            peer: from,
-                            prefix,
-                            at: at.max(now),
-                        });
-                    }
-                }
-            }
-        }
         let assertion = self.config.enhancements.assertion;
         let mut purged = 0;
         match msg {
@@ -391,46 +359,9 @@ impl<P: RoutePolicy> Router<P> {
         }
         self.stats.assertion_removals += purged;
         let mut out = RouterOutput::empty();
-        if let Some(req) = reuse_timer {
-            out.reuse_timers.push(req);
-        }
-        // Damping hides entries as a function of time, and a purge
-        // touched other slots: both need the full scan.
-        let only_changed = (self.damping.is_none() && purged == 0).then_some(slot);
+        // A purge changed other slots too, which needs the full scan.
+        let only_changed = (purged == 0).then_some(slot);
         self.run_decision(t, only_changed, now, rng, &mut out);
-        out
-    }
-
-    /// Damping reuse callback for `(peer, prefix)`: if the penalty has
-    /// decayed below the reuse threshold, the suppressed route returns
-    /// to the decision process; if further flaps pushed the reuse time
-    /// out, a new callback is requested.
-    pub fn on_damping_reuse(
-        &mut self,
-        peer: NodeId,
-        prefix: Prefix,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> RouterOutput {
-        let mut out = RouterOutput::empty();
-        let Some(damping) = &mut self.damping else {
-            return out;
-        };
-        if damping.try_reuse(peer, prefix, now) {
-            let t = self.table_index(prefix);
-            self.run_decision(t, None, now, rng, &mut out);
-        } else if let Some(at) = damping.reuse_time(peer, prefix) {
-            // Still suppressed (penalty grew since the timer was set).
-            // Nudge the retry strictly into the future: at the exact
-            // decay boundary, floating-point equality could otherwise
-            // reschedule the check at `now` forever.
-            let min_at = now + bgpsim_netsim::time::SimDuration::from_millis(1);
-            out.reuse_timers.push(ReuseTimerRequest {
-                peer,
-                prefix,
-                at: at.max(min_at),
-            });
-        }
         out
     }
 
@@ -468,9 +399,6 @@ impl<P: RoutePolicy> Router<P> {
             return out;
         };
         self.peers.remove(i);
-        if let Some(damping) = &mut self.damping {
-            damping.clear_peer(peer);
-        }
         for table in &mut self.tables {
             table.slots.remove(i);
         }
@@ -521,33 +449,25 @@ impl<P: RoutePolicy> Router<P> {
 
     /// The decision process over table `t`'s Adj-RIB-In: the most
     /// preferred entry that does not contain this router (poison
-    /// reverse), is not suppressed by damping and passes the import
-    /// filter. This full scan is the general path and the reference the
-    /// [`challenge`](Self::challenge) shortcut is checked against.
-    fn select(&self, t: usize, now: SimTime) -> Option<(NodeId, &AsPath)> {
-        let table = &self.tables[t];
-        let candidates = self.peers.iter().zip(&table.slots);
+    /// reverse) and passes the import filter. This full scan is the
+    /// general path and the reference the [`challenge`](Self::challenge)
+    /// shortcut is checked against.
+    fn select(&self, t: usize) -> Option<(NodeId, &AsPath)> {
+        let candidates = self.peers.iter().zip(&self.tables[t].slots);
         most_preferred(
             &self.policy,
             candidates
                 .filter_map(|(&peer, slot)| Some((peer, slot.candidate()?)))
-                .filter(|&(peer, path)| {
-                    self.policy.accepts(peer, path)
-                        && !self
-                            .damping
-                            .as_ref()
-                            .is_some_and(|d| d.is_suppressed(peer, table.prefix, now))
-                }),
+                .filter(|&(peer, path)| self.policy.accepts(peer, path)),
         )
     }
 
     /// The decision process when only slot `changed`'s Adj-RIB-In entry
-    /// differs from what the held selection was chosen over and no
-    /// entry is hidden by damping: every other entry already lost to
-    /// the held one, so the changed entry alone challenges it. Returns
-    /// whether it takes the selection, or `None` when that is not what
-    /// decides — the changed slot *is* the held selection — and the
-    /// caller must rescan.
+    /// differs from what the held selection was chosen over: every
+    /// other entry already lost to the held one, so the changed entry
+    /// alone challenges it. Returns whether it takes the selection, or
+    /// `None` when that is not what decides — the changed slot *is* the
+    /// held selection — and the caller must rescan.
     fn challenge(&self, t: usize, changed: usize) -> Option<bool> {
         let table = &self.tables[t];
         let entry = |i: usize| {
@@ -614,15 +534,15 @@ impl<P: RoutePolicy> Router<P> {
             let verdict = only_changed.and_then(|slot| Some((slot, self.challenge(t, slot)?)));
             let best = match verdict {
                 Some((_, false)) => {
-                    debug_assert!(is_held(self.select(t, now)), "shortcut kept a loser");
+                    debug_assert!(is_held(self.select(t)), "shortcut kept a loser");
                     return;
                 }
                 Some((slot, true)) => table.slots[slot]
                     .candidate()
                     .map(|path| (self.peers[slot], path)),
-                None => self.select(t, now),
+                None => self.select(t),
             };
-            debug_assert_eq!(best, self.select(t, now), "shortcut != full scan");
+            debug_assert_eq!(best, self.select(t), "shortcut != full scan");
             if is_held(best) {
                 return;
             }
@@ -765,11 +685,6 @@ impl<P: RoutePolicy> Router<P> {
                 .collect(),
             adj_out: self.export_slots(|slot| slot.adj_out.clone()),
             mrai: self.export_slots(|slot| slot.mrai),
-            damping: self
-                .damping
-                .as_ref()
-                .map(|d| d.export_entries())
-                .unwrap_or_default(),
             stats: self.stats,
         }
     }

@@ -3,7 +3,7 @@
 //! The reference keeps the textbook tables — an Adj-RIB-In per prefix,
 //! a Loc-RIB, an Adj-RIB-Out and an MRAI table keyed by
 //! `(peer, prefix)`, all ordered maps — and reruns the public
-//! [`select_best_where`] over the whole Adj-RIB-In on every decision.
+//! [`select_best`] over the whole Adj-RIB-In on every decision.
 //! It shares no table code with the router's peer slots and has no
 //! shortcut, so agreement on every output, counter and snapshot over
 //! random input sequences pins the slot table and the
@@ -11,8 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bgpsim_core::damping::{DampingConfig, DampingTable, FlapKind};
-use bgpsim_core::decision::select_best_where;
+use bgpsim_core::decision::select_best;
 use bgpsim_core::prelude::*;
 use bgpsim_core::rib::RibIn;
 use bgpsim_netsim::rng::SimRng;
@@ -32,7 +31,6 @@ struct Reference {
     loc: BTreeMap<Prefix, LocRoute>,
     adj_out: BTreeMap<Key, AsPath>,
     mrai: BTreeMap<Key, SimTime>,
-    damping: Option<DampingTable>,
     stats: RouterStats,
 }
 
@@ -47,7 +45,6 @@ impl Reference {
             loc: BTreeMap::new(),
             adj_out: BTreeMap::new(),
             mrai: BTreeMap::new(),
-            damping: config.damping.map(DampingTable::new),
             stats: RouterStats::default(),
         }
     }
@@ -83,25 +80,6 @@ impl Reference {
         self.stats.messages_received += 1;
         let prefix = msg.prefix();
         let rib = self.ribs.entry(prefix).or_default();
-        if let Some(damping) = &mut self.damping {
-            let flap = match (msg, rib.get(from)) {
-                (BgpMessage::Withdraw { .. }, Some(_)) => Some(FlapKind::Withdrawal),
-                (BgpMessage::Announce { path, .. }, Some(old)) if old != path => {
-                    Some(FlapKind::AttributeChange)
-                }
-                _ => None,
-            };
-            if flap.is_some_and(|kind| damping.record_flap(from, prefix, kind, now)) {
-                self.stats.damping_suppressions += 1;
-                if let Some(at) = damping.reuse_time(from, prefix) {
-                    out.reuse_timers.push(ReuseTimerRequest {
-                        peer: from,
-                        prefix,
-                        at: at.max(now),
-                    });
-                }
-            }
-        }
         let assertion = self.config.enhancements.assertion;
         let purged = match msg {
             BgpMessage::Announce { path, .. } => {
@@ -121,29 +99,6 @@ impl Reference {
         };
         self.stats.assertion_removals += purged.len() as u64;
         self.decide(prefix, now, rng, &mut out);
-        out
-    }
-
-    fn on_damping_reuse(
-        &mut self,
-        peer: NodeId,
-        prefix: Prefix,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> RouterOutput {
-        let mut out = RouterOutput::empty();
-        let Some(damping) = &mut self.damping else {
-            return out;
-        };
-        if damping.try_reuse(peer, prefix, now) {
-            self.decide(prefix, now, rng, &mut out);
-        } else if let Some(at) = damping.reuse_time(peer, prefix) {
-            out.reuse_timers.push(ReuseTimerRequest {
-                peer,
-                prefix,
-                at: at.max(now + SimDuration::from_millis(1)),
-            });
-        }
         out
     }
 
@@ -171,9 +126,6 @@ impl Reference {
         }
         self.mrai.retain(|&(p, _), _| p != peer);
         self.adj_out.retain(|&(p, _), _| p != peer);
-        if let Some(damping) = &mut self.damping {
-            damping.clear_peer(peer);
-        }
         let learned: Vec<Prefix> = self.ribs.keys().copied().collect();
         for prefix in learned {
             self.ribs.get_mut(&prefix).unwrap().remove(peer);
@@ -212,14 +164,8 @@ impl Reference {
                 path: AsPath::origin_only(self.id),
             })
         } else {
-            let damping = &self.damping;
             self.ribs.get(&prefix).and_then(|rib| {
-                let usable = |peer| {
-                    damping
-                        .as_ref()
-                        .is_none_or(|d| !d.is_suppressed(peer, prefix, now))
-                };
-                let best = select_best_where(rib, self.id, &ShortestPath, usable)?;
+                let best = select_best(rib, self.id, &ShortestPath)?;
                 Some(LocRoute {
                     fib: FibEntry::Via(best.next_hop),
                     path: best.path,
@@ -324,11 +270,6 @@ impl Reference {
             loc: self.loc.iter().map(|(&p, r)| (p, r.clone())).collect(),
             adj_out: self.adj_out.iter().map(|(&k, p)| (k, p.clone())).collect(),
             mrai: self.mrai.iter().map(|(&k, &at)| (k, at)).collect(),
-            damping: self
-                .damping
-                .as_ref()
-                .map(|d| d.export_entries())
-                .unwrap_or_default(),
             stats: self.stats,
         }
     }
@@ -336,14 +277,9 @@ impl Reference {
 
 const SELF: u32 = 0;
 
-/// The six protocol configurations: the paper's five variants, and
-/// standard BGP with flap damping.
+/// The paper's five protocol variants.
 fn config(variant: usize) -> BgpConfig {
-    let variants = Enhancements::paper_variants();
-    match variants.get(variant) {
-        Some(&enh) => BgpConfig::default().with_enhancements(enh),
-        None => BgpConfig::default().with_damping(DampingConfig::default()),
-    }
+    BgpConfig::default().with_enhancements(Enhancements::paper_variants()[variant])
 }
 
 proptest! {
@@ -356,10 +292,10 @@ proptest! {
     /// reverse) and its peers (Assertion, SSLD).
     #[test]
     fn router_agrees_with_the_reference(
-        variant in 0usize..6,
+        variant in 0usize..5,
         seed in any::<u64>(),
         steps in proptest::collection::vec(
-            ((0u8..16, 1u32..7, 0u32..2), proptest::collection::vec(0u32..8, 0..5), 0u64..20),
+            ((0u8..15, 1u32..7, 0u32..2), proptest::collection::vec(0u32..8, 0..5), 0u64..20),
             1..80,
         ),
     ) {
@@ -412,13 +348,9 @@ proptest! {
                     router.originate(prefix, now, &mut rng_a),
                     reference.set_originated(prefix, true, now, &mut rng_b),
                 ),
-                14 => (
+                _ => (
                     router.withdraw_origin(prefix, now, &mut rng_a),
                     reference.set_originated(prefix, false, now, &mut rng_b),
-                ),
-                _ => (
-                    router.on_damping_reuse(peer, prefix, now, &mut rng_a),
-                    reference.on_damping_reuse(peer, prefix, now, &mut rng_b),
                 ),
             };
             prop_assert_eq!(&a, &b, "output of step kind {}", kind);

@@ -1,7 +1,8 @@
-//! Supplementary experiment: MRAI (in)sensitivity per enhancement.
+//! Supplementary experiments: MRAI (in)sensitivity per enhancement,
+//! then the jitter, processing-delay and policy ablations.
 //! Usage: `supplement [quick|paper] [--trace <file.jsonl>]
 //! [--bench <file.json>] [--jobs <n>] [--cache-dir <dir>]`
-//! (scale default: paper).
+//! (scale default: paper). Exits 1 if any claim check fails.
 
 use bgpsim_experiments::binopts::BinOptions;
 use bgpsim_experiments::figures::{render_claims, supplement};
@@ -10,14 +11,21 @@ fn main() {
     let opts = BinOptions::from_cli();
     let scale = opts.scale();
     opts.init_runner();
-    eprintln!("running supplementary MRAI sweep at {scale:?} scale…");
+    eprintln!("running supplementary sweeps at {scale:?} scale…");
     let sup = supplement::run(scale);
     println!("{}", sup.render());
-    println!("{}", render_claims(&sup.claims()));
+    let claims = sup.claims();
+    println!("{}", render_claims(&claims));
     opts.finish();
     match bgpsim_experiments::artifact::maybe_write_csv("supplement.csv", &sup.csv()) {
         Ok(Some(path)) => eprintln!("wrote {}", path.display()),
         Ok(None) => {}
         Err(err) => eprintln!("csv write failed: {err}"),
     }
+    let failures = claims.iter().filter(|c| !c.pass).count();
+    if failures > 0 {
+        eprintln!("{failures} claim check(s) did not pass — see output above");
+        std::process::exit(1);
+    }
+    eprintln!("all claim checks passed");
 }

@@ -13,7 +13,6 @@
 //! [`TopologySpec::Custom`] is not serializable — embedded graphs have
 //! no stable wire form — and encoding one is an error.
 
-use bgpsim_core::damping::DampingConfig;
 use bgpsim_core::{BgpConfig, Enhancements, Jitter};
 use bgpsim_netsim::time::SimDuration;
 use bgpsim_sim::{FaultKind, FaultPlan, FlapProfile, FlapTrain, LinkLoss};
@@ -68,20 +67,6 @@ impl ScenarioSpec {
             EventKind::TLong => "tlong",
             EventKind::Flap => "flap",
         };
-        let damping = match &self.config.damping {
-            None => Value::Null,
-            Some(d) => obj(vec![
-                ("withdrawal_penalty_bits", bits(d.withdrawal_penalty)),
-                (
-                    "attribute_change_penalty_bits",
-                    bits(d.attribute_change_penalty),
-                ),
-                ("suppress_threshold_bits", bits(d.suppress_threshold)),
-                ("reuse_threshold_bits", bits(d.reuse_threshold)),
-                ("half_life_nanos", nanos(d.half_life)),
-                ("max_penalty_bits", bits(d.max_penalty)),
-            ]),
-        };
         let e = self.config.enhancements;
         let config = obj(vec![
             ("mrai_nanos", nanos(self.config.mrai)),
@@ -91,7 +76,8 @@ impl ScenarioSpec {
             ("wrate", Value::Bool(e.wrate)),
             ("assertion", Value::Bool(e.assertion)),
             ("ghost_flushing", Value::Bool(e.ghost_flushing)),
-            ("damping", damping),
+            // Worker wire v1 carries this slot; it is always `null`.
+            ("damping", Value::Null),
         ]);
         let params = obj(vec![
             ("link_delay_nanos", nanos(self.params.link_delay)),
@@ -272,7 +258,10 @@ fn parse_plan(v: &Value) -> Result<FaultPlan, String> {
 }
 
 fn parse_config(v: &Value) -> Result<BgpConfig, String> {
-    let mut config = BgpConfig::default()
+    if field(v, "damping").map_err(|e| e.to_string())? != &Value::Null {
+        return Err("damping must be null (route flap damping is not supported)".to_string());
+    }
+    Ok(BgpConfig::default()
         .with_mrai(SimDuration::from_nanos(req_u64(v, "mrai_nanos")?))
         .with_jitter(Jitter {
             lo: req_bits(v, "jitter_lo_bits")?,
@@ -283,21 +272,7 @@ fn parse_config(v: &Value) -> Result<BgpConfig, String> {
             wrate: req_bool(v, "wrate")?,
             assertion: req_bool(v, "assertion")?,
             ghost_flushing: req_bool(v, "ghost_flushing")?,
-        });
-    match field(v, "damping").map_err(|e| e.to_string())? {
-        Value::Null => {}
-        d => {
-            config = config.with_damping(DampingConfig {
-                withdrawal_penalty: req_bits(d, "withdrawal_penalty_bits")?,
-                attribute_change_penalty: req_bits(d, "attribute_change_penalty_bits")?,
-                suppress_threshold: req_bits(d, "suppress_threshold_bits")?,
-                reuse_threshold: req_bits(d, "reuse_threshold_bits")?,
-                half_life: SimDuration::from_nanos(req_u64(d, "half_life_nanos")?),
-                max_penalty: req_bits(d, "max_penalty_bits")?,
-            });
-        }
-    }
-    Ok(config)
+        }))
 }
 
 fn parse_params(v: &Value) -> Result<bgpsim_sim::SimParams, String> {
@@ -376,7 +351,6 @@ fn req_array<'a>(v: &'a Value, name: &str) -> Result<&'a [Value], String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim_core::damping::DampingConfig;
 
     fn full_spec() -> ScenarioSpec {
         ScenarioSpec::new(
@@ -391,8 +365,7 @@ mod tests {
             BgpConfig::default()
                 .with_mrai(SimDuration::from_secs(15))
                 .with_jitter(Jitter::NONE)
-                .with_enhancements(Enhancements::ssld())
-                .with_damping(DampingConfig::default()),
+                .with_enhancements(Enhancements::ssld()),
         )
         .with_flap(FlapProfile {
             period: SimDuration::from_secs(45),
@@ -445,6 +418,30 @@ mod tests {
         assert_eq!(spec.fingerprint(), back.fingerprint());
         assert!(back.faults.is_none());
     }
+
+    #[test]
+    fn minimal_spec_bytes_are_pinned() {
+        // Worker wire v1 carries these bytes, `"damping":null` included.
+        let spec = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
+        assert_eq!(spec.to_canonical_json().unwrap(), MINIMAL_JSON);
+    }
+
+    #[test]
+    fn non_null_damping_is_rejected() {
+        let json = MINIMAL_JSON.replace(r#""damping":null"#, r#""damping":{}"#);
+        let err = ScenarioSpec::from_canonical_json(&json).unwrap_err();
+        assert!(err.contains("damping"), "{err}");
+    }
+
+    const MINIMAL_JSON: &str = concat!(
+        r#"{"v":1,"topology":"clique:5","event":"tdown","#,
+        r#""config":{"mrai_nanos":30000000000,"jitter_lo_bits":4604930618986332160,"#,
+        r#""jitter_hi_bits":4607182418800017408,"ssld":false,"wrate":false,"#,
+        r#""assertion":false,"ghost_flushing":false,"damping":null},"#,
+        r#""params":{"link_delay_nanos":2000000,"proc_delay_lo_nanos":100000000,"#,
+        r#""proc_delay_hi_nanos":500000000},"seed":1,"faults":null,"#,
+        r#""flap":{"period_nanos":10000000000,"count":3,"jitter_bits":0,"loss_bits":0}}"#,
+    );
 
     #[test]
     fn custom_topology_is_rejected() {

@@ -1,5 +1,6 @@
-//! **Supplementary experiment** (not a paper figure): MRAI
-//! (in)sensitivity of the enhancements.
+//! **Supplementary experiments** (not paper figures): the MRAI
+//! (in)sensitivity of the enhancements, and the three ablations the
+//! reproduction rests on.
 //!
 //! The paper's analysis (§3.2, §5) implies a sharp corollary it never
 //! plots: standard BGP's looping scales with the MRAI timer because
@@ -8,27 +9,49 @@
 //! delayed, and Assertion prevents the loops outright. So under those
 //! two enhancements, looping should be nearly **flat in MRAI** while
 //! standard BGP grows linearly. This module measures exactly that.
+//!
+//! The ablations ([`crate::ablation`]) each remove one modelling
+//! ingredient: MRAI jitter, the paper's heavy processing delay (§5
+//! footnote 5), and policy-free shortest-path routing.
 
+use crate::ablation::{
+    jitter_ablation, policy_ablation, processing_delay_ablation, render_rows, AblationRow,
+};
 use crate::figures::common::mrai_sweep;
 use crate::figures::{ClaimCheck, Scale};
 use crate::scenario::{EventKind, TopologySpec};
 use crate::sweep::{linear_fit, Series};
 use bgpsim_core::Enhancements;
 
-/// The supplementary sweep: looping duration vs MRAI per variant.
+/// The supplementary sweeps: looping duration vs MRAI per variant, and
+/// the ablation rows.
 #[derive(Debug, Clone)]
 pub struct Supplement {
     /// One series per protocol variant over the MRAI sweep.
     pub variants: Vec<Series>,
-    /// The clique size used.
+    /// The clique size of the MRAI sweep and the jitter ablation.
     pub clique_n: usize,
+    /// MRAI jitter on, then off.
+    pub jitter: Vec<AblationRow>,
+    /// The clique size of the processing-delay ablation.
+    pub proc_clique_n: usize,
+    /// BGP and Ghost Flushing under heavy, then light, processing delay.
+    pub processing: Vec<AblationRow>,
+    /// The Internet-like graph size of the policy ablation.
+    pub internet_n: usize,
+    /// Shortest-path, then Gao–Rexford.
+    pub policy: Vec<AblationRow>,
 }
 
-/// Runs the supplementary sweep at the given scale.
+/// Runs the supplementary sweeps at the given scale.
 pub fn run(scale: Scale) -> Supplement {
     let seeds = scale.seeds();
     let mrai = scale.mrai_values();
     let clique_n = scale.fixed_clique();
+    let (proc_clique_n, internet_n) = match scale {
+        Scale::Quick => (10, 29),
+        Scale::Paper => (20, 48),
+    };
     let variants = Enhancements::paper_variants()
         .iter()
         .map(|&enh| {
@@ -43,13 +66,22 @@ pub fn run(scale: Scale) -> Supplement {
             s
         })
         .collect();
-    Supplement { variants, clique_n }
+    Supplement {
+        variants,
+        clique_n,
+        jitter: jitter_ablation(clique_n, &seeds),
+        proc_clique_n,
+        processing: processing_delay_ablation(proc_clique_n, &seeds),
+        internet_n,
+        policy: policy_ablation(internet_n, &seeds),
+    }
 }
 
 impl Supplement {
-    /// Renders the looping-duration table (one column per variant).
+    /// Renders the looping-duration table (one column per variant),
+    /// then one table per ablation.
     pub fn render(&self) -> String {
-        crate::chart::render_table(
+        let mut out = crate::chart::render_table(
             &format!(
                 "Supplement: T_down Clique-{} — looping duration (s) vs MRAI, per variant",
                 self.clique_n
@@ -58,10 +90,34 @@ impl Supplement {
             &self.variants,
             |p| p.looping_secs,
             1,
-        )
+        );
+        for (title, rows) in [
+            (
+                format!("MRAI jitter ablation (clique-{} T_down)", self.clique_n),
+                &self.jitter,
+            ),
+            (
+                format!(
+                    "Processing-delay ablation (clique-{} T_down) — paper §5 footnote 5",
+                    self.proc_clique_n
+                ),
+                &self.processing,
+            ),
+            (
+                format!(
+                    "Routing-policy ablation (internet-{} T_down)",
+                    self.internet_n
+                ),
+                &self.policy,
+            ),
+        ] {
+            out.push('\n');
+            out.push_str(&render_rows(&title, rows));
+        }
+        out
     }
 
-    /// Renders the sweep data as CSV.
+    /// Renders the MRAI sweep data as CSV.
     pub fn csv(&self) -> String {
         crate::artifact::series_csv("supplement-mrai", &self.variants)
     }
@@ -75,32 +131,86 @@ impl Supplement {
         linear_fit(&xs, &ys).map(|f| (f.slope, f.r))
     }
 
-    /// Checks the corollary: BGP's looping grows steeply with MRAI;
-    /// Ghost Flushing's and Assertion's stay nearly flat.
+    /// Checks the corollary — BGP's looping grows steeply with MRAI;
+    /// Ghost Flushing's and Assertion's stay nearly flat — and each
+    /// ablation's finding.
     pub fn claims(&self) -> Vec<ClaimCheck> {
         let mut checks = Vec::new();
-        let Some((bgp_slope, bgp_r)) = self.slope_of("BGP") else {
-            return checks;
-        };
-        checks.push(ClaimCheck {
-            claim: "standard BGP looping duration grows linearly with MRAI \
-                    (Observation 1)"
-                .into(),
-            measured: format!("slope {bgp_slope:.2} s/s, r = {bgp_r:.3}"),
-            pass: bgp_slope > 1.0 && bgp_r > 0.95,
-        });
-        for variant in ["GhostFlush", "Assertion"] {
-            if let Some((slope, _)) = self.slope_of(variant) {
-                checks.push(ClaimCheck {
-                    claim: format!(
-                        "{variant} looping is (nearly) MRAI-invariant — its \
-                         loop resolution does not ride on MRAI-delayed \
-                         announcements"
-                    ),
-                    measured: format!("slope {slope:.3} s/s vs BGP {bgp_slope:.2} s/s"),
-                    pass: slope.abs() < 0.15 * bgp_slope,
-                });
+        if let Some((bgp_slope, bgp_r)) = self.slope_of("BGP") {
+            checks.push(ClaimCheck {
+                claim: "standard BGP looping duration grows linearly with MRAI \
+                        (Observation 1)"
+                    .into(),
+                measured: format!("slope {bgp_slope:.2} s/s, r = {bgp_r:.3}"),
+                pass: bgp_slope > 1.0 && bgp_r > 0.95,
+            });
+            for variant in ["GhostFlush", "Assertion"] {
+                if let Some((slope, _)) = self.slope_of(variant) {
+                    checks.push(ClaimCheck {
+                        claim: format!(
+                            "{variant} looping is (nearly) MRAI-invariant — its \
+                             loop resolution does not ride on MRAI-delayed \
+                             announcements"
+                        ),
+                        measured: format!("slope {slope:.3} s/s vs BGP {bgp_slope:.2} s/s"),
+                        pass: slope.abs() < 0.15 * bgp_slope,
+                    });
+                }
             }
+        }
+        if let [jittered, unjittered] = self.jitter.as_slice() {
+            checks.push(ClaimCheck {
+                claim: "without MRAI jitter the update rounds synchronize and the \
+                        clique converges more slowly"
+                    .into(),
+                measured: format!(
+                    "{:.1} s unjittered vs {:.1} s jittered",
+                    unjittered.convergence_secs, jittered.convergence_secs
+                ),
+                pass: jittered.convergence_secs > 0.0
+                    && unjittered.convergence_secs > jittered.convergence_secs,
+            });
+        }
+        if let [bgp_heavy, gf_heavy, bgp_light, gf_light] = self.processing.as_slice() {
+            checks.push(ClaimCheck {
+                claim: "under the paper's heavy processing delay Ghost Flushing still \
+                        removes most TTL exhaustions"
+                    .into(),
+                measured: format!(
+                    "{:.0} vs BGP {:.0} exhaustions",
+                    gf_heavy.ttl_exhaustions, bgp_heavy.ttl_exhaustions
+                ),
+                pass: gf_heavy.ttl_exhaustions < 0.3 * bgp_heavy.ttl_exhaustions,
+            });
+            checks.push(ClaimCheck {
+                claim: "with light processing delay Ghost Flushing converges in a \
+                        fraction of BGP's time: its clique slowdown is queueing at \
+                        the serial processors (§5 footnote 5)"
+                    .into(),
+                measured: format!(
+                    "{:.1} s vs BGP {:.1} s",
+                    gf_light.convergence_secs, bgp_light.convergence_secs
+                ),
+                pass: gf_light.convergence_secs < 0.3 * bgp_light.convergence_secs,
+            });
+        }
+        if let [shortest, gao] = self.policy.as_slice() {
+            checks.push(ClaimCheck {
+                claim: "Gao–Rexford export filtering collapses T_down path exploration".into(),
+                measured: format!(
+                    "{:.1} s vs shortest-path {:.1} s",
+                    gao.convergence_secs, shortest.convergence_secs
+                ),
+                pass: gao.convergence_secs < 0.3 * shortest.convergence_secs,
+            });
+            checks.push(ClaimCheck {
+                claim: "Gao–Rexford loops no more than shortest-path routing".into(),
+                measured: format!(
+                    "{:.0} vs shortest-path {:.0} exhaustions",
+                    gao.ttl_exhaustions, shortest.ttl_exhaustions
+                ),
+                pass: gao.ttl_exhaustions <= shortest.ttl_exhaustions,
+            });
         }
         checks
     }
@@ -111,12 +221,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_scale_shows_mrai_invariance() {
+    fn quick_scale_every_claim_passes() {
         let sup = run(Scale::Quick);
         assert_eq!(sup.variants.len(), 5);
-        assert!(sup.render().contains("Supplement"));
+        let text = sup.render();
+        assert!(text.contains("Supplement"));
+        assert!(text.contains("Routing-policy ablation"));
         assert!(sup.csv().contains("supplement-mrai-BGP"));
-        for check in sup.claims() {
+        let claims = sup.claims();
+        assert_eq!(
+            claims.len(),
+            8,
+            "three MRAI claims and five ablation claims"
+        );
+        for check in claims {
             assert!(check.pass, "{}", check.render());
         }
     }

@@ -289,21 +289,8 @@ impl ScenarioSpec {
             u8::from(e.assertion),
             u8::from(e.ghost_flushing),
         );
-        match &self.config.damping {
-            None => s.push_str("|damping=none"),
-            Some(d) => {
-                let _ = write!(
-                    s,
-                    "|damping={:x},{:x},{:x},{:x},{},{:x}",
-                    d.withdrawal_penalty.to_bits(),
-                    d.attribute_change_penalty.to_bits(),
-                    d.suppress_threshold.to_bits(),
-                    d.reuse_threshold.to_bits(),
-                    d.half_life.as_nanos(),
-                    d.max_penalty.to_bits(),
-                );
-            }
-        }
+        // Every run-cache v4 key carries this segment.
+        s.push_str("|damping=none");
         let _ = write!(
             s,
             "|link={}|proc={},{}|seed={}",
@@ -633,6 +620,17 @@ mod tests {
         assert_ne!(base.fingerprint(), other_cfg.fingerprint());
         let other_topo = Scenario::new(TopologySpec::Clique(6), EventKind::TDown).with_seed(1);
         assert_ne!(base.fingerprint(), other_topo.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_bytes_are_pinned() {
+        // The run-cache v4 key, as the recovery journal fixture spells
+        // it: a change here orphans every cached result.
+        let spec = Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(3);
+        assert_eq!(
+            spec.fingerprint(),
+            "scenario/v1|topo=clique:5|event=Tdown|mrai=30000000000|jitter=3fe8000000000000,3ff0000000000000|enh=0000|damping=none|link=2000000|proc=100000000,500000000|seed=3"
+        );
     }
 
     #[test]

@@ -37,16 +37,6 @@ pub enum NetEvent {
         /// The prefix the timer gates.
         prefix: Prefix,
     },
-    /// A route-flap-damping reuse check fires at `node` for
-    /// `(peer, prefix)`.
-    DampingReuse {
-        /// The node whose suppressed route may become reusable.
-        node: NodeId,
-        /// The peer whose route was suppressed.
-        peer: NodeId,
-        /// The prefix concerned.
-        prefix: Prefix,
-    },
     /// One scheduled failure half fires. Failures are split into
     /// per-node halves at scheduling time (see
     /// [`FailureEvent::halves`](crate::FailureEvent::halves)) so every
@@ -81,7 +71,6 @@ impl NetEvent {
             NetEvent::MessageArrival { .. } => "message_arrival",
             NetEvent::MessageProcessed { .. } => "message_processed",
             NetEvent::MraiExpiry { .. } => "mrai_expiry",
-            NetEvent::DampingReuse { .. } => "damping_reuse",
             NetEvent::Failure(_) => "failure",
             NetEvent::Fault(_) => "fault",
             NetEvent::PacketHop { .. } => "packet_hop",
@@ -94,9 +83,7 @@ impl NetEvent {
     pub fn node(&self) -> NodeId {
         match self {
             NetEvent::MessageArrival { to, .. } | NetEvent::MessageProcessed { to, .. } => *to,
-            NetEvent::MraiExpiry { node, .. }
-            | NetEvent::DampingReuse { node, .. }
-            | NetEvent::PacketHop { node, .. } => *node,
+            NetEvent::MraiExpiry { node, .. } | NetEvent::PacketHop { node, .. } => *node,
             NetEvent::Failure(half) | NetEvent::Fault(half) => half.node(),
         }
     }

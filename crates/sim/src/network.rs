@@ -444,8 +444,8 @@ impl<P: RoutePolicy> SimNetwork<P> {
     /// [`run_to_quiescence`](Self::run_to_quiescence)), leaving later
     /// events pending. The clock ends exactly at the horizon unless a
     /// pending event forbids it — use this to observe transient state
-    /// (e.g. damping suppression windows) that `run_to_quiescence`
-    /// would fast-forward through.
+    /// (e.g. a forwarding loop still live behind a pending MRAI expiry)
+    /// that `run_to_quiescence` would fast-forward through.
     pub fn run_for(&mut self, duration: SimDuration, budget: u64) -> RunOutcome {
         let horizon = self.engine.now() + duration;
         let outcome = self.run_while(budget, |engine| {
@@ -547,15 +547,6 @@ impl<P: RoutePolicy> SimNetwork<P> {
                     peer: peer.as_u32(),
                 });
                 let out = self.routers[node.index()].on_mrai_expire(
-                    peer,
-                    prefix,
-                    now,
-                    &mut self.rng_lanes[node.index()],
-                );
-                self.apply_output(node, out, now);
-            }
-            NetEvent::DampingReuse { node, peer, prefix } => {
-                let out = self.routers[node.index()].on_damping_reuse(
                     peer,
                     prefix,
                     now,
@@ -714,16 +705,6 @@ impl<P: RoutePolicy> SimNetwork<P> {
         }
         for timer in out.timers {
             self.schedule_mrai(node, timer.peer, timer.prefix, timer.at, now);
-        }
-        for timer in out.reuse_timers {
-            self.schedule_event(
-                timer.at,
-                NetEvent::DampingReuse {
-                    node,
-                    peer: timer.peer,
-                    prefix: timer.prefix,
-                },
-            );
         }
     }
 

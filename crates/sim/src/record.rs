@@ -123,7 +123,6 @@ impl RunRecord {
             total.ghost_flushes += s.ghost_flushes;
             total.assertion_removals += s.assertion_removals;
             total.route_changes += s.route_changes;
-            total.damping_suppressions += s.damping_suppressions;
             total.decisions_run += s.decisions_run;
         }
         total

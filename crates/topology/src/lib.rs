@@ -10,8 +10,7 @@
 //! * [`generators`] — the paper's topology families (Clique, B-Clique,
 //!   Internet-like) plus standard shapes;
 //! * [`algo`] — BFS, connectivity, diameter, degree statistics, and the
-//!   shortest-path next-hop oracle used to check BGP convergence;
-//! * [`io`] — plain-text edge-list import/export.
+//!   shortest-path next-hop oracle used to check BGP convergence.
 //!
 //! ## Example
 //!
@@ -31,7 +30,6 @@
 pub mod algo;
 pub mod generators;
 pub mod graph;
-pub mod io;
 pub mod node;
 pub mod relationships;
 
@@ -120,19 +118,6 @@ mod proptests {
                     "edge {} (bridge={})", e, is_bridge
                 );
             }
-        }
-
-        /// Edge-list round trip preserves the edge set.
-        #[test]
-        fn edge_list_round_trip(n in 1usize..30, p in 0.0f64..1.0, seed in 0u64..20) {
-            let g = generators::random_gnp(n, p, &mut SimRng::new(seed));
-            let text = crate::io::to_edge_list(&g);
-            let back = crate::io::parse_edge_list(&text).unwrap();
-            // Isolated trailing nodes are not representable in an edge
-            // list; compare edge sets.
-            let ga: Vec<_> = g.edges().collect();
-            let gb: Vec<_> = back.edges().collect();
-            prop_assert_eq!(ga, gb);
         }
     }
 }
