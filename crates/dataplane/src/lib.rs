@@ -64,8 +64,8 @@ pub use fib::{FibDeltas, FibHistory, NetworkFib};
 pub use loopscan::{find_loops, loop_census, loop_census_deltas, loop_census_full, LoopRecord};
 pub use packet::{FateTally, Packet, PacketFate, DEFAULT_TTL};
 pub use replay::{
-    generate_packets, replay_fleet, walk_all, walk_all_batched, walk_all_batched_stats,
-    walk_indexed_batch, walk_packet, walk_packet_traced, ReplayStats,
+    generate_packets, replay_fleet, walk_all, walk_indexed_batch, walk_packet, walk_packet_traced,
+    ReplayStats,
 };
 pub use source::{paper_sources, CbrSource};
 
@@ -78,8 +78,8 @@ pub mod prelude {
     };
     pub use crate::packet::{FateTally, Packet, PacketFate, DEFAULT_TTL};
     pub use crate::replay::{
-        generate_packets, replay_fleet, walk_all, walk_all_batched, walk_all_batched_stats,
-        walk_indexed_batch, walk_packet, walk_packet_traced, ReplayStats,
+        generate_packets, replay_fleet, walk_all, walk_indexed_batch, walk_packet,
+        walk_packet_traced, ReplayStats,
     };
     pub use crate::source::{paper_sources, CbrSource};
 }

@@ -15,12 +15,12 @@
 //! source's send times, however many epochs that spans. The packets
 //! in flight at that change are walked from where it finds them, the
 //! next one sent is walked from the source, and so replay costs a walk
-//! per change that concerns a source. [`walk_indexed_batch`] /
-//! [`walk_all_batched`] drive the same engine packet by packet and
-//! return every fate; the fleet path derives the counters they report
-//! rather than enacting them. Fates and tallies are bit-identical to
-//! per-packet [`walk_packet`] (property-tested here and in CI); the
-//! naive walk is retained as the oracle.
+//! per change that concerns a source. [`walk_indexed_batch`] drives
+//! the same engine packet by packet and returns every fate; the fleet
+//! path derives the counters it reports rather than enacting them.
+//! Fates and tallies are bit-identical to per-packet [`walk_packet`]
+//! (property-tested here and in CI); the naive walk is retained as the
+//! oracle.
 
 use std::ops::Range;
 
@@ -112,9 +112,9 @@ pub fn walk_packet_traced(
 /// Walks a batch of packets and returns their fates in order.
 ///
 /// This is the naive per-packet oracle: one independent time-indexed
-/// FIB lookup per hop. Production measurement goes through
-/// [`walk_all_batched`], which must (and is property-tested to)
-/// produce identical fates.
+/// FIB lookup per hop. [`walk_indexed_batch`] must (and is
+/// property-tested to) produce identical fates, and [`replay_fleet`]
+/// their tally.
 pub fn walk_all(fib: &NetworkFib, packets: &[Packet], link_delay: SimDuration) -> Vec<PacketFate> {
     packets
         .iter()
@@ -122,9 +122,9 @@ pub fn walk_all(fib: &NetworkFib, packets: &[Packet], link_delay: SimDuration) -
         .collect()
 }
 
-/// Counters from one replay ([`replay_fleet`], [`walk_indexed_batch`]
-/// or [`walk_all_batched_stats`]). Both entry points run the same
-/// engine, so they report the same values for the same fleet.
+/// Counters from one replay ([`replay_fleet`] or
+/// [`walk_indexed_batch`]). Both entry points run the same engine, so
+/// they report the same values for the same fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Packets replayed.
@@ -707,48 +707,10 @@ pub fn replay_fleet(
     (tally, engine.stats)
 }
 
-/// Batched replay: like [`walk_all`] (identical fates, in order), but
-/// through per-prefix [`EpochIndex`]es with single-epoch memoization.
-///
-/// See [`walk_indexed_batch`] for the mechanics. Packets are grouped
-/// by prefix and each group gets its own index; callers that already
-/// built an index (one per run in `bgpsim-metrics`) should use
-/// [`walk_indexed_batch`] directly.
-pub fn walk_all_batched(
-    fib: &NetworkFib,
-    packets: &[Packet],
-    link_delay: SimDuration,
-) -> Vec<PacketFate> {
-    walk_all_batched_stats(fib, packets, link_delay).0
-}
-
-/// [`walk_all_batched`] plus the batch's [`ReplayStats`].
-pub fn walk_all_batched_stats(
-    fib: &NetworkFib,
-    packets: &[Packet],
-    link_delay: SimDuration,
-) -> (Vec<PacketFate>, ReplayStats) {
-    let mut groups: std::collections::BTreeMap<Prefix, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (i, p) in packets.iter().enumerate() {
-        groups.entry(p.prefix).or_default().push(i);
-    }
-    let mut fates: Vec<Option<PacketFate>> = vec![None; packets.len()];
-    let mut stats = ReplayStats::default();
-    for (prefix, order) in groups {
-        let index = EpochIndex::build(fib, prefix);
-        stats.merge(&walk_group(&index, packets, order, link_delay, &mut fates));
-    }
-    let fates = fates
-        .into_iter()
-        .map(|f| f.expect("every packet is in exactly one prefix group"))
-        .collect();
-    (fates, stats)
-}
-
 /// Replays `packets` (all toward `index.prefix()`) against a prebuilt
 /// [`EpochIndex`], returning fates in packet order plus the batch's
-/// [`ReplayStats`].
+/// [`ReplayStats`]: like [`walk_all`] (identical fates, in order), but
+/// through the epoch index and its per-epoch memo.
 ///
 /// The per-packet face of the engine [`replay_fleet`] drives: packets
 /// are processed source-major in send order (the order
@@ -772,27 +734,12 @@ pub fn walk_indexed_batch(
         packets.iter().all(|p| p.prefix == index.prefix()),
         "every packet must target the indexed prefix"
     );
-    let mut fates: Vec<Option<PacketFate>> = vec![None; packets.len()];
-    let order = (0..packets.len()).collect();
-    let stats = walk_group(index, packets, order, link_delay, &mut fates);
-    let fates = fates
-        .into_iter()
-        .map(|f| f.expect("every packet was walked"))
-        .collect();
-    (fates, stats)
-}
-
-/// Replays one prefix group (`order` = its packet indices) through
-/// `index`, filling `fates` slots and returning the group's stats.
-fn walk_group(
-    index: &EpochIndex,
-    packets: &[Packet],
-    mut order: Vec<usize>,
-    link_delay: SimDuration,
-    fates: &mut [Option<PacketFate>],
-) -> ReplayStats {
     let boundaries = index.boundaries();
+    // Allocated before `order` and its sort buffer: the other order left
+    // the benchmark's long-epoch replay set-up a 10 % larger peak RSS.
+    let mut fates: Vec<Option<PacketFate>> = vec![None; packets.len()];
     // Stable, and a no-op pass on `generate_packets` output.
+    let mut order: Vec<usize> = (0..packets.len()).collect();
     order.sort_by_key(|&i| (packets[i].src, packets[i].sent_at));
     let mut engine = Replayer::new(index, link_delay);
     let mut source = None;
@@ -810,7 +757,11 @@ fn walk_group(
         }
         fates[i] = Some(engine.packet(packet.src, packet.ttl, packet.sent_at, launch));
     }
-    engine.stats
+    let fates = fates
+        .into_iter()
+        .map(|f| f.expect("every packet was walked"))
+        .collect();
+    (fates, engine.stats)
 }
 
 /// Generates the packets sent by `sources` in `[start, end)` toward
@@ -1024,7 +975,7 @@ mod tests {
             pkt(2, SimTime::from_secs(2)),
         ];
         assert_eq!(
-            walk_all_batched(&fib, &packets, d2()),
+            walk_indexed_batch(&fib.epoch_index(p()), &packets, d2()).0,
             walk_all(&fib, &packets, d2())
         );
     }
@@ -1037,7 +988,7 @@ mod tests {
         let packets: Vec<Packet> = (0..50)
             .map(|i| pkt(2, SimTime::from_millis(10 * i)))
             .collect();
-        let (fates, stats) = walk_all_batched_stats(&fib, &packets, d2());
+        let (fates, stats) = walk_indexed_batch(&fib.epoch_index(p()), &packets, d2());
         assert_eq!(fates, walk_all(&fib, &packets, d2()));
         assert_eq!(stats.packets, 50);
         assert_eq!(stats.walks, 1);
@@ -1057,7 +1008,7 @@ mod tests {
             pkt(2, SimTime::from_millis(99)),  // crosses boundary mid-walk
             pkt(2, SimTime::from_millis(200)), // post-boundary epoch
         ];
-        let (fates, stats) = walk_all_batched_stats(&fib, &packets, d2());
+        let (fates, stats) = walk_indexed_batch(&fib.epoch_index(p()), &packets, d2());
         assert_eq!(fates, walk_all(&fib, &packets, d2()));
         assert!(fates[0].is_delivered());
         assert!(matches!(fates[1], PacketFate::NoRoute { .. }));
@@ -1079,7 +1030,7 @@ mod tests {
             pkt(2, SimTime::ZERO),
             pkt(1, SimTime::from_secs(7)),
         ];
-        let fates = walk_all_batched(&fib, &packets, d2());
+        let (fates, _) = walk_indexed_batch(&fib.epoch_index(p()), &packets, d2());
         assert_eq!(fates, walk_all(&fib, &packets, d2()));
         assert!(matches!(fates[0], PacketFate::NoRoute { node, .. } if node == n(1)));
         assert!(fates[1].is_delivered());
@@ -1087,32 +1038,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_groups_multiple_prefixes() {
-        let p1 = Prefix::new(1);
-        let mut fib = chain_fib();
-        // Prefix 1 has the reverse orientation: 0 → 1 → 2 (local at 2).
-        fib.record(n(2), p1, SimTime::ZERO, Some(FibEntry::Local));
-        fib.record(n(1), p1, SimTime::ZERO, Some(FibEntry::Via(n(2))));
-        fib.record(n(0), p1, SimTime::ZERO, Some(FibEntry::Via(n(1))));
-        let packets = vec![
-            pkt(2, SimTime::ZERO),
-            Packet {
-                prefix: p1,
-                ..pkt(0, SimTime::ZERO)
-            },
-        ];
-        assert_eq!(
-            walk_all_batched(&fib, &packets, d2()),
-            walk_all(&fib, &packets, d2())
-        );
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let fib = chain_fib();
-        let (fates, stats) = walk_all_batched_stats(&fib, &[], d2());
+        let index = fib.epoch_index(p());
+        let (fates, stats) = walk_indexed_batch(&index, &[], d2());
         assert!(fates.is_empty());
-        assert_eq!(stats, ReplayStats::default());
+        // Nothing walked; `epochs` counts the index's boundaries.
+        let epochs = index.boundaries().len() as u64;
+        assert_eq!(
+            stats,
+            ReplayStats {
+                epochs,
+                ..ReplayStats::default()
+            }
+        );
     }
 
     #[test]
@@ -1838,7 +1777,7 @@ mod tests {
             let packets = random_packets(nodes, &pkts);
             let delay = SimDuration::from_nanos(2);
             let naive = walk_all(&fib, &packets, delay);
-            let (batched, stats) = walk_all_batched_stats(&fib, &packets, delay);
+            let (batched, stats) = walk_indexed_batch(&fib.epoch_index(p()), &packets, delay);
             prop_assert_eq!(&batched, &naive);
             prop_assert_eq!(stats.packets, packets.len() as u64);
             prop_assert_eq!(stats.walks + stats.memo_hits, stats.packets);

@@ -22,7 +22,7 @@ pub mod supplement;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced sizes and seed counts; preserves every qualitative
-    /// shape. Default for benches and tests.
+    /// shape. What CI and the tests run.
     Quick,
     /// The paper's parameter ranges (clique 5–30, B-Clique 5–15,
     /// Internet 29–110 nodes, MRAI 5–60 s).
@@ -37,15 +37,6 @@ impl Scale {
             "paper" | "full" => Some(Scale::Paper),
             _ => None,
         }
-    }
-
-    /// Reads `BGPSIM_SCALE` from the environment, defaulting to
-    /// `Quick`.
-    pub fn from_env() -> Scale {
-        std::env::var("BGPSIM_SCALE")
-            .ok()
-            .and_then(|v| Scale::parse(&v))
-            .unwrap_or(Scale::Quick)
     }
 
     /// Seeds averaged per cell.

@@ -1078,7 +1078,7 @@ impl Runner {
     }
 
     /// Writes the cumulative statistics and aggregated run counters as
-    /// a JSON benchmark baseline (the `BENCH_trace.json` artifact).
+    /// JSON: what the figure binaries' `--bench <file>` writes.
     ///
     /// # Errors
     ///

@@ -21,7 +21,7 @@
 //!   tooling can validate and filter lines without schema knowledge.
 //! * [`RunCounters`] aggregates one run's hot-path totals (events,
 //!   updates, decisions, loops, queue depth, wall-clock); the runner
-//!   merges them into its JSONL journal and `BENCH_trace.json`.
+//!   merges them into its JSONL journal and the `--bench` JSON file.
 //!
 //! # Global sink
 //!

@@ -89,10 +89,14 @@ OPTIONS:
   --enhancement <E>     none | ssld | wrate | assertion | ghost-flushing
                         (default none)
   --seed <N>            RNG seed                  (default 0)
-  --json                emit metrics as JSON
+  --json                emit metrics as JSON, run through the job runner
   --trace               print the post-failure route-change timeline
+                        (human report only: conflicts with --json)
   --trace-out <FILE>    stream structured JSONL trace events to FILE
                         (default: $BGPSIM_TRACE, else off)
+  --help                show this text
+
+RUNNER OPTIONS (need --json; the human report runs in-process):
   --jobs <N>            runner worker count       (default: $BGPSIM_JOBS,
                         else available parallelism; 1 = serial)
   --cache-dir <DIR>     reuse run results cached in DIR
@@ -100,7 +104,7 @@ OPTIONS:
   --isolate             run each job in a supervised child process
                         (crash tolerance; results byte-identical;
                         default: $BGPSIM_ISOLATE, else off)
-  --help                show this text
+  --no-isolate          run in-process even if $BGPSIM_ISOLATE is set
 
 SUBCOMMANDS:
   bgpsim serve …        long-running experiment service (see serve --help)
@@ -320,13 +324,17 @@ where
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] describing the offending argument.
+/// Returns a [`CliError`] describing the offending argument, or naming
+/// both flags of a combination one output path would silently ignore:
+/// a runner flag without `--json`, or `--trace` with it.
 pub fn parse_args<I, S>(args: I) -> Result<CliOptions, CliError>
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
     let mut opts = CliOptions::default();
+    // The first runner-only flag given, for the error that names it.
+    let mut runner_flag = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         let arg = arg.as_ref();
@@ -372,18 +380,37 @@ where
                     return Err(CliError("--jobs must be at least 1".to_string()));
                 }
                 opts.jobs = Some(n);
+                runner_flag.get_or_insert("--jobs");
             }
             "--cache-dir" => {
                 let v = expect_value(&mut iter, arg)?;
                 opts.cache_dir = Some(v.as_ref().to_string());
+                runner_flag.get_or_insert("--cache-dir");
             }
-            "--isolate" => opts.isolate = Some(true),
-            "--no-isolate" => opts.isolate = Some(false),
+            "--isolate" => {
+                opts.isolate = Some(true);
+                runner_flag.get_or_insert("--isolate");
+            }
+            "--no-isolate" => {
+                opts.isolate = Some(false);
+                runner_flag.get_or_insert("--no-isolate");
+            }
             "--help" | "-h" => return Err(CliError(USAGE.to_string())),
             other => return Err(CliError(format!("unknown option {other:?}"))),
         }
     }
-    Ok(opts)
+    // Only the JSON path goes through the runner; the human report runs
+    // the scenario in-process, because it needs the loop census and the
+    // timeline, which the run cache does not keep.
+    match runner_flag {
+        Some(flag) if !opts.json => Err(CliError(format!(
+            "{flag} needs --json: the human report runs the scenario in-process, without the runner"
+        ))),
+        _ if opts.json && opts.trace => Err(CliError(
+            "--trace conflicts with --json: the timeline is part of the human report".to_string(),
+        )),
+        _ => Ok(opts),
+    }
 }
 
 fn expect_value<I, S>(iter: &mut I, flag: &str) -> Result<S, CliError>
@@ -451,7 +478,6 @@ mod tests {
             "--seed",
             "9",
             "--json",
-            "--trace",
             "--trace-out",
             "/tmp/run.jsonl",
             "--jobs",
@@ -468,13 +494,44 @@ mod tests {
         assert!(opts.enhancements.ghost_flushing);
         assert_eq!(opts.seed, 9);
         assert!(opts.json);
-        assert!(opts.trace);
+        assert!(!opts.trace);
         assert_eq!(opts.trace_out.as_deref(), Some("/tmp/run.jsonl"));
         assert_eq!(opts.jobs, Some(4));
         assert_eq!(opts.cache_dir.as_deref(), Some("/tmp/bgpsim-cache"));
         assert_eq!(opts.isolate, Some(true));
-        let opts = parse_args(["--no-isolate"]).unwrap();
+        let opts = parse_args(["--json", "--no-isolate"]).unwrap();
         assert_eq!(opts.isolate, Some(false));
+        let opts = parse_args(["--trace", "--trace-out", "/tmp/run.jsonl"]).unwrap();
+        assert!(opts.trace && !opts.json);
+    }
+
+    #[test]
+    fn runner_flags_need_json() {
+        let cases: [&[&str]; 4] = [
+            &["--jobs", "2"],
+            &["--cache-dir", "/tmp/c"],
+            &["--isolate"],
+            &["--no-isolate"],
+        ];
+        for args in cases {
+            let err = parse_args(args.iter().copied()).unwrap_err().to_string();
+            assert!(err.starts_with(args[0]), "{err}");
+            assert!(err.contains("needs --json"), "{err}");
+            assert!(parse_args(args.iter().copied().chain(["--json"])).is_ok());
+        }
+        // The first runner flag given is the one named.
+        let err = parse_args(["--seed", "3", "--cache-dir", "c", "--jobs", "2"]).unwrap_err();
+        assert!(err.to_string().starts_with("--cache-dir needs --json"));
+    }
+
+    #[test]
+    fn trace_conflicts_with_json() {
+        for args in [["--json", "--trace"], ["--trace", "--json"]] {
+            let err = parse_args(args).unwrap_err().to_string();
+            assert!(err.contains("--trace conflicts with --json"), "{err}");
+        }
+        // The JSONL trace file is not the timeline: it works on both paths.
+        assert!(parse_args(["--json", "--trace-out", "t.jsonl"]).is_ok());
     }
 
     #[test]

@@ -60,8 +60,11 @@ fn equivalence_case(graph: Graph, dest: NodeId, failure: FailureEvent, seed: u64
     // The epoch-indexed batched replay must agree record-for-record
     // with the naive oracle (and hence with the live data plane), and
     // account for every packet exactly once.
-    let (batched, stats) =
-        walk_all_batched_stats(&record.fib, &packets, SimDuration::from_millis(2));
+    let (batched, stats) = walk_indexed_batch(
+        &record.fib.epoch_index(prefix),
+        &packets,
+        SimDuration::from_millis(2),
+    );
     assert_eq!(batched, replayed, "batched replay must match the oracle");
     assert_eq!(stats.packets, packets.len() as u64);
     assert_eq!(stats.walks + stats.memo_hits, stats.packets);
@@ -184,7 +187,7 @@ fn batched_matches_naive_on_flap_train() {
     assert!(!packets.is_empty());
     let delay = SimDuration::from_millis(2);
     let naive = walk_all(&record.fib, &packets, delay);
-    let (batched, stats) = walk_all_batched_stats(&record.fib, &packets, delay);
+    let (batched, stats) = walk_indexed_batch(&record.fib.epoch_index(prefix), &packets, delay);
     assert_eq!(batched, naive);
     assert!(
         stats.epochs > 4,
