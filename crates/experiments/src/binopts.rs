@@ -7,10 +7,10 @@
 //!      [--jobs <n>] [--cache-dir <dir>]
 //! ```
 //!
-//! The flags are layered *on top of* the `BGPSIM_*` environment
-//! variables through [`RunnerConfig::from_env`], so flags win over env
-//! and env wins over defaults. The scale falls back to `BGPSIM_SCALE`
-//! and then to paper scale, as before.
+//! The runner flags parse into a flags-only [`RunnerConfig`], which
+//! [`BinOptions::init_runner`] merges over [`RunnerConfig::from_env`],
+//! so flags win over env and env wins over defaults. The scale falls
+//! back to `BGPSIM_SCALE` and then to paper scale.
 
 use std::path::PathBuf;
 
@@ -24,16 +24,12 @@ pub struct BinOptions {
     /// Sweep scale (positional `quick|paper`, else `BGPSIM_SCALE`,
     /// else paper).
     pub scale: Option<Scale>,
-    /// `--trace <path>`: stream JSONL trace events of every executed
-    /// run to this file.
-    pub trace: Option<PathBuf>,
     /// `--bench <path>`: write the aggregated counter baseline after
     /// the sweep.
     pub bench: Option<PathBuf>,
-    /// `--jobs <n>`: worker count (overrides `BGPSIM_JOBS`).
-    pub jobs: Option<usize>,
-    /// `--cache-dir <dir>`: run cache (overrides `BGPSIM_CACHE_DIR`).
-    pub cache_dir: Option<PathBuf>,
+    /// The runner flags alone: `--trace <path>` (JSONL trace events of
+    /// every executed run), `--jobs <n>` and `--cache-dir <dir>`.
+    pub runner: RunnerConfig,
 }
 
 /// The usage string appended to parse errors.
@@ -63,9 +59,9 @@ impl BinOptions {
         while let Some(arg) = args.next() {
             let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
             match arg.as_str() {
-                "--trace" => opts.trace = Some(PathBuf::from(value("--trace")?)),
+                "--trace" => opts.runner = opts.runner.trace(value("--trace")?),
                 "--bench" => opts.bench = Some(PathBuf::from(value("--bench")?)),
-                "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
+                "--cache-dir" => opts.runner = opts.runner.cache_dir(value("--cache-dir")?),
                 "--jobs" => {
                     let v = value("--jobs")?;
                     let n: usize = v
@@ -74,7 +70,7 @@ impl BinOptions {
                     if n == 0 {
                         return Err("--jobs needs a positive integer, got 0".into());
                     }
-                    opts.jobs = Some(n);
+                    opts.runner = opts.runner.jobs(n);
                 }
                 other => match Scale::parse(other) {
                     Some(scale) if opts.scale.is_none() => opts.scale = Some(scale),
@@ -116,17 +112,7 @@ impl BinOptions {
     /// it. Exits with status 1 if the configuration cannot be applied
     /// (unwritable cache dir, trace sink already installed, …).
     pub fn init_runner(&self) -> &'static Runner {
-        let mut config = RunnerConfig::from_env();
-        if let Some(jobs) = self.jobs {
-            config = config.jobs(jobs);
-        }
-        if let Some(dir) = &self.cache_dir {
-            config = config.cache_dir(dir);
-        }
-        if let Some(path) = &self.trace {
-            config = config.trace(path);
-        }
-        match init_global(config) {
+        match init_global(RunnerConfig::from_env().merge(self.runner.clone())) {
             Ok(runner) => runner,
             Err(err) => {
                 eprintln!("runner setup failed: {err}");
@@ -183,12 +169,13 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(opts.scale, Some(Scale::Quick));
-        assert_eq!(opts.trace.as_deref(), Some(std::path::Path::new("t.jsonl")));
         assert_eq!(opts.bench.as_deref(), Some(std::path::Path::new("b.json")));
-        assert_eq!(opts.jobs, Some(4));
         assert_eq!(
-            opts.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/c"))
+            opts.runner,
+            RunnerConfig::new()
+                .trace("t.jsonl")
+                .jobs(4)
+                .cache_dir("/tmp/c")
         );
     }
 

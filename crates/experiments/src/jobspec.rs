@@ -19,7 +19,7 @@ use bgpsim_sim::FlapProfile;
 use serde::value::{field, Error, Value};
 use serde::Deserialize;
 
-use crate::scenario::{EventKind, ScenarioSpec, TopologySpec};
+use crate::scenario::{enhancement_named, EventKind, ScenarioSpec, TopologySpec};
 
 /// Ceiling on seeds per submission — one submission cannot occupy the
 /// whole service. Fan wider submissions out over several jobs.
@@ -171,11 +171,12 @@ impl Deserialize for JobSpec {
             }
         }
         let mut spec = JobSpec {
-            topology: parse_topology(
+            topology: TopologySpec::parse(
                 field(v, "topology")?
                     .as_str()
                     .ok_or_else(|| Error::new("topology must be a string"))?,
-            )?,
+            )
+            .map_err(Error::new)?,
             ..JobSpec::default()
         };
         if let Some(ver) = optional(v, "v") {
@@ -199,14 +200,10 @@ impl Deserialize for JobSpec {
             spec.jitter = bool::from_value(j).map_err(|_| Error::new("jitter must be a bool"))?;
         }
         if let Some(enh) = optional(v, "enhancement") {
-            spec.enhancements = match enh.as_str() {
-                Some("none") => Enhancements::standard(),
-                Some("ssld") => Enhancements::ssld(),
-                Some("wrate") => Enhancements::wrate(),
-                Some("assertion") => Enhancements::assertion(),
-                Some("ghost-flushing") | Some("ghost") => Enhancements::ghost_flushing(),
-                _ => return Err(Error::new(format!("unknown enhancement {enh:?}"))),
-            };
+            spec.enhancements = enh
+                .as_str()
+                .and_then(enhancement_named)
+                .ok_or_else(|| Error::new(format!("unknown enhancement {enh:?}")))?;
         }
         if let Some(seeds) = optional(v, "seeds") {
             spec.seeds = Vec::<u64>::from_value(seeds)
@@ -253,26 +250,6 @@ fn optional<'a>(v: &'a Value, name: &str) -> Option<&'a Value> {
     match field(v, name) {
         Ok(Value::Null) | Err(_) => None,
         Ok(found) => Some(found),
-    }
-}
-
-/// Parses the CLI's topology grammar:
-/// `clique:<n> | bclique:<n> | internet:<n>[:<topo-seed>]`.
-fn parse_topology(spec: &str) -> Result<TopologySpec, Error> {
-    let bad = || Error::new(format!("bad topology spec {spec:?}"));
-    let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        ["clique", n] => Ok(TopologySpec::Clique(n.parse().map_err(|_| bad())?)),
-        ["bclique", n] => Ok(TopologySpec::BClique(n.parse().map_err(|_| bad())?)),
-        ["internet", n] => Ok(TopologySpec::InternetLike {
-            n: n.parse().map_err(|_| bad())?,
-            topo_seed: 0,
-        }),
-        ["internet", n, ts] => Ok(TopologySpec::InternetLike {
-            n: n.parse().map_err(|_| bad())?,
-            topo_seed: ts.parse().map_err(|_| bad())?,
-        }),
-        _ => Err(bad()),
     }
 }
 

@@ -13,7 +13,7 @@
 //! [`ScenarioSpec::to_canonical_json`] is the portable on-wire form a
 //! supervised worker child receives.
 
-use bgpsim_core::{BgpConfig, Prefix};
+use bgpsim_core::{BgpConfig, Enhancements, Prefix};
 use bgpsim_dataplane::loopscan::{emit_census, loop_census};
 use bgpsim_metrics::{measure_run, RunMeasurement};
 use bgpsim_netsim::rng::SimRng;
@@ -51,6 +51,40 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
+    /// Parses the topology grammar of the `bgpsim` CLI and the daemon's
+    /// [`JobSpec`](crate::jobspec::JobSpec):
+    /// `clique:<n> | bclique:<n> | internet:<n>[:<topo-seed>]`. Sizes
+    /// the generators panic on are errors: a clique needs 1 node, a
+    /// B-Clique `n >= 2`, an Internet-like graph 5 nodes.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the spec.
+    pub fn parse(spec: &str) -> Result<TopologySpec, String> {
+        let bad = || format!("bad topology spec {spec:?}");
+        let (family, n, topo_seed) = match spec.split(':').collect::<Vec<_>>().as_slice() {
+            [family, n] => (*family, *n, "0"),
+            ["internet", n, topo_seed] => ("internet", *n, *topo_seed),
+            _ => return Err(bad()),
+        };
+        let n: usize = n.parse().map_err(|_| bad())?;
+        let (topology, min) = match family {
+            "clique" => (TopologySpec::Clique(n), 1),
+            "bclique" => (TopologySpec::BClique(n), 2),
+            "internet" => {
+                let topo_seed = topo_seed.parse().map_err(|_| bad())?;
+                (TopologySpec::InternetLike { n, topo_seed }, 5)
+            }
+            _ => return Err(bad()),
+        };
+        if n < min {
+            return Err(format!(
+                "topology spec {spec:?} is too small: {family} needs at least {min}"
+            ));
+        }
+        Ok(topology)
+    }
+
     /// A short label for reports.
     pub fn label(&self) -> String {
         match self {
@@ -78,6 +112,20 @@ impl TopologySpec {
             }
             TopologySpec::Custom { graph, destination } => (graph.clone(), *destination),
         }
+    }
+}
+
+/// The enhancement set a name selects, as the `bgpsim` CLI
+/// (`--enhancement`) and the daemon's JobSpec (`"enhancement"`) spell
+/// it: `none | ssld | wrate | assertion | ghost-flushing` (or `ghost`).
+pub fn enhancement_named(name: &str) -> Option<Enhancements> {
+    match name {
+        "none" => Some(Enhancements::standard()),
+        "ssld" => Some(Enhancements::ssld()),
+        "wrate" => Some(Enhancements::wrate()),
+        "assertion" => Some(Enhancements::assertion()),
+        "ghost-flushing" | "ghost" => Some(Enhancements::ghost_flushing()),
+        _ => None,
     }
 }
 

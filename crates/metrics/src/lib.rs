@@ -31,7 +31,6 @@
 
 pub mod churn;
 pub mod delivery;
-pub mod exploration;
 pub mod export;
 pub mod loop_stats;
 pub mod pipeline;
@@ -40,7 +39,6 @@ pub mod timeline;
 
 pub use churn::ChurnSummary;
 pub use delivery::{delivery_timeseries, render_timeseries, DeliveryBucket};
-pub use exploration::{exploration_stats, ExplorationStats};
 pub use export::{to_csv, to_json, MetricsRow};
 pub use loop_stats::{summarize, LoopCensusSummary};
 pub use pipeline::{measure_run, RunMeasurement};
@@ -51,7 +49,6 @@ pub use timeline::{build_timeline, render_timeline, TimelineEvent};
 pub mod prelude {
     pub use crate::churn::ChurnSummary;
     pub use crate::delivery::{delivery_timeseries, render_timeseries, DeliveryBucket};
-    pub use crate::exploration::{exploration_stats, ExplorationStats};
     pub use crate::export::{to_csv, to_json, MetricsRow};
     pub use crate::loop_stats::{summarize, LoopCensusSummary};
     pub use crate::pipeline::{measure_run, RunMeasurement};

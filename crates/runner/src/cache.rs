@@ -130,17 +130,9 @@ struct CacheInner {
     quarantine_cap: u64,
 }
 
-/// Default quarantine size cap: 16 MiB of parked corrupt entries.
-/// Override with `BGPSIM_QUARANTINE_CAP` (bytes) or
-/// [`RunCache::with_quarantine_cap`].
+/// Default quarantine size cap: 16 MiB of parked corrupt entries
+/// (see [`RunCache::with_quarantine_cap`]).
 pub const DEFAULT_QUARANTINE_CAP: u64 = 16 * 1024 * 1024;
-
-fn quarantine_cap_from_env() -> u64 {
-    std::env::var("BGPSIM_QUARANTINE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_QUARANTINE_CAP)
-}
 
 impl RunCache {
     /// Opens (creating if needed) a cache directory at the current
@@ -170,13 +162,13 @@ impl RunCache {
             inner: std::sync::Arc::new(CacheInner {
                 dir,
                 schema,
-                quarantine_cap: quarantine_cap_from_env(),
+                quarantine_cap: DEFAULT_QUARANTINE_CAP,
             }),
         })
     }
 
     /// Returns the cache with an explicit quarantine size cap (bytes);
-    /// `0` disables the cap. Overrides `BGPSIM_QUARANTINE_CAP`.
+    /// `0` disables the cap.
     #[must_use]
     pub fn with_quarantine_cap(self, cap: u64) -> Self {
         RunCache {

@@ -1,36 +1,53 @@
-//! Typed configuration for the execution subsystem.
+//! The runner's policy, read in one place.
 //!
-//! [`RunnerConfig`] is the primary public way to configure a
-//! [`Runner`]: explicit builder methods for worker count, cache
-//! directory, journal, trace output and progress mode, with
-//! [`RunnerConfig::from_env`] layering in the `BGPSIM_*` environment
-//! variables that earlier releases read implicitly. Builder calls made
-//! *after* `from_env()` override what the environment said, which gives
-//! CLI flags the expected precedence:
+//! [`RunnerConfig::from_env`] is the only reader of the runner's
+//! `BGPSIM_*` variables, [`RunnerConfig::merge`] the only place flags
+//! are layered over them (flags win field by field), and
+//! [`RunnerConfig::build`] the path every binary takes to a [`Runner`]:
 //!
 //! ```no_run
 //! use bgpsim_runner::RunnerConfig;
 //!
-//! // env < flags: start from the environment, then apply CLI flags.
-//! let runner = RunnerConfig::from_env()
-//!     .jobs(4)
-//!     .cache_dir("/tmp/bgpsim-cache")
-//!     .build()
-//!     .expect("runner setup");
+//! // What `--jobs 4 --cache-dir /tmp/bgpsim-cache` parses to.
+//! let flags = RunnerConfig::new().jobs(4).cache_dir("/tmp/bgpsim-cache");
+//! let runner = RunnerConfig::from_env().merge(flags).build().expect("runner setup");
 //! ```
+//!
+//! Policy never changes a byte of output: it decides how runs execute,
+//! not what they compute.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
 
+use crate::cache::RunCache;
 use crate::error::Error;
-use crate::executor::{ProgressMode, Runner, GLOBAL};
+use crate::executor::{ProgressMode, Runner};
+
+/// Every variable [`RunnerConfig::from_env`] reads, in the order it
+/// reads them; the supervisor removes them all from an isolated
+/// worker's environment.
+pub(crate) const ENV_VARS: [&str; 10] = [
+    "BGPSIM_JOBS",
+    "BGPSIM_CACHE_DIR",
+    "BGPSIM_JOURNAL",
+    "BGPSIM_TRACE",
+    "BGPSIM_PROGRESS",
+    "BGPSIM_MAX_EVENTS",
+    "BGPSIM_MAX_WALL_MS",
+    "BGPSIM_ISOLATE",
+    "BGPSIM_WORKER_RETRIES",
+    "BGPSIM_WORKER_MAX_RSS_KB",
+];
 
 /// Declarative configuration for a [`Runner`].
 ///
 /// Every field is optional; [`RunnerConfig::build`] applies defaults
 /// (available parallelism, no cache, no journal, no trace, `Auto`
-/// progress). Construct with [`RunnerConfig::new`] for a blank config
-/// or [`RunnerConfig::from_env`] to start from the environment.
+/// progress, in-process execution, [`IsolationConfig`]'s supervision
+/// policy).
+///
+/// [`IsolationConfig`]: crate::IsolationConfig
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunnerConfig {
     jobs: Option<usize>,
@@ -41,6 +58,8 @@ pub struct RunnerConfig {
     max_events: Option<u64>,
     max_wall: Option<Duration>,
     isolate: Option<bool>,
+    worker_retries: Option<u32>,
+    worker_max_rss_kb: Option<u64>,
 }
 
 impl RunnerConfig {
@@ -63,9 +82,13 @@ impl RunnerConfig {
     ///   milliseconds (ignored unless a positive integer);
     /// * `BGPSIM_ISOLATE` — `1` runs each payload-carrying job in a
     ///   supervised child process (`0` disables; anything else is
-    ///   ignored).
+    ///   ignored);
+    /// * `BGPSIM_WORKER_RETRIES` — crash retries of an isolated job
+    ///   before it is poisoned (ignored unless a non-negative integer);
+    /// * `BGPSIM_WORKER_MAX_RSS_KB` — kill an isolated worker whose
+    ///   resident set exceeds this many KiB (`0` = no cap).
     ///
-    /// Settings applied with builder methods afterwards take precedence
+    /// Flags layered on with [`merge`](Self::merge) take precedence
     /// over the environment.
     pub fn from_env() -> Self {
         RunnerConfig::from_env_with(|name| std::env::var(name).ok())
@@ -75,31 +98,55 @@ impl RunnerConfig {
     /// for deterministic testing without mutating the process
     /// environment.
     pub fn from_env_with(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let [jobs, cache, journal, trace, progress, events, wall_ms, isolate, retries, rss_kb] =
+            ENV_VARS.map(lookup);
+        let positive = |v: Option<String>| v?.parse::<u64>().ok().filter(|&n| n > 0);
         RunnerConfig {
-            jobs: lookup("BGPSIM_JOBS")
+            jobs: jobs
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n > 0),
-            cache_dir: lookup("BGPSIM_CACHE_DIR").map(PathBuf::from),
-            journal: lookup("BGPSIM_JOURNAL").map(PathBuf::from),
-            trace: lookup("BGPSIM_TRACE").map(PathBuf::from),
-            progress: lookup("BGPSIM_PROGRESS").and_then(|v| match v.as_str() {
+            cache_dir: cache.map(PathBuf::from),
+            journal: journal.map(PathBuf::from),
+            trace: trace.map(PathBuf::from),
+            progress: progress.and_then(|v| match v.as_str() {
                 "auto" => Some(ProgressMode::Auto),
                 "always" => Some(ProgressMode::Always),
                 "never" => Some(ProgressMode::Never),
                 _ => None,
             }),
-            max_events: lookup("BGPSIM_MAX_EVENTS")
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&n| n > 0),
-            max_wall: lookup("BGPSIM_MAX_WALL_MS")
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .map(Duration::from_millis),
-            isolate: lookup("BGPSIM_ISOLATE").and_then(|v| match v.trim() {
+            max_events: positive(events),
+            max_wall: positive(wall_ms).map(Duration::from_millis),
+            isolate: isolate.and_then(|v| match v.trim() {
                 "1" => Some(true),
                 "0" => Some(false),
                 _ => None,
             }),
+            worker_retries: retries
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .map(|n| u32::try_from(n).unwrap_or(u32::MAX)),
+            worker_max_rss_kb: rss_kb
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .filter(|&n| n > 0),
+        }
+    }
+
+    /// Layers `flags` over this config: every setting `flags` carries
+    /// wins, every other keeps this config's value. A binary calls
+    /// `RunnerConfig::from_env().merge(flags)`, so a flag beats its
+    /// variable and a variable beats the default.
+    #[must_use]
+    pub fn merge(self, flags: RunnerConfig) -> Self {
+        RunnerConfig {
+            jobs: flags.jobs.or(self.jobs),
+            cache_dir: flags.cache_dir.or(self.cache_dir),
+            journal: flags.journal.or(self.journal),
+            trace: flags.trace.or(self.trace),
+            progress: flags.progress.or(self.progress),
+            max_events: flags.max_events.or(self.max_events),
+            max_wall: flags.max_wall.or(self.max_wall),
+            isolate: flags.isolate.or(self.isolate),
+            worker_retries: flags.worker_retries.or(self.worker_retries),
+            worker_max_rss_kb: flags.worker_max_rss_kb.or(self.worker_max_rss_kb),
         }
     }
 
@@ -171,16 +218,6 @@ impl RunnerConfig {
         self
     }
 
-    /// The configured worker count, if set.
-    pub fn jobs_set(&self) -> Option<usize> {
-        self.jobs
-    }
-
-    /// The configured isolation switch, if set.
-    pub fn isolate_set(&self) -> Option<bool> {
-        self.isolate
-    }
-
     /// The configured cache directory, if set.
     pub fn cache_dir_set(&self) -> Option<&Path> {
         self.cache_dir.as_deref()
@@ -196,16 +233,6 @@ impl RunnerConfig {
         self.trace.as_deref()
     }
 
-    /// The configured per-job event budget, if set.
-    pub fn max_events_set(&self) -> Option<u64> {
-        self.max_events
-    }
-
-    /// The configured per-job wall-clock budget, if set.
-    pub fn max_wall_set(&self) -> Option<Duration> {
-        self.max_wall
-    }
-
     /// Builds the runner, failing fast on any unusable setting.
     ///
     /// Side effect: when a trace path is configured, the process-wide
@@ -218,20 +245,17 @@ impl RunnerConfig {
     /// * [`Error::Trace`] — the trace file cannot be created, or a
     ///   process-wide sink is already installed.
     pub fn build(self) -> Result<Runner, Error> {
-        let workers = self.jobs.unwrap_or_else(default_workers);
-        let mut runner =
-            Runner::new(workers).with_progress(self.progress.unwrap_or(ProgressMode::Auto));
-        if let Some(n) = self.max_events {
-            runner = runner.with_max_events(n);
+        let mut runner = Runner::new(self.jobs.unwrap_or_else(default_workers));
+        runner.progress = self.progress.unwrap_or(ProgressMode::Auto);
+        runner.max_events = self.max_events;
+        runner.max_wall = self.max_wall;
+        runner.isolate = self.isolate.unwrap_or(false);
+        if let Some(retries) = self.worker_retries {
+            runner.isolation.retries = retries;
         }
-        if let Some(d) = self.max_wall {
-            runner = runner.with_max_wall(d);
-        }
-        if let Some(isolate) = self.isolate {
-            runner = runner.with_isolation(isolate);
-        }
+        runner.isolation.max_rss_kb = self.worker_max_rss_kb;
         if let Some(dir) = self.cache_dir {
-            runner = runner.with_cache_dir(dir)?;
+            runner.cache = Some(RunCache::new(dir)?);
         }
         if let Some(path) = self.journal {
             runner = runner.try_with_journal_path(&path)?;
@@ -241,60 +265,34 @@ impl RunnerConfig {
         }
         Ok(runner)
     }
-
-    /// Builds the runner the way the legacy env-only path did: any
-    /// unusable cache/journal/trace setting is reported to stderr and
-    /// dropped instead of failing the build.
-    pub fn build_lenient(self) -> Runner {
-        let workers = self.jobs.unwrap_or_else(default_workers);
-        let budgeted = |mut runner: Runner| {
-            if let Some(n) = self.max_events {
-                runner = runner.with_max_events(n);
-            }
-            if let Some(d) = self.max_wall {
-                runner = runner.with_max_wall(d);
-            }
-            if let Some(isolate) = self.isolate {
-                runner = runner.with_isolation(isolate);
-            }
-            runner
-        };
-        let mut runner = budgeted(
-            Runner::new(workers).with_progress(self.progress.unwrap_or(ProgressMode::Auto)),
-        );
-        if let Some(dir) = self.cache_dir {
-            match runner.with_cache_dir(dir) {
-                Ok(r) => runner = r,
-                Err(e) => {
-                    eprintln!("bgpsim-runner: {e} (running uncached)");
-                    runner = budgeted(
-                        Runner::new(workers)
-                            .with_progress(self.progress.unwrap_or(ProgressMode::Auto)),
-                    );
-                }
-            }
-        }
-        if let Some(path) = self.journal {
-            runner = runner.with_journal_path(&path);
-        }
-        if let Some(path) = self.trace {
-            if let Err(e) = bgpsim_trace::install_jsonl(&path) {
-                eprintln!(
-                    "bgpsim-runner: cannot set up trace sink {}: {e} (tracing disabled)",
-                    path.display()
-                );
-            }
-        }
-        runner
-    }
 }
 
 fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+static GLOBAL: OnceLock<Runner> = OnceLock::new();
+
+/// The process-wide runner. If [`init_global`] was not called first,
+/// it is built from the environment on first use
+/// (`RunnerConfig::from_env().build()`). All experiment sweeps submit
+/// their jobs here unless given an explicit runner.
+///
+/// # Panics
+///
+/// On first use without [`init_global`], if the environment names an
+/// unusable cache directory, journal or trace file: the panic carries
+/// the typed [`Error`].
+pub fn global() -> &'static Runner {
+    GLOBAL.get_or_init(|| {
+        RunnerConfig::from_env()
+            .build()
+            .unwrap_or_else(|err| panic!("runner setup from the environment failed: {err}"))
+    })
+}
+
 /// Builds the runner from `config` and installs it as the process-wide
-/// runner returned by [`global`](crate::global).
+/// runner returned by [`global`].
 ///
 /// Call this *before* anything touches `global()` — typically first
 /// thing in `main` after parsing flags.
@@ -318,114 +316,114 @@ pub fn init_global(config: RunnerConfig) -> Result<&'static Runner, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
-    fn env_of(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
-        pairs
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
-    fn from_map(map: &BTreeMap<String, String>) -> RunnerConfig {
-        RunnerConfig::from_env_with(|name| map.get(name).cloned())
+    fn from_pairs(pairs: &[(&str, &str)]) -> RunnerConfig {
+        RunnerConfig::from_env_with(|name| {
+            let value = pairs.iter().find(|(k, _)| *k == name)?.1;
+            Some(value.to_string())
+        })
     }
 
     #[test]
     fn empty_env_reads_as_blank_config() {
-        let cfg = from_map(&BTreeMap::new());
-        assert_eq!(cfg, RunnerConfig::new());
-        assert_eq!(cfg.jobs_set(), None);
-        assert_eq!(cfg.cache_dir_set(), None);
+        assert_eq!(from_pairs(&[]), RunnerConfig::new());
     }
 
     #[test]
     fn env_vars_populate_every_field() {
-        let map = env_of(&[
+        let cfg = from_pairs(&[
             ("BGPSIM_JOBS", "6"),
             ("BGPSIM_CACHE_DIR", "/tmp/c"),
             ("BGPSIM_JOURNAL", "/tmp/j.jsonl"),
             ("BGPSIM_TRACE", "/tmp/t.jsonl"),
             ("BGPSIM_PROGRESS", "never"),
+            ("BGPSIM_MAX_EVENTS", "5000"),
+            ("BGPSIM_MAX_WALL_MS", "250"),
+            ("BGPSIM_ISOLATE", "1"),
+            ("BGPSIM_WORKER_RETRIES", " 1 "),
+            ("BGPSIM_WORKER_MAX_RSS_KB", "65536"),
         ]);
-        let cfg = from_map(&map);
-        assert_eq!(cfg.jobs_set(), Some(6));
-        assert_eq!(cfg.cache_dir_set(), Some(Path::new("/tmp/c")));
-        assert_eq!(cfg.journal_set(), Some(Path::new("/tmp/j.jsonl")));
-        assert_eq!(cfg.trace_set(), Some(Path::new("/tmp/t.jsonl")));
+        let expected = RunnerConfig::new()
+            .jobs(6)
+            .cache_dir("/tmp/c")
+            .journal("/tmp/j.jsonl")
+            .trace("/tmp/t.jsonl")
+            .progress(ProgressMode::Never)
+            .max_events(5000)
+            .max_wall(Duration::from_millis(250))
+            .isolate(true);
+        let expected = RunnerConfig {
+            worker_retries: Some(1),
+            worker_max_rss_kb: Some(65536),
+            ..expected
+        };
+        assert_eq!(cfg, expected);
+        // The supervisor policy reaches the runner.
+        let runner = from_pairs(&[
+            ("BGPSIM_WORKER_RETRIES", "1"),
+            ("BGPSIM_WORKER_MAX_RSS_KB", "64"),
+        ])
+        .build()
+        .unwrap();
+        assert_eq!(runner.isolation.retries, 1);
+        assert_eq!(runner.isolation.max_rss_kb, Some(64));
     }
 
     #[test]
     fn invalid_env_values_are_ignored() {
-        let map = env_of(&[("BGPSIM_JOBS", "zero"), ("BGPSIM_PROGRESS", "loud")]);
-        let cfg = from_map(&map);
-        assert_eq!(cfg.jobs_set(), None);
-        assert_eq!(cfg, RunnerConfig::new());
-        // "0" workers is also rejected (would deadlock the pool).
-        let cfg = from_map(&env_of(&[("BGPSIM_JOBS", "0")]));
-        assert_eq!(cfg.jobs_set(), None);
+        // Zero and non-numeric values mean "no setting", not "0": zero
+        // workers would deadlock the pool and a 0-event budget would
+        // fail every job before it starts.
+        for value in ["0", "zero", "-1", "1e3", ""] {
+            let cfg = from_pairs(&[
+                ("BGPSIM_JOBS", value),
+                ("BGPSIM_PROGRESS", value),
+                ("BGPSIM_MAX_EVENTS", value),
+                ("BGPSIM_MAX_WALL_MS", value),
+                ("BGPSIM_ISOLATE", if value == "0" { "yes" } else { value }),
+                (
+                    "BGPSIM_WORKER_RETRIES",
+                    if value == "0" { "two" } else { value },
+                ),
+                ("BGPSIM_WORKER_MAX_RSS_KB", value),
+            ]);
+            assert_eq!(cfg, RunnerConfig::new(), "{value:?}");
+        }
+        assert_eq!(from_pairs(&[("BGPSIM_ISOLATE", "0")]).isolate, Some(false));
+        assert_eq!(
+            from_pairs(&[("BGPSIM_WORKER_RETRIES", "0")]).worker_retries,
+            Some(0)
+        );
     }
 
     #[test]
     fn builder_overrides_environment() {
-        let map = env_of(&[("BGPSIM_JOBS", "2"), ("BGPSIM_CACHE_DIR", "/tmp/env-cache")]);
-        let cfg = from_map(&map).jobs(8).cache_dir("/tmp/flag-cache");
-        assert_eq!(cfg.jobs_set(), Some(8), "flag beats env");
-        assert_eq!(cfg.cache_dir_set(), Some(Path::new("/tmp/flag-cache")));
-        // Untouched fields keep the env layer.
-        let cfg = from_map(&map).jobs(8);
-        assert_eq!(cfg.cache_dir_set(), Some(Path::new("/tmp/env-cache")));
-    }
-
-    #[test]
-    fn watchdog_env_vars_parse_and_reject_garbage() {
-        let map = env_of(&[("BGPSIM_MAX_EVENTS", "5000"), ("BGPSIM_MAX_WALL_MS", "250")]);
-        let cfg = from_map(&map);
-        assert_eq!(cfg.max_events_set(), Some(5000));
-        assert_eq!(cfg.max_wall_set(), Some(Duration::from_millis(250)));
-        // Zero and non-numeric values mean "no budget", not "budget 0"
-        // (a 0-event budget would fail every job before it starts).
-        let cfg = from_map(&env_of(&[
-            ("BGPSIM_MAX_EVENTS", "0"),
-            ("BGPSIM_MAX_WALL_MS", "soon"),
-        ]));
-        assert_eq!(cfg.max_events_set(), None);
-        assert_eq!(cfg.max_wall_set(), None);
-        // Builder beats env.
-        let cfg = from_map(&map).max_events(9);
-        assert_eq!(cfg.max_events_set(), Some(9));
-    }
-
-    #[test]
-    fn isolate_env_parses_strictly() {
-        assert_eq!(
-            from_map(&env_of(&[("BGPSIM_ISOLATE", "1")])).isolate_set(),
-            Some(true)
-        );
-        assert_eq!(
-            from_map(&env_of(&[("BGPSIM_ISOLATE", "0")])).isolate_set(),
-            Some(false)
-        );
-        assert_eq!(
-            from_map(&env_of(&[("BGPSIM_ISOLATE", "yes")])).isolate_set(),
-            None
-        );
-        // Builder beats env; build() wires it into the runner.
-        let runner = from_map(&env_of(&[("BGPSIM_ISOLATE", "0")]))
-            .isolate(true)
-            .jobs(1)
+        let env = from_pairs(&[("BGPSIM_JOBS", "2"), ("BGPSIM_CACHE_DIR", "/tmp/env-cache")]);
+        let cfg = env.clone().merge(RunnerConfig::new().jobs(8));
+        // The flag wins; the field it leaves unset keeps the env layer.
+        assert_eq!(cfg, RunnerConfig::new().jobs(8).cache_dir("/tmp/env-cache"));
+        // Merging nothing changes nothing, in either direction.
+        assert_eq!(env.clone().merge(RunnerConfig::new()), env);
+        assert_eq!(RunnerConfig::new().merge(env.clone()), env);
+        // build() wires a flag over the env into the runner.
+        let runner = from_pairs(&[("BGPSIM_ISOLATE", "0")])
+            .merge(RunnerConfig::new().isolate(true).jobs(1))
             .build()
             .unwrap();
-        assert!(runner.isolates());
+        assert!(runner.isolate);
     }
 
     #[test]
     fn build_applies_worker_count_and_defaults() {
         let runner = RunnerConfig::new().jobs(3).build().unwrap();
-        assert_eq!(runner.workers(), 3);
+        assert!(runner.render_stats().ends_with(", 3 workers"));
         assert_eq!(runner.cache_dir(), None);
+        assert!(!runner.isolate);
+        assert_eq!(runner.progress, ProgressMode::Auto);
+        assert_eq!(runner.isolation.retries, 2, "the supervisor's default");
         let runner = RunnerConfig::new().jobs(0).build().unwrap();
-        assert_eq!(runner.workers(), 1, "explicit 0 clamps to 1");
+        // An explicit 0 clamps to 1.
+        assert!(runner.render_stats().ends_with(", 1 workers"));
     }
 
     #[test]
@@ -452,14 +450,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::Journal { .. }), "got: {err}");
-    }
-
-    #[test]
-    fn build_lenient_survives_bad_settings() {
-        let runner = RunnerConfig::new()
-            .jobs(2)
-            .journal("/definitely/not/a/dir/journal.jsonl")
-            .build_lenient();
-        assert_eq!(runner.workers(), 2);
     }
 }

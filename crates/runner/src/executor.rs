@@ -6,7 +6,7 @@ use std::io::{IsTerminal, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bgpsim_metrics::PaperMetrics;
@@ -367,13 +367,13 @@ struct BatchProgress {
 /// over them is bit-identical between serial and parallel execution.
 pub struct Runner {
     workers: usize,
-    cache: Option<RunCache>,
+    pub(crate) cache: Option<RunCache>,
     journal: Option<Mutex<std::fs::File>>,
-    progress: ProgressMode,
-    max_events: Option<u64>,
-    max_wall: Option<Duration>,
-    isolate: bool,
-    isolation: IsolationConfig,
+    pub(crate) progress: ProgressMode,
+    pub(crate) max_events: Option<u64>,
+    pub(crate) max_wall: Option<Duration>,
+    pub(crate) isolate: bool,
+    pub(crate) isolation: IsolationConfig,
     /// Fingerprints whose isolated workers exhausted their retry
     /// budget; resubmissions fail fast instead of crashing fresh
     /// workers forever. In-memory only: a process restart (which goes
@@ -393,7 +393,10 @@ impl std::fmt::Debug for Runner {
 }
 
 impl Runner {
-    /// A runner with an explicit worker count, no cache, no progress.
+    /// A runner with an explicit worker count, no cache, no progress,
+    /// in-process execution and the default supervision policy. It
+    /// reads no environment: [`RunnerConfig`](crate::RunnerConfig) is
+    /// the runner's one reader of `BGPSIM_*` variables.
     pub fn new(workers: usize) -> Self {
         Runner {
             workers: workers.max(1),
@@ -403,34 +406,10 @@ impl Runner {
             max_events: None,
             max_wall: None,
             isolate: false,
-            isolation: IsolationConfig::from_env(),
+            isolation: IsolationConfig::default(),
             poisoned: Mutex::new(HashSet::new()),
             stats: Mutex::new(StatsInner::default()),
         }
-    }
-
-    /// The runner configured by the environment — shorthand for
-    /// [`RunnerConfig::from_env`](crate::RunnerConfig::from_env)
-    /// followed by a lenient build (unusable cache/journal/trace
-    /// settings are reported to stderr and dropped). Prefer the typed
-    /// [`RunnerConfig`](crate::RunnerConfig) API in new code; this
-    /// remains for the env-var-only workflow.
-    pub fn from_env() -> Self {
-        crate::config::RunnerConfig::from_env().build_lenient()
-    }
-
-    /// Returns the runner with a different worker count (min 1).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Returns the runner with the given result cache.
-    #[must_use]
-    pub fn with_cache(mut self, cache: RunCache) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Returns the runner caching into `dir` (created if needed).
@@ -438,43 +417,9 @@ impl Runner {
     /// # Errors
     ///
     /// Returns [`Error::Cache`] if the directory cannot be created.
-    pub fn with_cache_dir(self, dir: impl Into<PathBuf>) -> Result<Self, Error> {
-        Ok(self.with_cache(RunCache::new(dir)?))
-    }
-
-    /// Returns the runner with the given progress mode.
-    #[must_use]
-    pub fn with_progress(mut self, mode: ProgressMode) -> Self {
-        self.progress = mode;
-        self
-    }
-
-    /// Returns the runner with a per-job event budget: budget-aware
-    /// jobs that dispatch more simulation events are stopped cleanly
-    /// as [`Error::Timeout`].
-    #[must_use]
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.max_events = Some(max_events);
-        self
-    }
-
-    /// Returns the runner with a per-job wall-clock budget for
-    /// budget-aware jobs.
-    #[must_use]
-    pub fn with_max_wall(mut self, max_wall: Duration) -> Self {
-        self.max_wall = Some(max_wall);
-        self
-    }
-
-    /// Returns the runner journaling each job to `path` (appended;
-    /// opening errors are reported to stderr and disable the journal).
-    #[must_use]
-    pub fn with_journal_path(mut self, path: &Path) -> Self {
-        match open_journal(path) {
-            Ok(file) => self.journal = Some(Mutex::new(file)),
-            Err(e) => eprintln!("bgpsim-runner: {e} (journal disabled)"),
-        }
-        self
+    pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Result<Self, Error> {
+        self.cache = Some(RunCache::new(dir)?);
+        Ok(self)
     }
 
     /// Returns the runner journaling each job to `path` (appended).
@@ -502,16 +447,6 @@ impl Runner {
     pub fn with_isolation_config(mut self, config: IsolationConfig) -> Self {
         self.isolation = config;
         self
-    }
-
-    /// Whether process isolation is enabled.
-    pub fn isolates(&self) -> bool {
-        self.isolate
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The cache directory, if caching is enabled.
@@ -977,10 +912,10 @@ impl Runner {
         }
     }
 
-    /// Appends one journal line and makes it durable (`sync_data`,
-    /// unless `BGPSIM_NO_FSYNC=1`). Journal I/O failures are warnings,
-    /// never errors: correctness rests on the cache's atomic commits,
-    /// the journal only optimizes recovery.
+    /// Appends one journal line and makes it durable (`sync_data`).
+    /// Journal I/O failures are warnings, never errors: correctness
+    /// rests on the cache's atomic commits, the journal only optimizes
+    /// recovery.
     fn journal_write(&self, json: &str) {
         let Some(journal) = &self.journal else { return };
         let mut file = journal.lock().expect("journal lock");
@@ -999,9 +934,6 @@ impl Runner {
             _ => {
                 let _ = writeln!(file, "{json}");
             }
-        }
-        if no_fsync() {
-            return;
         }
         if failpoint::check("journal_fsync", json).is_some() {
             eprintln!("bgpsim-runner: journal fsync failed (injected); continuing unsynced");
@@ -1146,18 +1078,6 @@ impl Runner {
     }
 }
 
-/// Whether `BGPSIM_NO_FSYNC=1` disables journal durability (for
-/// benchmarks and tests on slow filesystems). Read once per process.
-fn no_fsync() -> bool {
-    static NO_FSYNC: OnceLock<bool> = OnceLock::new();
-    *NO_FSYNC.get_or_init(|| {
-        std::env::var("BGPSIM_NO_FSYNC").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
-}
-
 fn open_journal(path: &Path) -> Result<std::fs::File, Error> {
     crate::retry::with_backoff(crate::retry::IO_ATTEMPTS, crate::retry::IO_BACKOFF, || {
         std::fs::OpenOptions::new()
@@ -1183,19 +1103,10 @@ struct BenchBaseline {
     counters: RunCounters,
 }
 
-pub(crate) static GLOBAL: OnceLock<Runner> = OnceLock::new();
-
-/// The process-wide runner. If [`init_global`](crate::init_global) was
-/// not called first, it is configured from the environment on first use
-/// (see [`Runner::from_env`]). All experiment sweeps submit their jobs
-/// here unless given an explicit runner.
-pub fn global() -> &'static Runner {
-    GLOBAL.get_or_init(Runner::from_env)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunnerConfig;
     use bgpsim_netsim::time::SimDuration;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1221,7 +1132,7 @@ mod tests {
 
     #[test]
     fn budgeted_job_timeout_surfaces_as_error_timeout() {
-        let runner = Runner::new(2).with_max_events(10);
+        let runner = RunnerConfig::new().jobs(2).max_events(10).build().unwrap();
         let jobs = vec![
             Job::new("fine", None, || metrics_for(1)),
             Job::budgeted("stuck", None, |budget: &JobBudget| {
@@ -1271,9 +1182,12 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let runner = Runner::new(1)
-            .with_max_wall(Duration::from_millis(1))
-            .with_journal_path(&path);
+        let runner = RunnerConfig::new()
+            .jobs(1)
+            .max_wall(Duration::from_millis(1))
+            .journal(&path)
+            .build()
+            .unwrap();
         let jobs = vec![Job::budgeted("late", None, |_: &JobBudget| {
             Err(JobTimeout {
                 phase: "warmup",
@@ -1366,7 +1280,7 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let runner = Runner::new(2).with_journal_path(&path);
+        let runner = Runner::new(2).try_with_journal_path(&path).unwrap();
         let jobs: Vec<Job> = (0..3u64)
             .map(|i| {
                 Job::new(format!("counted {i}"), None, move || {
@@ -1465,7 +1379,7 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let runner = Runner::new(2).with_journal_path(&path);
+        let runner = Runner::new(2).try_with_journal_path(&path).unwrap();
         let _ = runner.run_jobs(jobs_0_to(4)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -1621,7 +1535,7 @@ mod tests {
     #[test]
     fn job_without_payload_runs_in_process_under_isolation() {
         let runner = Runner::new(1).with_isolation(true);
-        assert!(runner.isolates());
+        assert!(runner.isolate);
         let out = runner.run_jobs(jobs_0_to(2)).unwrap();
         assert_eq!(out.len(), 2);
     }
@@ -1635,7 +1549,8 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let runner = Runner::new(1)
-            .with_journal_path(&path)
+            .try_with_journal_path(&path)
+            .unwrap()
             .with_isolation(true)
             .with_isolation_config(IsolationConfig {
                 retries: 0,

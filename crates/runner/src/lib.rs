@@ -8,11 +8,12 @@
 //! deterministic* runs (one per `(scenario, seed)` pair). The runner
 //! exploits exactly that structure:
 //!
-//! * **Configuration** ([`RunnerConfig`]) — the typed builder for
-//!   worker count, cache directory, journal, and trace output;
-//!   [`RunnerConfig::from_env`] layers in the legacy `BGPSIM_*`
-//!   environment variables, with builder calls (e.g. from CLI flags)
-//!   taking precedence.
+//! * **Configuration** ([`RunnerConfig`]) — the runner's one policy
+//!   value and its only construction path: [`RunnerConfig::from_env`]
+//!   is the only reader of the runner's ten `BGPSIM_*` variables,
+//!   [`RunnerConfig::merge`] layers a binary's flags over them (flags
+//!   win field by field), and [`RunnerConfig::build`] makes the
+//!   [`Runner`]. Policy never changes a byte of output.
 //! * **Executor** ([`Runner`]) — a bounded worker pool pulls jobs from
 //!   a shared queue; results are merged back in canonical job order,
 //!   so aggregated output is bit-identical no matter how many workers
@@ -66,10 +67,10 @@ mod retry;
 pub mod supervisor;
 
 pub use cache::{RunCache, SCHEMA_VERSION};
-pub use config::{init_global, RunnerConfig};
+pub use config::{global, init_global, RunnerConfig};
 pub use error::Error;
 pub use executor::{
-    global, CancelToken, CompletedJob, Job, JobBudget, JobFn, JobHandle, JobOutput, JobTimeout,
+    CancelToken, CompletedJob, Job, JobBudget, JobFn, JobHandle, JobOutput, JobTimeout,
     ProgressMode, Runner, RunnerStats,
 };
 pub use recovery::{recover_journal, RecoveryReport};

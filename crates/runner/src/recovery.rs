@@ -6,7 +6,10 @@
 //! killed mid-sweep therefore leaves a precise trail:
 //!
 //! * jobs whose `job_done` record exists finished — their results are
-//!   in the cache and a restarted sweep serves them as hits;
+//!   in the cache and a restarted sweep serves them as hits. The cache
+//!   commits by temp file and rename, without fsync, so an entry
+//!   survives the death of the process but not a power loss; a
+//!   `job_done` line whose entry was lost reads as a miss and re-runs;
 //! * jobs with a dangling `job_started` intent were **interrupted** —
 //!   either the run died with the process, or it finished and the
 //!   crash landed between the cache commit and the journal append. The

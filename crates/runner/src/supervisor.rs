@@ -47,7 +47,9 @@ pub struct WorkerPayload {
     pub seed: u64,
 }
 
-/// Supervisor policy for isolated workers.
+/// Supervisor policy for isolated workers. [`RunnerConfig`](crate::RunnerConfig)
+/// sets `retries` and `max_rss_kb` from `BGPSIM_WORKER_RETRIES` and
+/// `BGPSIM_WORKER_MAX_RSS_KB`; nothing here reads the environment.
 #[derive(Debug, Clone)]
 pub struct IsolationConfig {
     /// Crash retries before the job is poisoned (attempts = 1 + retries).
@@ -75,25 +77,6 @@ impl Default for IsolationConfig {
             worker_cmd: None,
         }
     }
-}
-
-impl IsolationConfig {
-    /// The config with `BGPSIM_WORKER_RETRIES` / `BGPSIM_WORKER_MAX_RSS_KB`
-    /// overrides applied.
-    pub fn from_env() -> Self {
-        let mut cfg = IsolationConfig::default();
-        if let Some(n) = env_u64("BGPSIM_WORKER_RETRIES") {
-            cfg.retries = n.min(u64::from(u32::MAX)) as u32;
-        }
-        if let Some(n) = env_u64("BGPSIM_WORKER_MAX_RSS_KB") {
-            cfg.max_rss_kb = (n > 0).then_some(n);
-        }
-        cfg
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Why one worker attempt produced no result.
@@ -308,21 +291,6 @@ fn drain_thread<R: Read + Send + 'static>(
 /// waitable; doubles per check up to `IsolationConfig::poll`.
 const LINGER_BACKOFF: Duration = Duration::from_micros(100);
 
-/// Environment the parent scrubs from workers so a child never
-/// re-enters supervision, re-opens the parent's journal/trace files,
-/// or double-counts cache traffic. `BGPSIM_FAILPOINT` is deliberately
-/// *kept* so CI can target child-side sites (`worker_run`).
-const SCRUBBED_ENV: &[&str] = &[
-    "BGPSIM_TRACE",
-    "BGPSIM_JOURNAL",
-    "BGPSIM_ISOLATE",
-    "BGPSIM_CACHE_DIR",
-    "BGPSIM_PROGRESS",
-    "BGPSIM_JOBS",
-    "BGPSIM_MAX_EVENTS",
-    "BGPSIM_MAX_WALL_MS",
-];
-
 /// Runs one isolated attempt: spawn, feed, supervise, reap, decode.
 pub(crate) fn run_attempt(
     config: &IsolationConfig,
@@ -357,7 +325,11 @@ pub(crate) fn run_attempt(
     cmd.stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
-    for var in SCRUBBED_ENV {
+    // A child never re-enters supervision, re-opens the parent's
+    // journal or trace, or double-counts cache traffic: it gets none of
+    // the runner's variables. `BGPSIM_FAILPOINT` is deliberately kept,
+    // so CI can target child-side sites (`worker_run`).
+    for var in crate::config::ENV_VARS {
         cmd.env_remove(var);
     }
     let mut child = cmd

@@ -170,6 +170,25 @@ fn retired_execution_key_is_rejected_as_an_unknown_field() {
 }
 
 #[test]
+fn undersized_topologies_are_refused_without_leaking_admission() {
+    let (server, addr, _dir) = boot("undersized", 1, AdmissionLimits::default());
+    // More than the daemon's 64 connection slots: a refused body must
+    // give back its connection slot and never reach admission, or the
+    // client's active jobs and the queue depth leak.
+    let spec = r#"{"topology":"bclique:1","event":"tdown"}"#;
+    for _ in 0..70 {
+        let resp = post(&addr, "/v1/jobs", "eve", spec);
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        assert!(resp.text().contains("too small"), "{}", resp.text());
+    }
+    assert_eq!(get(&addr, "/v1/healthz").status, 200);
+    let stats = get(&addr, "/v1/stats").text();
+    assert_eq!(field(&stats, "queue_depth"), Some(0), "{stats}");
+    assert_eq!(field(&stats, "jobs_submitted"), Some(0), "{stats}");
+    server.shutdown();
+}
+
+#[test]
 fn v2_fork_submission_streams_identically_to_its_unforked_equivalents() {
     // Two isolated daemons (separate run caches), so the forked
     // submission actually executes its warm-up + forks rather than

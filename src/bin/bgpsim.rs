@@ -57,29 +57,18 @@ fn main() {
 /// reconciles intents against completions and the run cache, and
 /// sweeps stale cache temp files. Exit 1 signals interrupted work.
 fn recover(opts: &RecoverOptions) {
-    let journal = opts
-        .journal
-        .clone()
-        .or_else(|| std::env::var("BGPSIM_JOURNAL").ok());
-    let Some(journal) = journal else {
+    let config = RunnerConfig::from_env().merge(opts.runner.clone());
+    let Some(journal) = config.journal_set() else {
         eprintln!("no journal to replay: pass --journal or set BGPSIM_JOURNAL");
         std::process::exit(2);
     };
-    let cache_dir = opts
-        .cache_dir
-        .clone()
-        .or_else(|| std::env::var("BGPSIM_CACHE_DIR").ok());
-    let cache = match cache_dir {
-        Some(dir) => match RunCache::new(&dir) {
-            Ok(cache) => Some(cache),
-            Err(err) => {
-                eprintln!("cannot open run cache {dir}: {err}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    let report = recover_journal(std::path::Path::new(&journal), cache.as_ref());
+    let cache = config.cache_dir_set().map(|dir| {
+        RunCache::new(dir).unwrap_or_else(|err| {
+            eprintln!("cannot open run cache {}: {err}", dir.display());
+            std::process::exit(2);
+        })
+    });
+    let report = recover_journal(journal, cache.as_ref());
     println!("{}", report.render());
     if !report.is_clean() {
         std::process::exit(1);
@@ -89,26 +78,10 @@ fn recover(opts: &RecoverOptions) {
 /// Boots the daemon and blocks until a drain is requested over the
 /// API, then finishes in-flight work and exits cleanly.
 fn serve(opts: &ServeOptions) {
-    let mut config = RunnerConfig::from_env();
-    if let Some(jobs) = opts.jobs {
-        config = config.jobs(jobs);
-    }
-    if let Some(dir) = &opts.cache_dir {
-        config = config.cache_dir(dir);
-    }
-    if let Some(path) = &opts.journal {
-        config = config.journal(path);
-    }
-    if let Some(path) = &opts.trace_out {
-        config = config.trace(path);
-    }
-    // Under the daemon, process isolation defaults ON (a crashing job
-    // must not take the service down); `--no-isolate` opts out.
-    config = config.isolate(opts.isolate);
-    let journal = opts
-        .journal
-        .clone()
-        .or_else(|| std::env::var("BGPSIM_JOURNAL").ok());
+    // The daemon's flags always set isolation (on unless
+    // `--no-isolate`), so a crashing job cannot take the service down.
+    let config = RunnerConfig::from_env().merge(opts.runner.clone());
+    let journal = config.journal_set().map(std::path::Path::to_path_buf);
     let runner = match config.build() {
         Ok(r) => r,
         Err(err) => {
@@ -121,7 +94,7 @@ fn serve(opts: &ServeOptions) {
     // report what was interrupted (those jobs re-run on resubmission;
     // completed ones are served from the cache).
     if let Some(path) = &journal {
-        let report = recover_journal(std::path::Path::new(path), runner.cache());
+        let report = recover_journal(path, runner.cache());
         if !report.is_clean() || report.lines > 0 {
             println!("{}", report.render());
         }
@@ -206,20 +179,7 @@ fn run(opts: &CliOptions) {
         // the runner: with `--cache-dir` (or `BGPSIM_CACHE_DIR`) a
         // repeated invocation is served from the run cache. Flags are
         // layered over the environment, so they win.
-        let mut config = RunnerConfig::from_env();
-        if let Some(jobs) = opts.jobs {
-            config = config.jobs(jobs);
-        }
-        if let Some(dir) = &opts.cache_dir {
-            config = config.cache_dir(dir);
-        }
-        if let Some(path) = &opts.trace_out {
-            config = config.trace(path);
-        }
-        if let Some(isolate) = opts.isolate {
-            config = config.isolate(isolate);
-        }
-        let runner = match config.build() {
+        let runner = match RunnerConfig::from_env().merge(opts.runner.clone()).build() {
             Ok(r) => r,
             Err(err) => {
                 eprintln!("runner setup failed: {err}");
@@ -258,13 +218,10 @@ fn run(opts: &CliOptions) {
     // The human report needs the full scenario result (loop census,
     // timeline), which the metrics cache does not carry — run directly.
     // Install the trace sink first so the run emits into it.
-    let trace_out = opts
-        .trace_out
-        .clone()
-        .or_else(|| std::env::var("BGPSIM_TRACE").ok());
-    if let Some(path) = &trace_out {
+    let config = RunnerConfig::from_env().merge(opts.runner.clone());
+    if let Some(path) = config.trace_set() {
         if let Err(err) = bgpsim::trace::install_jsonl(path) {
-            eprintln!("cannot open trace file {path}: {err}");
+            eprintln!("cannot open trace file {}: {err}", path.display());
             std::process::exit(1);
         }
     }

@@ -8,7 +8,8 @@ use std::error::Error;
 use std::fmt;
 
 use bgpsim_core::{Enhancements, Jitter};
-use bgpsim_experiments::scenario::{EventKind, TopologySpec};
+use bgpsim_experiments::scenario::{enhancement_named, EventKind, TopologySpec};
+use bgpsim_runner::RunnerConfig;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,17 +30,9 @@ pub struct CliOptions {
     pub json: bool,
     /// Print the post-failure route-change timeline.
     pub trace: bool,
-    /// Stream structured JSONL trace events to this file
-    /// (`None` = `BGPSIM_TRACE`, else tracing disabled).
-    pub trace_out: Option<String>,
-    /// Runner worker count override (`None` = `BGPSIM_JOBS` / auto).
-    pub jobs: Option<usize>,
-    /// Run-cache directory override (`None` = `BGPSIM_CACHE_DIR`).
-    pub cache_dir: Option<String>,
-    /// Run jobs in supervised child processes (`None` =
-    /// `BGPSIM_ISOLATE`, else in-process). Pure execution policy:
-    /// results are byte-identical either way.
-    pub isolate: Option<bool>,
+    /// The runner flags alone: `--trace-out` (on either output path),
+    /// and on the JSON path `--cache-dir` and `--[no-]isolate`.
+    pub runner: RunnerConfig,
 }
 
 impl Default for CliOptions {
@@ -53,10 +46,7 @@ impl Default for CliOptions {
             seed: 0,
             json: false,
             trace: false,
-            trace_out: None,
-            jobs: None,
-            cache_dir: None,
-            isolate: None,
+            runner: RunnerConfig::new(),
         }
     }
 }
@@ -97,8 +87,6 @@ OPTIONS:
   --help                show this text
 
 RUNNER OPTIONS (need --json; the human report runs in-process):
-  --jobs <N>            runner worker count       (default: $BGPSIM_JOBS,
-                        else available parallelism; 1 = serial)
   --cache-dir <DIR>     reuse run results cached in DIR
                         (default: $BGPSIM_CACHE_DIR, else uncached)
   --isolate             run each job in a supervised child process
@@ -119,24 +107,17 @@ pub struct ServeOptions {
     pub addr: String,
     /// Executor worker threads draining the run queue.
     pub exec_workers: usize,
-    /// Runner worker count override (`None` = `BGPSIM_JOBS` / auto).
-    pub jobs: Option<usize>,
-    /// Run-cache directory override (`None` = `BGPSIM_CACHE_DIR`).
-    pub cache_dir: Option<String>,
-    /// Journal file override (`None` = `BGPSIM_JOURNAL`).
-    pub journal: Option<String>,
-    /// Trace output override (`None` = `BGPSIM_TRACE`).
-    pub trace_out: Option<String>,
+    /// The runner flags alone: `--cache-dir`, `--journal`, `--trace-out`
+    /// and isolation, which starts **on** for the daemon (a client's
+    /// crashing job must never kill the service); `--no-isolate` opts
+    /// out.
+    pub runner: RunnerConfig,
     /// Cap on queued (admitted, not yet started) runs.
     pub max_queued_runs: usize,
     /// Per-client concurrent-job quota (`None` = unlimited).
     pub max_jobs_per_client: Option<usize>,
     /// Per-client cumulative event budget (`None` = unlimited).
     pub event_budget: Option<u64>,
-    /// Process isolation for jobs. Defaults to **on** for the daemon
-    /// (a client's crashing job must never kill the service);
-    /// `--no-isolate` opts out.
-    pub isolate: bool,
 }
 
 impl Default for ServeOptions {
@@ -144,14 +125,10 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:8355".to_string(),
             exec_workers: 2,
-            jobs: None,
-            cache_dir: None,
-            journal: None,
-            trace_out: None,
+            runner: RunnerConfig::new().isolate(true),
             max_queued_runs: 1024,
             max_jobs_per_client: Some(64),
             event_budget: None,
-            isolate: true,
         }
     }
 }
@@ -166,8 +143,6 @@ USAGE:
 OPTIONS:
   --addr <HOST:PORT>      listen address            (default 127.0.0.1:8355)
   --exec-workers <N>      executor threads          (default 2)
-  --jobs <N>              runner worker count       (default: $BGPSIM_JOBS,
-                          else available parallelism)
   --cache-dir <DIR>       shared run cache in DIR   (default: $BGPSIM_CACHE_DIR)
   --journal <FILE>        per-job JSONL journal     (default: $BGPSIM_JOURNAL)
   --trace-out <FILE>      JSONL trace events        (default: $BGPSIM_TRACE)
@@ -215,25 +190,17 @@ where
                 }
                 opts.exec_workers = n;
             }
-            "--jobs" => {
-                let v = expect_value(&mut iter, arg)?;
-                let n = parse_num(v.as_ref(), arg)? as usize;
-                if n == 0 {
-                    return Err(CliError("--jobs must be at least 1".to_string()));
-                }
-                opts.jobs = Some(n);
-            }
             "--cache-dir" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.cache_dir = Some(v.as_ref().to_string());
+                opts.runner = opts.runner.cache_dir(v.as_ref());
             }
             "--journal" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.journal = Some(v.as_ref().to_string());
+                opts.runner = opts.runner.journal(v.as_ref());
             }
             "--trace-out" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.trace_out = Some(v.as_ref().to_string());
+                opts.runner = opts.runner.trace(v.as_ref());
             }
             "--max-queued-runs" => {
                 let v = expect_value(&mut iter, arg)?;
@@ -252,8 +219,8 @@ where
                 let v = expect_value(&mut iter, arg)?;
                 opts.event_budget = Some(parse_num(v.as_ref(), arg)?);
             }
-            "--isolate" => opts.isolate = true,
-            "--no-isolate" => opts.isolate = false,
+            "--isolate" => opts.runner = opts.runner.isolate(true),
+            "--no-isolate" => opts.runner = opts.runner.isolate(false),
             "--help" | "-h" => return Err(CliError(SERVE_USAGE.to_string())),
             other => return Err(CliError(format!("unknown option {other:?}"))),
         }
@@ -264,10 +231,9 @@ where
 /// A parsed `bgpsim recover` invocation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoverOptions {
-    /// Journal to replay (`None` = `BGPSIM_JOURNAL`).
-    pub journal: Option<String>,
-    /// Run cache to reconcile against (`None` = `BGPSIM_CACHE_DIR`).
-    pub cache_dir: Option<String>,
+    /// The runner flags alone: `--journal` (the journal to replay) and
+    /// `--cache-dir` (the run cache to reconcile against).
+    pub runner: RunnerConfig,
 }
 
 /// The usage text for `bgpsim recover`.
@@ -307,11 +273,11 @@ where
         match arg {
             "--journal" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.journal = Some(v.as_ref().to_string());
+                opts.runner = opts.runner.journal(v.as_ref());
             }
             "--cache-dir" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.cache_dir = Some(v.as_ref().to_string());
+                opts.runner = opts.runner.cache_dir(v.as_ref());
             }
             "--help" | "-h" => return Err(CliError(RECOVER_USAGE.to_string())),
             other => return Err(CliError(format!("unknown option {other:?}"))),
@@ -341,7 +307,7 @@ where
         match arg {
             "--topology" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.topology = parse_topology(v.as_ref())?;
+                opts.topology = TopologySpec::parse(v.as_ref()).map_err(CliError)?;
             }
             "--event" => {
                 let v = expect_value(&mut iter, arg)?;
@@ -354,14 +320,9 @@ where
             "--no-jitter" => opts.jitter = Jitter::NONE,
             "--enhancement" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.enhancements = match v.as_ref() {
-                    "none" => Enhancements::standard(),
-                    "ssld" => Enhancements::ssld(),
-                    "wrate" => Enhancements::wrate(),
-                    "assertion" => Enhancements::assertion(),
-                    "ghost-flushing" | "ghost" => Enhancements::ghost_flushing(),
-                    other => return Err(CliError(format!("unknown enhancement {other:?}"))),
-                };
+                let v = v.as_ref();
+                opts.enhancements = enhancement_named(v)
+                    .ok_or_else(|| CliError(format!("unknown enhancement {v:?}")))?;
             }
             "--seed" => {
                 let v = expect_value(&mut iter, arg)?;
@@ -371,28 +332,19 @@ where
             "--trace" => opts.trace = true,
             "--trace-out" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.trace_out = Some(v.as_ref().to_string());
-            }
-            "--jobs" => {
-                let v = expect_value(&mut iter, arg)?;
-                let n = parse_num(v.as_ref(), "--jobs")? as usize;
-                if n == 0 {
-                    return Err(CliError("--jobs must be at least 1".to_string()));
-                }
-                opts.jobs = Some(n);
-                runner_flag.get_or_insert("--jobs");
+                opts.runner = opts.runner.trace(v.as_ref());
             }
             "--cache-dir" => {
                 let v = expect_value(&mut iter, arg)?;
-                opts.cache_dir = Some(v.as_ref().to_string());
+                opts.runner = opts.runner.cache_dir(v.as_ref());
                 runner_flag.get_or_insert("--cache-dir");
             }
             "--isolate" => {
-                opts.isolate = Some(true);
+                opts.runner = opts.runner.isolate(true);
                 runner_flag.get_or_insert("--isolate");
             }
             "--no-isolate" => {
-                opts.isolate = Some(false);
+                opts.runner = opts.runner.isolate(false);
                 runner_flag.get_or_insert("--no-isolate");
             }
             "--help" | "-h" => return Err(CliError(USAGE.to_string())),
@@ -435,24 +387,6 @@ fn parse_num(v: &str, flag: &str) -> Result<u64, CliError> {
         .map_err(|e| CliError(format!("{flag}: bad number {v:?}: {e}")))
 }
 
-fn parse_topology(spec: &str) -> Result<TopologySpec, CliError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = || CliError(format!("bad topology spec {spec:?}"));
-    match parts.as_slice() {
-        ["clique", n] => Ok(TopologySpec::Clique(n.parse().map_err(|_| bad())?)),
-        ["bclique", n] => Ok(TopologySpec::BClique(n.parse().map_err(|_| bad())?)),
-        ["internet", n] => Ok(TopologySpec::InternetLike {
-            n: n.parse().map_err(|_| bad())?,
-            topo_seed: 0,
-        }),
-        ["internet", n, ts] => Ok(TopologySpec::InternetLike {
-            n: n.parse().map_err(|_| bad())?,
-            topo_seed: ts.parse().map_err(|_| bad())?,
-        }),
-        _ => Err(bad()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,8 +414,6 @@ mod tests {
             "--json",
             "--trace-out",
             "/tmp/run.jsonl",
-            "--jobs",
-            "4",
             "--cache-dir",
             "/tmp/bgpsim-cache",
             "--isolate",
@@ -495,20 +427,23 @@ mod tests {
         assert_eq!(opts.seed, 9);
         assert!(opts.json);
         assert!(!opts.trace);
-        assert_eq!(opts.trace_out.as_deref(), Some("/tmp/run.jsonl"));
-        assert_eq!(opts.jobs, Some(4));
-        assert_eq!(opts.cache_dir.as_deref(), Some("/tmp/bgpsim-cache"));
-        assert_eq!(opts.isolate, Some(true));
+        assert_eq!(
+            opts.runner,
+            RunnerConfig::new()
+                .trace("/tmp/run.jsonl")
+                .cache_dir("/tmp/bgpsim-cache")
+                .isolate(true)
+        );
         let opts = parse_args(["--json", "--no-isolate"]).unwrap();
-        assert_eq!(opts.isolate, Some(false));
+        assert_eq!(opts.runner, RunnerConfig::new().isolate(false));
         let opts = parse_args(["--trace", "--trace-out", "/tmp/run.jsonl"]).unwrap();
         assert!(opts.trace && !opts.json);
+        assert_eq!(opts.runner, RunnerConfig::new().trace("/tmp/run.jsonl"));
     }
 
     #[test]
     fn runner_flags_need_json() {
-        let cases: [&[&str]; 4] = [
-            &["--jobs", "2"],
+        let cases: [&[&str]; 3] = [
             &["--cache-dir", "/tmp/c"],
             &["--isolate"],
             &["--no-isolate"],
@@ -520,7 +455,7 @@ mod tests {
             assert!(parse_args(args.iter().copied().chain(["--json"])).is_ok());
         }
         // The first runner flag given is the one named.
-        let err = parse_args(["--seed", "3", "--cache-dir", "c", "--jobs", "2"]).unwrap_err();
+        let err = parse_args(["--seed", "3", "--cache-dir", "c", "--isolate"]).unwrap_err();
         assert!(err.to_string().starts_with("--cache-dir needs --json"));
     }
 
@@ -535,34 +470,31 @@ mod tests {
     }
 
     #[test]
-    fn jobs_rejects_zero() {
-        let err = parse_args(["--jobs", "0"]).unwrap_err();
-        assert!(err.to_string().contains("at least 1"));
-    }
-
-    #[test]
     fn topology_specs() {
+        let topology = |spec: &str| parse_args(["--topology", spec]).map(|o| o.topology);
+        assert_eq!(topology("clique:30").unwrap(), TopologySpec::Clique(30));
         assert_eq!(
-            parse_topology("clique:30").unwrap(),
-            TopologySpec::Clique(30)
-        );
-        assert_eq!(
-            parse_topology("internet:110").unwrap(),
+            topology("internet:110").unwrap(),
             TopologySpec::InternetLike {
                 n: 110,
                 topo_seed: 0
             }
         );
         assert_eq!(
-            parse_topology("internet:48:7").unwrap(),
+            topology("internet:48:7").unwrap(),
             TopologySpec::InternetLike {
                 n: 48,
                 topo_seed: 7
             }
         );
-        assert!(parse_topology("mesh:3").is_err());
-        assert!(parse_topology("clique").is_err());
-        assert!(parse_topology("clique:x").is_err());
+        assert!(topology("mesh:3").is_err());
+        assert!(topology("clique").is_err());
+        assert!(topology("clique:x").is_err());
+        // Sizes the generators panic on are parse errors.
+        for spec in ["clique:0", "bclique:1", "internet:3"] {
+            let err = topology(spec).unwrap_err().to_string();
+            assert!(err.contains("too small"), "{err}");
+        }
     }
 
     #[test]
@@ -598,8 +530,6 @@ mod tests {
             "0.0.0.0:9000",
             "--exec-workers",
             "4",
-            "--jobs",
-            "2",
             "--cache-dir",
             "/tmp/cache",
             "--journal",
@@ -617,22 +547,30 @@ mod tests {
         .unwrap();
         assert_eq!(opts.addr, "0.0.0.0:9000");
         assert_eq!(opts.exec_workers, 4);
-        assert_eq!(opts.jobs, Some(2));
-        assert_eq!(opts.cache_dir.as_deref(), Some("/tmp/cache"));
-        assert_eq!(opts.journal.as_deref(), Some("/tmp/journal.jsonl"));
-        assert_eq!(opts.trace_out.as_deref(), Some("/tmp/trace.jsonl"));
+        assert_eq!(
+            opts.runner,
+            RunnerConfig::new()
+                .cache_dir("/tmp/cache")
+                .journal("/tmp/journal.jsonl")
+                .trace("/tmp/trace.jsonl")
+                .isolate(false),
+            "--no-isolate opts out"
+        );
         assert_eq!(opts.max_queued_runs, 16);
         assert_eq!(opts.max_jobs_per_client, Some(3));
         assert_eq!(opts.event_budget, Some(100_000));
-        assert!(!opts.isolate, "--no-isolate opts out");
     }
 
     #[test]
     fn serve_isolates_by_default() {
+        let isolating = RunnerConfig::new().isolate(true);
         let opts = parse_serve_args(Vec::<&str>::new()).unwrap();
-        assert!(opts.isolate, "the daemon must survive crashing jobs");
+        assert_eq!(
+            opts.runner, isolating,
+            "the daemon must survive crashing jobs"
+        );
         let opts = parse_serve_args(["--no-isolate", "--isolate"]).unwrap();
-        assert!(opts.isolate, "last flag wins");
+        assert_eq!(opts.runner, isolating, "last flag wins");
     }
 
     #[test]
@@ -643,8 +581,12 @@ mod tests {
         );
         let opts =
             parse_recover_args(["--journal", "/tmp/j.jsonl", "--cache-dir", "/tmp/cache"]).unwrap();
-        assert_eq!(opts.journal.as_deref(), Some("/tmp/j.jsonl"));
-        assert_eq!(opts.cache_dir.as_deref(), Some("/tmp/cache"));
+        assert_eq!(
+            opts.runner,
+            RunnerConfig::new()
+                .journal("/tmp/j.jsonl")
+                .cache_dir("/tmp/cache")
+        );
         let err = parse_recover_args(["--help"]).unwrap_err();
         assert!(err.to_string().contains("bgpsim recover"));
         assert!(parse_recover_args(["--bogus"]).is_err());

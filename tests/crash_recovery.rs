@@ -132,14 +132,14 @@ fn crashing_worker_fails_only_its_job_and_is_poisoned() {
     assert!(stderr.contains("crashed its isolated worker"), "{stderr}");
 
     let trace_text = std::fs::read_to_string(&trace).expect("trace file");
-    assert!(
-        trace_text.contains("\"kind\":\"worker_crash\""),
-        "{trace_text}"
-    );
-    assert!(
-        trace_text.contains("\"kind\":\"job_retry\""),
-        "{trace_text}"
-    );
+    // `BGPSIM_WORKER_RETRIES=1` reached the supervisor: one attempt
+    // plus one retry, where the default budget would make three.
+    let lines_of = |kind: &str| {
+        let needle = format!("\"kind\":\"{kind}\"");
+        trace_text.lines().filter(|l| l.contains(&needle)).count()
+    };
+    assert_eq!(lines_of("worker_crash"), 2, "{trace_text}");
+    assert_eq!(lines_of("job_retry"), 1, "{trace_text}");
     assert!(trace_text.contains("\"poisoned\":true"), "{trace_text}");
     let journal = std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal");
     assert!(journal.contains("\"event\":\"job_crashed\""), "{journal}");
