@@ -35,18 +35,39 @@ use crate::fib::{FibDeltas, NetworkFib};
 
 /// Above this many table cells (`epochs × nodes`), [`EpochIndex`]
 /// falls back from the dense snapshot table to per-node sparse change
-/// lists. 2²² `Option<FibEntry>` cells is ~32 MiB — far beyond any
-/// paper-scale run, but huge flap-train histories stay safe.
+/// lists. 2²² four-byte cells is 16 MiB — far beyond any paper-scale
+/// run, but huge flap-train histories stay safe.
 pub const DENSE_CELL_CAP: usize = 1 << 22;
 
 /// The `(node, epoch) → entry` storage. Dense is one epoch-major
-/// snapshot table (`O(1)` lookup, cache-friendly within an epoch);
-/// sparse keeps each node's `(first-epoch, entry)` change list and
-/// binary-searches it (used only above [`DENSE_CELL_CAP`]).
+/// snapshot table of [`encode`]d entries (`O(1)` lookup,
+/// cache-friendly within an epoch); sparse keeps each node's
+/// `(first-epoch, entry)` change list and binary-searches it (used only
+/// above [`DENSE_CELL_CAP`]).
 #[derive(Debug, Clone)]
 enum Table {
-    Dense(Vec<Option<FibEntry>>),
+    Dense(Vec<u32>),
     Sparse(Vec<Vec<(u32, Option<FibEntry>)>>),
+}
+
+/// A dense table cell: `0` is no route, `1` is [`FibEntry::Local`],
+/// `n + 2` is [`FibEntry::Via`]`(n)`. Half the size of an
+/// `Option<FibEntry>`.
+fn encode(entry: Option<FibEntry>) -> u32 {
+    match entry {
+        None => 0,
+        Some(FibEntry::Local) => 1,
+        Some(FibEntry::Via(next)) => next.index() as u32 + 2,
+    }
+}
+
+/// The entry an [`encode`]d cell holds.
+fn decode(cell: u32) -> Option<FibEntry> {
+    match cell {
+        0 => None,
+        1 => Some(FibEntry::Local),
+        via => Some(FibEntry::Via(NodeId::new(via - 2))),
+    }
 }
 
 /// A per-prefix interval index over a recorded FIB history: the sorted
@@ -81,12 +102,14 @@ impl EpochIndex {
         let epochs = times.len() + 1;
         let table = if epochs.saturating_mul(n) <= dense_cell_cap {
             // Column e is the full snapshot in effect during epoch e;
-            // column 0 (before any change) is all-None.
-            let mut entries: Vec<Option<FibEntry>> = vec![None; epochs * n];
-            let mut current: Vec<Option<FibEntry>> = vec![None; n];
+            // column 0 (before any change) is all no-route. A next hop
+            // is a node of the table, so `n + 2` fits a cell whenever
+            // the table fits in memory.
+            let mut entries = vec![encode(None); epochs * n];
+            let mut current = vec![encode(None); n];
             for (e, (_, ds)) in deltas.iter().enumerate() {
                 for &(node, entry) in ds {
-                    current[node.index()] = entry;
+                    current[node.index()] = encode(entry);
                 }
                 entries[(e + 1) * n..(e + 2) * n].copy_from_slice(&current);
             }
@@ -153,7 +176,7 @@ impl EpochIndex {
         let i = node.index();
         assert!(i < self.node_count, "node {node} out of range");
         match &self.table {
-            Table::Dense(entries) => entries[epoch as usize * self.node_count + i],
+            Table::Dense(entries) => decode(entries[epoch as usize * self.node_count + i]),
             Table::Sparse(per_node) => {
                 let list = &per_node[i];
                 match list.partition_point(|&(e, _)| e <= epoch) {
@@ -199,6 +222,7 @@ impl EpochIndex {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -287,12 +311,51 @@ mod tests {
     }
 
     #[test]
+    fn dense_cells_decode_every_next_hop() {
+        // A 110-node graph, the paper's largest: its last node and node 0
+        // as next hops, next to a delivering and a routeless node.
+        let mut fib = NetworkFib::new(110);
+        fib.record(n(0), p(), SimTime::ZERO, via(109));
+        fib.record(n(109), p(), SimTime::ZERO, via(0));
+        fib.record(n(1), p(), SimTime::ZERO, Some(FibEntry::Local));
+        let index = EpochIndex::build(&fib, p());
+        assert!(index.is_dense());
+        assert_eq!(index.entry(n(0), 1), via(109));
+        assert_eq!(index.entry(n(109), 1), via(0));
+        assert_eq!(index.entry(n(1), 1), Some(FibEntry::Local));
+        assert_eq!(index.entry(n(2), 1), None);
+        for entry in [None, Some(FibEntry::Local), via(0), via(109)] {
+            assert_eq!(decode(encode(entry)), entry);
+        }
+    }
+
+    #[test]
     fn empty_history_has_one_epoch() {
         let fib = NetworkFib::new(4);
         let index = EpochIndex::build(&fib, p());
         assert_eq!(index.epoch_count(), 1);
         assert_eq!(index.epoch_of(SimTime::from_secs(7)), 0);
         assert_eq!(index.entry(n(3), 0), None);
+    }
+
+    /// Records a random history for `prefix` from `(node, dt, hop)`
+    /// changes on per-node clocks: each node's history in time order,
+    /// any interleaving, and `dt = 0` rewrites an entry at the instant
+    /// of the node's last change.
+    fn record_random(fib: &mut NetworkFib, prefix: Prefix, raw: &[(u32, u32, Option<u32>)]) {
+        let nodes = fib.node_count() as u32;
+        let mut clock = vec![0u64; nodes as usize];
+        for &(node, dt, hop) in raw {
+            let node = node % nodes;
+            let t = clock[node as usize] + u64::from(dt);
+            clock[node as usize] = t;
+            let entry = match hop.map(|h| h % nodes) {
+                Some(h) if h != node => via(h),
+                Some(_) => Some(FibEntry::Local),
+                None => None,
+            };
+            fib.record(n(node), prefix, SimTime::from_nanos(t), entry);
+        }
     }
 
     proptest! {
@@ -307,18 +370,7 @@ mod tests {
             probes in proptest::collection::vec(0u64..60, 1..40),
         ) {
             let mut fib = NetworkFib::new(nodes as usize);
-            let mut clock = vec![0u64; nodes as usize];
-            for (node, dt, hop) in raw {
-                let node = node % nodes;
-                let t = clock[node as usize] + u64::from(dt);
-                clock[node as usize] = t;
-                let entry = match hop.map(|h| h % nodes) {
-                    Some(h) if h != node => via(h),
-                    Some(_) => Some(FibEntry::Local),
-                    None => None,
-                };
-                fib.record(n(node), p(), SimTime::from_nanos(t), entry);
-            }
+            record_random(&mut fib, p(), &raw);
             let dense = EpochIndex::build(&fib, p());
             let sparse = EpochIndex::build_with_cap(&fib, p(), 0);
             prop_assert!(dense.is_dense());
@@ -330,6 +382,35 @@ mod tests {
                     prop_assert_eq!(sparse.lookup(n(i), t), reference);
                 }
             }
+        }
+
+        /// The sort-based grouping equals grouping every change of the
+        /// prefix into ordered maps, the later write of a node at one
+        /// instant replacing the earlier — with same-instant rewrites
+        /// and changes to a second prefix mixed in.
+        #[test]
+        fn changes_by_time_equals_ordered_map_grouping(
+            raw in proptest::collection::vec(
+                (0u32..8, 0u32..10, proptest::option::of(0u32..8)), 0..50),
+            other in proptest::collection::vec(
+                (0u32..8, 0u32..10, proptest::option::of(0u32..8)), 0..20),
+            nodes in 2u32..8,
+        ) {
+            let mut fib = NetworkFib::new(nodes as usize);
+            record_random(&mut fib, p(), &raw);
+            record_random(&mut fib, Prefix::new(1), &other);
+            let mut grouped: BTreeMap<SimTime, BTreeMap<NodeId, Option<FibEntry>>> =
+                BTreeMap::new();
+            for (node, prefix, t, entry) in fib.iter_changes() {
+                if prefix == p() {
+                    grouped.entry(t).or_default().insert(node, entry);
+                }
+            }
+            let reference: Vec<(SimTime, FibDeltas)> = grouped
+                .into_iter()
+                .map(|(t, per_node)| (t, per_node.into_iter().collect()))
+                .collect();
+            prop_assert_eq!(fib.changes_by_time(p()), reference);
         }
     }
 }

@@ -164,26 +164,27 @@ impl NetworkFib {
     /// next-hop edges moved at each instant without materializing a full
     /// snapshot.
     pub fn changes_by_time(&self, prefix: Prefix) -> Vec<(SimTime, FibDeltas)> {
-        let mut grouped: BTreeMap<SimTime, BTreeMap<u32, Option<FibEntry>>> = BTreeMap::new();
-        for (i, m) in self.nodes.iter().enumerate() {
-            if let Some(h) = m.get(&prefix) {
-                for &(t, e) in h.changes() {
-                    // Per-node changes are time-ordered, so a later
-                    // same-instant write overwrites an earlier one.
-                    grouped.entry(t).or_default().insert(i as u32, e);
-                }
+        let mut changes: Vec<(SimTime, NodeId, Option<FibEntry>)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, m)| Some((NodeId::new(i as u32), m.get(&prefix)?)))
+            .flat_map(|(node, h)| h.changes().iter().map(move |&(t, e)| (t, node, e)))
+            .collect();
+        // Stable: the writes of one node at one instant stay in record
+        // order, so the last of them comes last.
+        changes.sort_by_key(|&(t, node, _)| (t, node));
+        let mut grouped: Vec<(SimTime, FibDeltas)> = Vec::new();
+        for (t, node, e) in changes {
+            match grouped.last_mut() {
+                Some((at, deltas)) if *at == t => match deltas.last_mut() {
+                    Some((last, entry)) if *last == node => *entry = e,
+                    _ => deltas.push((node, e)),
+                },
+                _ => grouped.push((t, vec![(node, e)])),
             }
         }
         grouped
-            .into_iter()
-            .map(|(t, per_node)| {
-                let deltas = per_node
-                    .into_iter()
-                    .map(|(i, e)| (NodeId::new(i), e))
-                    .collect();
-                (t, deltas)
-            })
-            .collect()
     }
 
     /// Builds the per-prefix [`EpochIndex`](crate::epoch::EpochIndex)

@@ -29,7 +29,7 @@ use bgpsim_netsim::time::{SimDuration, SimTime};
 use bgpsim_topology::NodeId;
 
 use crate::epoch::EpochIndex;
-use crate::fib::NetworkFib;
+use crate::fib::{FibDeltas, NetworkFib};
 use crate::packet::{FateTally, Packet, PacketFate};
 use crate::source::CbrSource;
 
@@ -150,8 +150,8 @@ pub struct ReplayStats {
     /// Table lookups the executed walks made.
     pub hops: u64,
     /// Table lookups the walks were spared, by following the trail or
-    /// by jumping whole turns of an in-epoch forwarding cycle: walked
-    /// hop by hop they would have made `hops + hops_skipped`.
+    /// by skipping along a forwarding cycle no FIB change has touched:
+    /// walked hop by hop they would have made `hops + hops_skipped`.
     pub hops_skipped: u64,
 }
 
@@ -271,12 +271,13 @@ struct NodeScratch {
     /// The engine's current mark iff the node is on the trail.
     mark: u32,
     /// Cycle detection: the stamp of the walk segment that last visited
-    /// the node, and the walk's step count at that visit. A segment is
-    /// the part of one walk inside one epoch and takes a fresh stamp,
-    /// so a matching stamp reads "this walk was here before and the
-    /// forwarding graph has not changed since".
+    /// the node, and the node's position in that segment. A segment is
+    /// the part of one walk since the last FIB change that named a node
+    /// it stamped, and takes a fresh stamp, so a matching stamp reads
+    /// "this walk was here before and none of the entries it has read
+    /// since has changed".
     stamp: u32,
-    steps: u32,
+    pos: u32,
 }
 
 /// The replay engine behind every entry point: executes walks through
@@ -293,6 +294,9 @@ struct Replayer<'a> {
     memo: Option<(MemoKey, MemoWalk)>,
     trail: Trail,
     scratch: Vec<NodeScratch>,
+    /// The nodes of the current walk segment, in visiting order: a
+    /// node's [`NodeScratch::pos`] indexes it.
+    path: Vec<NodeId>,
     mark: u32,
     stamp: u32,
     stats: ReplayStats,
@@ -312,6 +316,8 @@ impl<'a> Replayer<'a> {
                 cursor: 0,
             },
             scratch: vec![NodeScratch::default(); index.node_count()],
+            // A segment visits no node twice.
+            path: Vec::with_capacity(index.node_count()),
             mark: 0,
             stamp: 0,
             stats: ReplayStats {
@@ -512,14 +518,16 @@ impl<'a> Replayer<'a> {
         Some((walk, end))
     }
 
-    /// Makes the recorded nodes the trail of the first of them, in
-    /// force from epoch `launch` on.
+    /// Makes the current segment, a walk from its first node that has
+    /// not left epoch `launch`, that node's trail, in force from
+    /// `launch` on.
     fn seal_trail(&mut self, launch: usize, end: TrailEnd) {
         self.mark = self.mark.wrapping_add(1);
         if self.mark == 0 {
             self.scratch.iter_mut().for_each(|node| node.mark = 0);
             self.mark = 1;
         }
+        self.trail.nodes.clone_from(&self.path);
         for node in &self.trail.nodes {
             self.scratch[node.index()].mark = self.mark;
         }
@@ -528,14 +536,22 @@ impl<'a> Replayer<'a> {
         self.trail.cursor = launch;
     }
 
-    /// A stamp no node holds.
-    fn fresh_stamp(&mut self) -> u32 {
+    /// Starts a walk segment: an empty path and a stamp no node holds.
+    fn fresh_segment(&mut self) -> u32 {
+        self.path.clear();
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
             self.scratch.iter_mut().for_each(|node| node.stamp = 0);
             self.stamp = 1;
         }
         self.stamp
+    }
+
+    /// Whether `changed` names a node of the segment stamped `stamp`.
+    fn touches(&self, changed: &FibDeltas, stamp: u32) -> bool {
+        changed
+            .iter()
+            .any(|&(node, _)| self.scratch[node.index()].stamp == stamp)
     }
 
     /// One full walk from the source in its launch epoch. It replaces
@@ -550,7 +566,6 @@ impl<'a> Replayer<'a> {
         launch: usize,
     ) -> (MemoWalk, SimTime) {
         self.trail.src = None;
-        self.trail.nodes.clear();
         self.walk_from(src, ttl, 0, sent_at, launch, true)
     }
 
@@ -560,14 +575,19 @@ impl<'a> Replayer<'a> {
     /// and the fate instant. `record` is set by [`walk`](Self::walk)
     /// only.
     ///
+    /// The walk is cut into segments: one starts wherever a boundary
+    /// the walk crosses names a node the current segment has visited.
     /// A walk that comes back to a node it left `cycle` hops ago in the
-    /// same epoch is on a forwarding cycle of that frozen graph. Every
-    /// further hop repeats it for as long as the lookup still precedes
-    /// the boundary and the TTL is not spent, so whole turns are taken
-    /// at once: `min(ttl, lookups left) / cycle × cycle` hops. The state
-    /// after the jump is the one the hop-by-hop walk reaches (same node,
-    /// `at` advanced by the same u64 sum), and the fewer-than-`cycle`
-    /// hops that remain in the epoch are walked.
+    /// same segment is on a forwarding cycle whose entries have not
+    /// changed since it read them. Every further hop repeats it up to
+    /// the first boundary, within the TTL's reach, that names a node of
+    /// the segment. With no such boundary the TTL runs out on the
+    /// cycle, `ttl mod cycle` nodes past the one met again, and the
+    /// walk ends there by arithmetic. Otherwise whole turns are taken
+    /// at once, `lookups left before that boundary / cycle × cycle`
+    /// hops, and the fewer-than-`cycle` hops that remain before it are
+    /// walked. Either way the state reached is the one the hop-by-hop
+    /// walk reaches (same node, `at` advanced by the same u64 sum).
     fn walk_from(
         &mut self,
         mut node: NodeId,
@@ -578,40 +598,54 @@ impl<'a> Replayer<'a> {
         mut record: bool,
     ) -> (MemoWalk, SimTime) {
         let index = self.index;
-        let boundaries = index.boundaries();
+        let (boundaries, deltas) = (index.boundaries(), index.deltas());
         let launch = epoch;
-        let mut stamp = self.fresh_stamp();
+        let mut stamp = self.fresh_segment();
+        let mut epoch_end = boundaries.get(epoch).copied();
         let end = loop {
-            // The hop times of one walk are nondecreasing, so this
-            // cursor is monotone: O(1) amortized per hop.
-            let entered = epoch;
-            while boundaries.get(epoch).is_some_and(|&b| b <= at) {
-                epoch += 1;
-            }
-            if epoch != entered {
-                stamp = self.fresh_stamp();
+            if epoch_end.is_some_and(|b| b <= at) {
+                // The hop times of one walk are nondecreasing, so this
+                // cursor is monotone: O(1) amortized per hop.
                 record = false;
+                let mut touched = false;
+                while let Some((_, changed)) = deltas.get(epoch).filter(|&&(b, _)| b <= at) {
+                    touched = touched || self.touches(changed, stamp);
+                    epoch += 1;
+                }
+                epoch_end = boundaries.get(epoch).copied();
+                if touched {
+                    stamp = self.fresh_segment();
+                }
             }
             let seen = self.scratch[node.index()];
             if seen.stamp == stamp {
                 if record {
                     record = false;
-                    self.seal_trail(launch, TrailEnd::Cycle { tail: seen.steps });
+                    self.seal_trail(launch, TrailEnd::Cycle { tail: seen.pos });
                 }
-                let cycle = u64::from(steps - seen.steps);
-                // Lookups from this one on that still read this epoch.
-                let lookups_left = match boundaries.get(epoch) {
-                    Some(&b) if !self.link_delay.is_zero() => {
-                        (b - at).as_nanos().div_ceil(self.link_delay.as_nanos())
-                    }
-                    _ => u64::MAX,
+                let first = seen.pos as usize;
+                let cycle = (self.path.len() - first) as u64;
+                // The last lookup the TTL allows.
+                let horizon = at + self.link_delay * u64::from(ttl);
+                let bound = deltas[epoch..]
+                    .iter()
+                    .take_while(|&&(b, _)| b <= horizon)
+                    .find(|(_, changed)| self.touches(changed, stamp));
+                let Some(&(bound, _)) = bound else {
+                    self.stats.hops_skipped += u64::from(ttl) + 1;
+                    node = self.path[first + (u64::from(ttl) % cycle) as usize];
+                    steps += ttl;
+                    at = horizon;
+                    break MemoEnd::TtlExhausted(node);
                 };
-                let skip = u64::from(ttl).min(lookups_left) / cycle * cycle;
-                // Fewer than `cycle` hops are left in this epoch, so
-                // nothing in it is visited twice again.
-                stamp = self.fresh_stamp();
+                // `at < bound <= horizon`: the link delay is not zero,
+                // and `lookups_left <= ttl`.
+                let lookups_left = (bound - at).as_nanos().div_ceil(self.link_delay.as_nanos());
+                let skip = lookups_left / cycle * cycle;
+                // Fewer than `cycle` lookups are left before the bound,
+                // so nothing before it is visited twice again.
+                stamp = self.fresh_segment();
                 if skip > 0 {
-                    // `skip <= ttl`, so it fits the u32 counters.
                     ttl -= skip as u32;
                     steps += skip as u32;
                     at += self.link_delay * skip;
@@ -619,11 +653,9 @@ impl<'a> Replayer<'a> {
                     continue;
                 }
             }
-            if record {
-                self.trail.nodes.push(node);
-            }
             let slot = &mut self.scratch[node.index()];
-            (slot.stamp, slot.steps) = (stamp, steps);
+            (slot.stamp, slot.pos) = (stamp, self.path.len() as u32);
+            self.path.push(node);
             self.stats.hops += 1;
             match index.entry(node, epoch as u32) {
                 Some(FibEntry::Local) => break MemoEnd::Delivered,
@@ -717,7 +749,8 @@ pub fn replay_fleet(
 /// [`generate_packets`] emits) behind a monotone launch-epoch cursor;
 /// each executed walk advances its own epoch cursor per hop (`O(1)`
 /// amortized — no per-hop binary search), does an `O(1)` table lookup
-/// and skips whole turns of in-epoch cycles. A walk that never leaves
+/// and skips along forwarding cycles up to the first FIB change that
+/// names a node it visited. A walk that never leaves
 /// its launch epoch is memoized under `(source, launch epoch, TTL)` as
 /// a send-time-relative trajectory; the following packets of that key
 /// reuse it iff their reconstructed fate time still precedes the epoch
@@ -1181,8 +1214,9 @@ mod tests {
         let fib = tail_and_cycle_fib();
         let (fate, stats) = walk_one(&fib, 3, DEFAULT_TTL, SimTime::from_secs(1), d2());
         // 128 hops: 2 of tail, 126 = 63 turns of cycle. Node 1 is met
-        // again after 4 lookups with 124 hops of TTL left: 62 turns are
-        // skipped and the 63rd is not needed, the TTL is spent at 1.
+        // again after 4 lookups with 124 hops of TTL left, and no FIB
+        // change follows: the TTL runs out 124 mod 2 = 0 nodes past
+        // it, at 1, and the 124 hops plus the last lookup are spared.
         assert_eq!(
             fate,
             PacketFate::TtlExhausted {
@@ -1190,14 +1224,15 @@ mod tests {
                 node: n(1)
             }
         );
-        assert_eq!(stats.hops_skipped, 124);
-        assert_eq!(stats.hops, 5);
+        assert_eq!(stats.hops_skipped, 125);
+        assert_eq!(stats.hops, 4);
     }
 
     #[test]
     fn cycle_skip_walks_the_turn_the_ttl_cuts_short() {
-        // TTL 7 from node 1: one turn to find the cycle (2 hops), then
-        // 5 hops of TTL left = 2 whole turns skipped + 1 hop walked.
+        // TTL 7 from node 1: one turn to find the cycle (2 lookups),
+        // then 5 hops of TTL left end 5 mod 2 = 1 node past 1, at 0:
+        // the 5 hops and the last lookup are spared.
         let fib = tail_and_cycle_fib();
         let (fate, stats) = walk_one(&fib, 1, 7, SimTime::ZERO, d2());
         assert_eq!(
@@ -1207,8 +1242,8 @@ mod tests {
                 node: n(0)
             }
         );
-        assert_eq!(stats.hops_skipped, 4);
-        assert_eq!(stats.hops, 4);
+        assert_eq!(stats.hops_skipped, 6);
+        assert_eq!(stats.hops, 2);
     }
 
     #[test]
@@ -1254,12 +1289,15 @@ mod tests {
     fn cycle_skip_with_zero_link_delay_spends_the_ttl_in_place() {
         // No time passes, so no boundary is ever reached: the loop that
         // resolves at 1100 ms holds the packet until its TTL is gone.
+        // Node 1 is met again after 4 lookups with 5 hops of TTL left,
+        // which end 5 mod 2 = 1 node past it, at 0: 5 hops and the
+        // last lookup are spared.
         let mut fib = tail_and_cycle_fib();
         fib.record(n(0), p(), SimTime::from_millis(1100), Some(FibEntry::Local));
         let at = SimTime::from_secs(1);
         let (fate, stats) = walk_one(&fib, 3, 9, at, SimDuration::ZERO);
         assert_eq!(fate, PacketFate::TtlExhausted { at, node: n(0) });
-        assert_eq!(stats.hops_skipped, 4);
+        assert_eq!(stats.hops_skipped, 6);
     }
 
     #[test]
@@ -1273,8 +1311,90 @@ mod tests {
         let at = SimTime::from_secs(1);
         let fate = engine.packet(n(3), DEFAULT_TTL, at, 1);
         assert_eq!(fate, walk_packet(&fib, &pkt(3, at), d2()));
-        assert_eq!((engine.stats.hops, engine.stats.hops_skipped), (5, 124));
+        // With the stale visits forgotten, the walk is the one of
+        // `cycle_skip_costs_the_tail_plus_one_turn`: 4 lookups, then
+        // 124 hops and the last lookup spared.
+        assert_eq!((engine.stats.hops, engine.stats.hops_skipped), (4, 125));
         assert!(engine.stamp < 8, "stamps restart after the wrap");
+    }
+
+    #[test]
+    fn cycle_skip_passes_changes_off_the_cycle() {
+        // The bystander changes 10 times while a packet sent at 1000 ms
+        // spins in the 1 ⇄ 0 loop until 1256 ms. None of those changes
+        // names a node the walk visited, so the cycle it closes at
+        // 1004 ms holds to the end of the TTL: 2 lookups, then 126 hops
+        // and the last lookup spared.
+        let mut fib = tail_and_cycle_fib();
+        toggle(&mut fib, 4, 1010, 20, 10);
+        let (fate, stats) = walk_one(&fib, 1, DEFAULT_TTL, ms(1000), d2());
+        assert_eq!(
+            fate,
+            PacketFate::TtlExhausted {
+                at: ms(1256),
+                node: n(1)
+            }
+        );
+        assert_eq!((stats.hops, stats.hops_skipped), (2, 127));
+    }
+
+    #[test]
+    fn cycle_skip_stops_at_a_change_to_the_lead_in() {
+        // Node 3 changes at 1100 ms. That cannot move the 1 ⇄ 0 cycle,
+        // but 3 is a node of the walk's segment, so the skip from 1008 ms
+        // stops there: 46 hops to 1100 ms, where a new segment closes
+        // the cycle again after 2 lookups, with 76 hops of TTL left for
+        // the arithmetic finish. 4 + 2 lookups, 46 + 77 spared.
+        let mut fib = tail_and_cycle_fib();
+        fib.record(n(3), p(), ms(1100), None);
+        let (fate, stats) = walk_one(&fib, 3, DEFAULT_TTL, ms(1000), d2());
+        assert_eq!(
+            fate,
+            PacketFate::TtlExhausted {
+                at: ms(1256),
+                node: n(1)
+            }
+        );
+        assert_eq!((stats.hops, stats.hops_skipped), (6, 123));
+    }
+
+    #[test]
+    fn cycle_skip_reads_a_change_at_the_last_lookup() {
+        // Node 1 starts delivering at 1256 ms, the instant of the last
+        // lookup the TTL allows, which is at node 1. The skip is bounded
+        // there, not finished by arithmetic: 126 hops to 1256 ms, and
+        // that lookup reads the new entry. 2 + 1 lookups, 126 spared.
+        let mut fib = tail_and_cycle_fib();
+        fib.record(n(1), p(), ms(1256), Some(FibEntry::Local));
+        let (fate, stats) = walk_one(&fib, 1, DEFAULT_TTL, ms(1000), d2());
+        assert_eq!(
+            fate,
+            PacketFate::Delivered {
+                at: ms(1256),
+                hops: 128
+            }
+        );
+        assert_eq!((stats.hops, stats.hops_skipped), (3, 126));
+    }
+
+    #[test]
+    fn cycle_skip_reads_a_change_one_hop_before_the_last_lookup() {
+        // Node 0 starts delivering at 1254 ms, where the packet looks it
+        // up one hop before its last lookup. 125 lookups are left before
+        // that change when the cycle closes at 1004 ms: 62 turns are
+        // skipped to 1252 ms, and 1 and then 0 are walked. 2 + 2
+        // lookups, 124 spared.
+        let mut fib = tail_and_cycle_fib();
+        fib.record(n(0), p(), ms(1254), Some(FibEntry::Local));
+        let (fate, stats) = walk_one(&fib, 1, DEFAULT_TTL, ms(1000), d2());
+        assert_eq!(
+            fate,
+            PacketFate::Delivered {
+                at: ms(1254),
+                hops: 127
+            }
+        );
+        assert_eq!((stats.hops, stats.hops_skipped), (4, 124));
     }
 
     /// Packets of one source with `ttl` each, sent at `sent_ms`.

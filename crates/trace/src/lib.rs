@@ -170,7 +170,7 @@ pub enum TraceEvent {
         /// Table lookups the executed walks made.
         hops: u64,
         /// Table lookups they were spared by following the trail or
-        /// jumping in-epoch cycle turns.
+        /// skipping along an untouched forwarding cycle.
         hops_skipped: u64,
     },
     /// A planned fault fired inside the simulator.

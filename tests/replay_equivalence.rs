@@ -7,6 +7,7 @@
 //! by the measurement pipeline.
 
 use bgpsim::dataplane::epoch::DENSE_CELL_CAP;
+use bgpsim::dataplane::replay::Hop;
 use bgpsim::experiments::figures::common::config_with_mrai;
 use bgpsim::netsim::rng::SimRng;
 use bgpsim::netsim::time::SimDuration;
@@ -333,6 +334,103 @@ proptest! {
         prop_assert_eq!(fleet_stats, stats);
         prop_assert_eq!(stats.memo_hits + stats.walks, packets.len() as u64);
         prop_assert!(stats.trail_hits <= stats.walks);
+    }
+}
+
+/// The lookups of a walk that forgets its visits at every boundary it
+/// crosses: in each epoch, hop by hop until it meets a node it visited
+/// in that epoch, then whole turns up to the epoch's end or the TTL's,
+/// and the fewer-than-a-turn remainder hop by hop. `trace` is the
+/// walk's hop-by-hop trajectory.
+fn redetecting_lookups(trace: &[Hop], index: &EpochIndex) -> u64 {
+    let last = trace.len() - 1;
+    let mut lookups = 0;
+    let mut s = 0;
+    while s < trace.len() {
+        let epoch = index.epoch_of(trace[s].at);
+        let run = trace[s..]
+            .iter()
+            .take_while(|hop| index.epoch_of(hop.at) == epoch)
+            .count();
+        // The first lookup at a node the epoch saw before, and the turn.
+        let repeat = (1..run).find_map(|k| {
+            let node = trace[s + k].node;
+            let i = trace[s..s + k].iter().position(|hop| hop.node == node)?;
+            Some((k, k - i))
+        });
+        lookups += match repeat {
+            None => run,
+            Some((k, cycle)) => run - (run - k).min(last - s - k) / cycle * cycle,
+        } as u64;
+        s += run;
+    }
+    lookups
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A standing forwarding cycle at the paper's time scale (TTL 128,
+    /// 2 ms links) while the nodes off it change their entries every
+    /// few ms: a packet on the cycle spins through dozens of FIB
+    /// changes, none of which concerns it. The fleet's tally is the
+    /// naive walk's; each packet, walked alone, accounts for every
+    /// lookup of its naive walk; and the walks make fewer lookups than
+    /// walks that re-detect the cycle behind every boundary would.
+    #[test]
+    fn cycle_skip_outlives_changes_off_the_cycle(
+        cycle in 2u32..5,
+        off in 1u32..8,
+        initial in proptest::collection::vec(0u32..12, 8..9),
+        changes in proptest::collection::vec(
+            (0u32..8, 1u64..6, proptest::option::of(0u32..12)), 100..300),
+        fleet in proptest::collection::vec((40u64..200, 0u64..200), 12..13),
+    ) {
+        let prefix = Prefix::new(0);
+        let nodes = cycle + off;
+        let entry = |node: u32, hop: u32| match hop % nodes {
+            next if next == node => FibEntry::Local,
+            next => FibEntry::Via(NodeId::new(next)),
+        };
+        let mut fib = NetworkFib::new(nodes as usize);
+        for node in 0..nodes {
+            let next = match node < cycle {
+                true => FibEntry::Via(NodeId::new((node + 1) % cycle)),
+                false => entry(node, initial[(node - cycle) as usize]),
+            };
+            fib.record(NodeId::new(node), prefix, SimTime::ZERO, Some(next));
+        }
+        let mut clock = SimTime::ZERO;
+        for (node, dt, hop) in changes {
+            let node = cycle + node % off;
+            clock += SimDuration::from_millis(dt);
+            fib.record(NodeId::new(node), prefix, clock, hop.map(|hop| entry(node, hop)));
+        }
+        let sources: Vec<CbrSource> = (0..nodes)
+            .zip(&fleet)
+            .map(|(node, &(interval, phase))| CbrSource::new(
+                NodeId::new(node),
+                SimDuration::from_millis(interval),
+                SimDuration::from_millis(phase % interval),
+            ))
+            .collect();
+        let delay = SimDuration::from_millis(2);
+        let (start, end) = (SimTime::ZERO, SimTime::from_millis(600));
+        let packets = generate_packets(&sources, prefix, DEFAULT_TTL, start, end);
+        let index = EpochIndex::build(&fib, prefix);
+        let (tally, _) = replay_fleet(&index, &sources, DEFAULT_TTL, start, end, delay);
+        prop_assert_eq!(tally, FateTally::from_fates(&walk_all(&fib, &packets, delay)));
+        let (mut hops, mut redetecting) = (0, 0);
+        for packet in &packets {
+            let mut trace = Vec::new();
+            let fate = walk_packet_traced(&fib, packet, delay, Some(&mut trace));
+            let (fates, stats) = walk_indexed_batch(&index, std::slice::from_ref(packet), delay);
+            prop_assert_eq!(fates[0], fate);
+            prop_assert_eq!(stats.hops + stats.hops_skipped, trace.len() as u64);
+            hops += stats.hops;
+            redetecting += redetecting_lookups(&trace, &index);
+        }
+        prop_assert!(hops < redetecting, "{hops} lookups, {redetecting} re-detecting");
     }
 }
 
