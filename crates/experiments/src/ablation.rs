@@ -28,7 +28,7 @@ use bgpsim_topology::generators::internet_like_tiered;
 use bgpsim_topology::relationships::derive_relationships;
 use bgpsim_topology::{algo, NodeId};
 
-use crate::scenario::{EventKind, Scenario, TopologySpec};
+use crate::scenario::{EventKind, ScenarioSpec, TopologySpec};
 
 /// One ablation comparison row.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,9 +81,9 @@ pub fn render_rows(title: &str, rows: &[AblationRow]) -> String {
 
 /// Runs a batch of scenarios through the global runner (parallel,
 /// cached) and returns the metrics in submission order.
-fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<PaperMetrics> {
+fn run_scenarios(scenarios: Vec<ScenarioSpec>) -> Vec<PaperMetrics> {
     bgpsim_runner::global()
-        .run_jobs(scenarios.into_iter().map(Scenario::into_job).collect())
+        .run_jobs(scenarios.into_iter().map(ScenarioSpec::into_job).collect())
         .expect("ablation job failed")
 }
 
@@ -95,12 +95,12 @@ pub fn jitter_ablation(clique_n: usize, seeds: &[u64]) -> Vec<AblationRow> {
         ("jitter [0.75M, M] (SSFNet)", Jitter::SSFNET),
         ("no jitter", Jitter::NONE),
     ];
-    let scenarios: Vec<Scenario> = configs
+    let scenarios: Vec<ScenarioSpec> = configs
         .iter()
         .flat_map(|&(_, jitter)| {
             let cfg = BgpConfig::default().with_jitter(jitter);
             seeds.iter().map(move |&seed| {
-                Scenario::new(TopologySpec::Clique(clique_n), EventKind::TDown)
+                ScenarioSpec::new(TopologySpec::Clique(clique_n), EventKind::TDown)
                     .with_config(cfg)
                     .with_seed(seed)
             })
@@ -139,13 +139,14 @@ pub fn processing_delay_ablation(clique_n: usize, seeds: &[u64]) -> Vec<Ablation
     }
     // The whole combos × seeds grid is one runner batch; `params` is
     // part of the scenario (and its cache fingerprint).
-    let scenarios: Vec<Scenario> = combos
+    let scenarios: Vec<ScenarioSpec> = combos
         .iter()
         .flat_map(|&(_, params, enh)| {
             seeds.iter().map(move |&seed| {
-                let mut scenario = Scenario::new(TopologySpec::Clique(clique_n), EventKind::TDown)
-                    .with_config(BgpConfig::default().with_enhancements(enh))
-                    .with_seed(seed);
+                let mut scenario =
+                    ScenarioSpec::new(TopologySpec::Clique(clique_n), EventKind::TDown)
+                        .with_config(BgpConfig::default().with_enhancements(enh))
+                        .with_seed(seed);
                 scenario.params = params;
                 scenario
             })
@@ -183,7 +184,7 @@ pub fn policy_ablation(n: usize, seeds: &[u64]) -> Vec<AblationRow> {
         measure_run(&record, dest, prefix, seed).metrics
     }
 
-    // These runs do not go through `Scenario`, so they carry hand-made
+    // These runs do not go through `ScenarioSpec`, so they carry hand-made
     // fingerprints (deterministic in `(n, seed, policy)`), making them
     // just as cacheable as the figure sweeps.
     let mut jobs = Vec::new();
@@ -199,8 +200,8 @@ pub fn policy_ablation(n: usize, seeds: &[u64]) -> Vec<AblationRow> {
         jobs.push(bgpsim_runner::Job::new(
             format!("policy shortest internet-{n} seed {seed}"),
             Some(format!("ablation/policy/v1|shortest|n={n}|seed={seed}")),
-            move || {
-                run_policy(
+            move |_| {
+                Ok(run_policy(
                     SimNetwork::new(
                         &shortest_graph,
                         BgpConfig::default(),
@@ -211,12 +212,13 @@ pub fn policy_ablation(n: usize, seeds: &[u64]) -> Vec<AblationRow> {
                     prefix,
                     seed,
                 )
+                .into())
             },
         ));
         jobs.push(bgpsim_runner::Job::new(
             format!("policy gao-rexford internet-{n} seed {seed}"),
             Some(format!("ablation/policy/v1|gao-rexford|n={n}|seed={seed}")),
-            move || {
+            move |_| {
                 let net = SimNetwork::with_policies(
                     &graph,
                     BgpConfig::default(),
@@ -224,7 +226,7 @@ pub fn policy_ablation(n: usize, seeds: &[u64]) -> Vec<AblationRow> {
                     seed,
                     move |node: NodeId| GaoRexford::for_node(node, &rels),
                 );
-                run_policy(net, dest, prefix, seed)
+                Ok(run_policy(net, dest, prefix, seed).into())
             },
         ));
     }

@@ -17,7 +17,7 @@ use bgpsim_sim::FlapProfile;
 
 use crate::chart::render_columns;
 use crate::figures::Scale;
-use crate::scenario::{EventKind, Scenario, TopologySpec};
+use crate::scenario::{EventKind, ScenarioSpec, TopologySpec};
 use crate::sweep::{aggregate, AggregatedPoint};
 
 /// Knobs of the churn sweep, layered on the scale's defaults by the
@@ -80,8 +80,8 @@ pub struct ChurnSweep {
 }
 
 /// The scenario for one `(period, seed)` cell.
-fn cell_scenario(n: usize, period: u64, opts: &ChurnOptions, seed: u64) -> Scenario {
-    Scenario::new(TopologySpec::BClique(n), EventKind::Flap)
+fn cell_scenario(n: usize, period: u64, opts: &ChurnOptions, seed: u64) -> ScenarioSpec {
+    ScenarioSpec::new(TopologySpec::BClique(n), EventKind::Flap)
         .with_flap(FlapProfile {
             period: SimDuration::from_secs(period),
             count: opts.count,

@@ -11,7 +11,7 @@ use bgpsim_core::{BgpConfig, Enhancements};
 use bgpsim_metrics::PaperMetrics;
 use bgpsim_netsim::time::SimDuration;
 
-use crate::scenario::{EventKind, Scenario, TopologySpec};
+use crate::scenario::{EventKind, ScenarioSpec, TopologySpec};
 use crate::sweep::{aggregate, AggregatedPoint, Series};
 
 /// One sweep cell: the x-coordinate of an aggregated point plus the
@@ -35,7 +35,7 @@ impl Cell {
     /// topology (and with it the destination and failed link) varies
     /// per repetition, as in the paper's runs over "different
     /// destination ASes and failed links".
-    pub fn scenario(&self, seed: u64) -> Scenario {
+    pub fn scenario(&self, seed: u64) -> ScenarioSpec {
         let spec = match &self.spec {
             TopologySpec::InternetLike { n, .. } => TopologySpec::InternetLike {
                 n: *n,
@@ -43,7 +43,7 @@ impl Cell {
             },
             other => other.clone(),
         };
-        Scenario::new(spec, self.event)
+        ScenarioSpec::new(spec, self.event)
             .with_config(self.config)
             .with_seed(seed)
     }

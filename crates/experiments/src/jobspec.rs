@@ -3,7 +3,7 @@
 //! A [`JobSpec`] is the JSON body of a `POST /v1/jobs` submission — a
 //! declarative description of one scenario family (topology, event,
 //! protocol configuration) fanned out over a list of seeds. It maps
-//! 1:1 onto [`Scenario`] values, so everything downstream (fingerprint,
+//! 1:1 onto [`ScenarioSpec`] values, so everything downstream (fingerprint,
 //! run cache, budgets) behaves exactly as if the scenarios had been
 //! built in-process.
 //!

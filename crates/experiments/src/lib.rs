@@ -46,5 +46,5 @@ pub use canonical::CANONICAL_VERSION;
 pub use churn::{ChurnOptions, ChurnPoint, ChurnSweep};
 pub use figures::{ClaimCheck, Scale};
 pub use jobspec::{ForkSpec, JobSpec, JOBSPEC_VERSION};
-pub use scenario::{EventKind, Scenario, ScenarioResult, ScenarioSpec, TopologySpec};
+pub use scenario::{EventKind, ScenarioResult, ScenarioSpec, TopologySpec};
 pub use sweep::{aggregate, linear_fit, AggregatedPoint, LinearFit, Series};

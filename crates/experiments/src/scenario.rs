@@ -178,10 +178,6 @@ pub struct ScenarioSpec {
     pub flap: FlapProfile,
 }
 
-/// The pre-redesign name of [`ScenarioSpec`], kept so existing callers
-/// keep compiling; new code should say `ScenarioSpec`.
-pub type Scenario = ScenarioSpec;
-
 impl ScenarioSpec {
     /// Creates a scenario with paper-default configuration.
     pub fn new(topology: TopologySpec, event: EventKind) -> Self {
@@ -376,8 +372,8 @@ impl ScenarioSpec {
             .to_canonical_json()
             .ok()
             .map(|scenario| bgpsim_runner::WorkerPayload { scenario, seed });
-        bgpsim_runner::Job::budgeted(label, fingerprint, move |budget| {
-            job_outcome(self.run_budgeted(&run_budget(budget)), seed)
+        bgpsim_runner::Job::new(label, fingerprint, move |budget| {
+            job_outcome(self.run_budgeted(budget), seed)
         })
         .with_worker_payload(payload)
     }
@@ -468,15 +464,6 @@ impl ScenarioSpec {
         let sim_started = Instant::now();
         let record = experiment.run_budgeted(limit)?;
         Ok(self.measured(destination, failure, record, sim_started))
-    }
-}
-
-/// Translates the runner's per-attempt budget into the harness's.
-fn run_budget(budget: &bgpsim_runner::JobBudget) -> RunBudget {
-    RunBudget {
-        max_events: budget.max_events,
-        deadline: budget.deadline,
-        cancel: budget.cancel.as_ref().map(|token| token.flag()),
     }
 }
 
@@ -655,18 +642,18 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_sensitive() {
-        let base = Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
+        let base = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
         assert_eq!(base.fingerprint(), base.clone().fingerprint());
         // Every varying input must change the fingerprint.
         let other_seed = base.clone().with_seed(2);
         assert_ne!(base.fingerprint(), other_seed.fingerprint());
-        let other_event = Scenario::new(TopologySpec::Clique(5), EventKind::TLong).with_seed(1);
+        let other_event = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TLong).with_seed(1);
         assert_ne!(base.fingerprint(), other_event.fingerprint());
         let other_cfg = base.clone().with_config(
             bgpsim_core::BgpConfig::default().with_enhancements(bgpsim_core::Enhancements::ssld()),
         );
         assert_ne!(base.fingerprint(), other_cfg.fingerprint());
-        let other_topo = Scenario::new(TopologySpec::Clique(6), EventKind::TDown).with_seed(1);
+        let other_topo = ScenarioSpec::new(TopologySpec::Clique(6), EventKind::TDown).with_seed(1);
         assert_ne!(base.fingerprint(), other_topo.fingerprint());
     }
 
@@ -674,7 +661,7 @@ mod tests {
     fn fingerprint_bytes_are_pinned() {
         // The run-cache v4 key, as the recovery journal fixture spells
         // it: a change here orphans every cached result.
-        let spec = Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(3);
+        let spec = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(3);
         assert_eq!(
             spec.fingerprint(),
             "scenario/v1|topo=clique:5|event=Tdown|mrai=30000000000|jitter=3fe8000000000000,3ff0000000000000|enh=0000|damping=none|link=2000000|proc=100000000,500000000|seed=3"
@@ -684,7 +671,7 @@ mod tests {
     #[test]
     fn custom_fingerprint_encodes_edges() {
         let g = generators::clique(3);
-        let fp = Scenario::new(
+        let fp = ScenarioSpec::new(
             TopologySpec::Custom {
                 graph: g,
                 destination: NodeId::new(2),
@@ -698,12 +685,12 @@ mod tests {
 
     #[test]
     fn job_runs_the_scenario() {
-        let scenario = Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
+        let scenario = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
         let direct = scenario.clone().run().measurement.metrics;
         let job = scenario.into_job();
         assert!(job.fingerprint.is_some());
         assert!(job.label.contains("clique-5"));
-        let out = (job.run)(&bgpsim_runner::JobBudget::default()).expect("unlimited budget");
+        let out = (job.run)(&RunBudget::unlimited()).expect("unlimited budget");
         assert_eq!(direct, out.metrics);
         let counters = out.counters.expect("scenario jobs carry counters");
         assert!(counters.events > 0);
@@ -713,13 +700,9 @@ mod tests {
 
     #[test]
     fn job_honors_watchdog_budget() {
-        let scenario = Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
+        let scenario = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
         let job = scenario.into_job();
-        let budget = bgpsim_runner::JobBudget {
-            max_events: Some(5),
-            deadline: None,
-            cancel: None,
-        };
+        let budget = RunBudget::unlimited().with_max_events(5);
         let timeout = (job.run)(&budget).expect_err("5 events cannot finish warm-up");
         assert_eq!(timeout.phase, "warmup");
         let counters = timeout.counters.expect("partial counters survive the stop");
@@ -728,8 +711,53 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_handle_stops_an_in_process_run_at_its_first_check() {
+        let path = std::env::temp_dir().join(format!(
+            "bgpsim-scenario-cancel-journal-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let runner = bgpsim_runner::RunnerConfig::new()
+            .jobs(1)
+            .journal(&path)
+            .build()
+            .unwrap();
+        let handle = bgpsim_runner::JobHandle::new();
+        let own = handle.clone();
+        let scenario = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
+        let job = bgpsim_runner::Job::new("self-cancelling", None, move |budget| {
+            own.cancel();
+            let stopped = scenario
+                .run_budgeted(budget)
+                .expect_err("the cancel flag stops the run");
+            assert_eq!(stopped.phase, "warmup");
+            assert_eq!(
+                stopped.record.events_dispatched, 0,
+                "drive sees the flag at its first check"
+            );
+            Err(bgpsim_runner::JobTimeout {
+                phase: stopped.phase,
+                counters: Some(Box::new(partial_counters(&stopped.record))),
+            })
+        });
+        match runner.run_job(job, &handle) {
+            Err(bgpsim_runner::Error::Cancelled { label }) => assert_eq!(label, "self-cancelling"),
+            other => panic!("expected Error::Cancelled, got {other:?}"),
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let done: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"event\":\"job_done\""))
+            .collect();
+        assert_eq!(done.len(), 1, "journal: {text}");
+        assert!(done[0].contains("\"cancelled\":true"), "line: {}", done[0]);
+        assert!(done[0].contains("\"timed_out\":false"), "line: {}", done[0]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn flap_scenario_runs_and_counts_faults() {
-        let result = Scenario::new(TopologySpec::BClique(3), EventKind::Flap)
+        let result = ScenarioSpec::new(TopologySpec::BClique(3), EventKind::Flap)
             .with_flap(FlapProfile {
                 period: bgpsim_netsim::time::SimDuration::from_secs(60),
                 count: 2,
@@ -759,7 +787,7 @@ mod tests {
 
     #[test]
     fn explicit_fault_plan_overrides_event_and_fingerprint() {
-        let base = Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
+        let base = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
         let planned = base.clone().with_faults(FaultPlan::new().session_reset(
             bgpsim_netsim::time::SimDuration::ZERO,
             NodeId::new(1),
@@ -777,7 +805,7 @@ mod tests {
 
     #[test]
     fn flap_fingerprint_tracks_profile() {
-        let a = Scenario::new(TopologySpec::BClique(3), EventKind::Flap).with_seed(1);
+        let a = ScenarioSpec::new(TopologySpec::BClique(3), EventKind::Flap).with_seed(1);
         let profile = FlapProfile {
             count: 7,
             ..Default::default()
@@ -786,14 +814,14 @@ mod tests {
         assert!(a.fingerprint().contains("|flap="));
         assert_ne!(a.fingerprint(), b.fingerprint());
         // Fault-free fingerprints carry no fault fragment at all.
-        let plain = Scenario::new(TopologySpec::BClique(3), EventKind::TLong).with_seed(1);
+        let plain = ScenarioSpec::new(TopologySpec::BClique(3), EventKind::TLong).with_seed(1);
         assert!(!plain.fingerprint().contains("|flap="));
         assert!(!plain.fingerprint().contains("|faults="));
     }
 
     #[test]
     fn tdown_scenario_runs_end_to_end() {
-        let result = Scenario::new(TopologySpec::Clique(5), EventKind::TDown)
+        let result = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown)
             .with_seed(1)
             .run();
         assert!(result.record.convergence_time().is_some());
@@ -802,7 +830,7 @@ mod tests {
 
     #[test]
     fn tlong_on_bclique_fails_paper_link() {
-        let result = Scenario::new(TopologySpec::BClique(3), EventKind::TLong)
+        let result = ScenarioSpec::new(TopologySpec::BClique(3), EventKind::TLong)
             .with_seed(2)
             .run();
         assert_eq!(
@@ -822,7 +850,7 @@ mod tests {
 
     #[test]
     fn tlong_on_internet_keeps_destination_reachable() {
-        let result = Scenario::new(
+        let result = ScenarioSpec::new(
             TopologySpec::InternetLike {
                 n: 29,
                 topo_seed: 3,

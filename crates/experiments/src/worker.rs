@@ -14,7 +14,7 @@ use bgpsim_runner::supervisor::{decode_request, encode_failure, encode_success};
 use bgpsim_sim::RunBudget;
 use bgpsim_trace::failpoint::{self, FailpointAction};
 
-use crate::scenario::Scenario;
+use crate::scenario::ScenarioSpec;
 
 /// Reads one request from stdin, runs it, prints one verdict line.
 ///
@@ -44,7 +44,7 @@ pub fn run() {
         eprintln!("bgpsim worker: injected failure (worker_run)");
         std::process::exit(3);
     }
-    let scenario = match Scenario::from_canonical_json(&request.scenario) {
+    let scenario = match ScenarioSpec::from_canonical_json(&request.scenario) {
         Ok(scenario) => scenario,
         Err(err) => {
             println!("{}", encode_failure("worker", &err.to_string()));

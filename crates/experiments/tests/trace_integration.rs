@@ -10,21 +10,24 @@
 use std::collections::BTreeMap;
 
 use bgpsim_experiments::runner::Runner;
-use bgpsim_experiments::{EventKind, Scenario, TopologySpec};
+use bgpsim_experiments::{EventKind, ScenarioSpec, TopologySpec};
 use bgpsim_trace::RawEvent;
 
 /// One scenario per distinct seed, so trace lines (keyed by seed) map
 /// back to exactly one run. Seed 11 is the paper's smallest looping
 /// case: a 3-node clique withdrawing its destination.
-fn scenarios() -> Vec<Scenario> {
+fn scenarios() -> Vec<ScenarioSpec> {
     vec![
-        Scenario::new(TopologySpec::Clique(3), EventKind::TDown).with_seed(11),
-        Scenario::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(12),
+        ScenarioSpec::new(TopologySpec::Clique(3), EventKind::TDown).with_seed(11),
+        ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(12),
     ]
 }
 
 fn jobs() -> Vec<bgpsim_experiments::runner::Job> {
-    scenarios().into_iter().map(Scenario::into_job).collect()
+    scenarios()
+        .into_iter()
+        .map(ScenarioSpec::into_job)
+        .collect()
 }
 
 #[derive(Default, PartialEq, Eq, Debug)]

@@ -156,7 +156,7 @@ pub struct LinkLoss {
     pub probability: f64,
 }
 
-/// Scenario-level flap parameterization: how the failure link should
+/// Flap parameterization of a scenario: how the failure link should
 /// flap in an [`EventKind::Flap`]-style experiment.
 ///
 /// This is the coarse knob exposed by sweep binaries; it compiles into

@@ -1,7 +1,7 @@
 //! # bgpsim-netsim
 //!
-//! A small, deterministic discrete-event simulation engine — the
-//! substrate on which the `bgpsim` BGP routing study runs. It plays the
+//! The parts of a small, deterministic discrete-event simulation —
+//! event queue, clock, RNG, links and processors — and the substrate on which the `bgpsim` BGP routing study runs. It plays the
 //! role SSFNet played in the original ICDCS 2004 paper *"A Study of BGP
 //! Path Vector Route Looping Behavior"* (Pei, Zhao, Massey, Zhang).
 //!
@@ -13,8 +13,10 @@
 //! 2. **Fidelity to the study's model** — serialized per-node message
 //!    processing ([`process::Processor`]) and reliable in-order links
 //!    with propagation delay ([`link::Link`]).
-//! 3. **Simplicity** — the engine is generic over the event type and has
-//!    no knowledge of BGP; higher layers define their own event enums.
+//! 3. **Simplicity** — the crate has no knowledge of BGP and no event
+//!    loop of its own: [`queue::EventQueue`] orders any payload type,
+//!    and the network layer on top owns the clock and the loop that
+//!    pops it.
 //!
 //! ## Example
 //!
@@ -24,35 +26,37 @@
 //! #[derive(Debug)]
 //! enum Ev { Ping, Pong }
 //!
-//! let mut engine: Engine<Ev> = Engine::new();
-//! engine.schedule_at(SimTime::from_millis(10), Ev::Ping);
+//! let mut queue = EventQueue::new();
+//! queue.schedule(SimTime::from_millis(10), Ev::Ping);
+//! let mut now = SimTime::ZERO;
 //! let mut pongs = 0;
-//! engine.run(|eng, ev| match ev {
-//!     Ev::Ping => {
-//!         eng.schedule_after(SimDuration::from_millis(5), Ev::Pong);
+//! while let Some((at, _, ev)) = queue.pop() {
+//!     now = at;
+//!     match ev {
+//!         Ev::Ping => {
+//!             queue.schedule(now + SimDuration::from_millis(5), Ev::Pong);
+//!         }
+//!         Ev::Pong => pongs += 1,
 //!     }
-//!     Ev::Pong => pongs += 1,
-//! });
+//! }
 //! assert_eq!(pongs, 1);
-//! assert_eq!(engine.now(), SimTime::from_millis(15));
+//! assert_eq!(now, SimTime::from_millis(15));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod link;
 pub mod process;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
-/// Convenient glob-import of the most used engine types.
+/// Convenient glob-import of the most used simulation types.
 pub mod prelude {
-    pub use crate::engine::{Engine, EngineStats, StopReason};
     pub use crate::link::Link;
     pub use crate::process::Processor;
-    pub use crate::queue::EventId;
+    pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
 }
@@ -71,24 +75,26 @@ mod integration_tests {
             Done(u32),
         }
 
-        let mut engine: Engine<Ev> = Engine::new();
+        let mut queue = EventQueue::new();
         let mut link = Link::new(SimDuration::from_millis(2));
         let mut cpu = Processor::new();
 
         // Three messages sent at t = 0, 1ms, 2ms.
         for (i, ms) in [0u64, 1, 2].into_iter().enumerate() {
             let arr = link.transmit(SimTime::from_millis(ms)).unwrap();
-            engine.schedule_at(arr, Ev::Arrive(i as u32));
+            queue.schedule(arr, Ev::Arrive(i as u32));
         }
 
         let mut completions = Vec::new();
-        engine.run(|eng, ev| match ev {
-            Ev::Arrive(i) => {
-                let done = cpu.admit(eng.now(), SimDuration::from_millis(100));
-                eng.schedule_at(done, Ev::Done(i));
+        while let Some((now, _, ev)) = queue.pop() {
+            match ev {
+                Ev::Arrive(i) => {
+                    let done = cpu.admit(now, SimDuration::from_millis(100));
+                    queue.schedule(done, Ev::Done(i));
+                }
+                Ev::Done(i) => completions.push((now, i)),
             }
-            Ev::Done(i) => completions.push((eng.now(), i)),
-        });
+        }
 
         assert_eq!(
             completions,
@@ -98,29 +104,5 @@ mod integration_tests {
                 (SimTime::from_millis(302), 2),
             ]
         );
-    }
-
-    /// Two engines driven by the same seed must evolve identically.
-    #[test]
-    fn seeded_runs_are_identical() {
-        fn run(seed: u64) -> Vec<(SimTime, u64)> {
-            let mut engine: Engine<u64> = Engine::new();
-            let mut rng = SimRng::new(seed);
-            engine.schedule_at(SimTime::ZERO, 0);
-            let mut log = Vec::new();
-            engine.run(|eng, n| {
-                log.push((eng.now(), n));
-                if n < 50 {
-                    let d = rng.uniform_duration(
-                        SimDuration::from_millis(100),
-                        SimDuration::from_millis(500),
-                    );
-                    eng.schedule_after(d, n + 1);
-                }
-            });
-            log
-        }
-        assert_eq!(run(99), run(99));
-        assert_ne!(run(99), run(100));
     }
 }

@@ -132,11 +132,6 @@ impl LiveBits {
             .get((seq >> 6) as usize)
             .is_some_and(|w| w & (1 << (seq & 63)) != 0)
     }
-
-    fn clear(&mut self) {
-        self.words.clear();
-        self.count = 0;
-    }
 }
 
 /// Below this many raw keys compaction is never worth the rebuild cost.
@@ -418,17 +413,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.live.count == 0
     }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.lanes.clear();
-        self.heads.clear();
-        self.lane_keys = 0;
-        self.live.clear();
-        self.payloads.clear();
-        self.free_slots.clear();
-    }
 }
 
 #[cfg(test)]
@@ -592,17 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_discards_everything() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 1);
-        let id = q.schedule(SimTime::from_secs(2), 2);
-        q.cancel(id);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn explicit_order_tags_override_schedule_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
@@ -668,11 +641,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every operation the engine uses, interleaved at random,
+        /// Every operation the simulator uses, interleaved at random,
         /// against a reference that keeps the live events in a `Vec`
         /// and delivers the smallest `(time, order, seq)`: same
         /// deliveries, same `cancel` and `peek_time` answers, same
-        /// `len()` after every step (so the engine's `max_pending`
+        /// `len()` after every step (so the network's `max_pending`
         /// agrees too). Times and order tags come from tiny ranges, so
         /// same-instant ties, reused tags and keys behind their lane's
         /// newest are the common case, not the rare one.

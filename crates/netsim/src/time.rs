@@ -1,6 +1,6 @@
 //! Simulation clock types.
 //!
-//! The engine measures time in integer **nanoseconds** to keep event
+//! The simulator measures time in integer **nanoseconds** to keep event
 //! ordering exact and runs reproducible: floating-point accumulation
 //! error would make event order depend on the history of arithmetic,
 //! which is fatal for a deterministic simulator.

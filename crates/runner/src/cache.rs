@@ -3,7 +3,7 @@
 //! Every cacheable job carries a canonical *spec string* describing
 //! everything that determines its result (topology, event, protocol
 //! config, physical parameters, seed — see
-//! `bgpsim_experiments::Scenario::fingerprint`). The cache stores one
+//! `bgpsim_experiments::ScenarioSpec::fingerprint`). The cache stores one
 //! JSON file per spec, named by a 128-bit content hash of the spec and
 //! the [`SCHEMA_VERSION`]; the file also embeds the full spec string,
 //! so even a hash collision is detected and treated as a miss rather
@@ -183,12 +183,6 @@ impl RunCache {
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
-    }
-
-    /// Whether two handles share the same opened cache instance (not
-    /// merely the same directory).
-    pub fn same_instance(&self, other: &RunCache) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// The entry file for a spec (key = hash of schema + spec).

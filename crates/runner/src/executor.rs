@@ -6,10 +6,11 @@ use std::io::{IsTerminal, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bgpsim_metrics::PaperMetrics;
+use bgpsim_sim::RunBudget;
 use bgpsim_trace::{failpoint, RunCounters, TraceEvent, TraceHandle};
 use serde::Serialize;
 
@@ -50,51 +51,18 @@ impl JobOutput {
     }
 }
 
-/// A cooperative cancellation flag shared between a job's owner and the
-/// running job.
-///
-/// The token is a cheap `Clone` over one shared atomic: the owner calls
-/// [`cancel`](Self::cancel), and the job observes it at its watchdog
-/// poll points (the same places it checks event/deadline budgets). The
-/// raw flag is exposed via [`flag`](Self::flag) so crates that cannot
-/// depend on the runner (e.g. the simulator's `RunBudget`) can poll it.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; the job stops at its next
-    /// poll point.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// `true` once [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// The shared flag itself, for embedding in budgets of crates that
-    /// do not know about `CancelToken`.
-    pub fn flag(&self) -> std::sync::Arc<AtomicBool> {
-        std::sync::Arc::clone(&self.0)
-    }
-}
-
-/// A handle to one submitted job: carries the [`CancelToken`] the
-/// executor threads through the job's watchdog budget.
+/// A handle to one submitted job: the cooperative cancellation flag
+/// the executor puts into the job's [`RunBudget`].
 ///
 /// Cloneable, so a job registry can keep one copy while the submitting
-/// client keeps another; cancelling through any clone stops the job.
-/// The batch API ([`Runner::run_jobs`]) is unaffected — handles exist
-/// only for the single-job [`Runner::run_job`] path.
+/// client keeps another; cancelling through any clone stops the job at
+/// its next watchdog poll point (the same places it checks its event
+/// and deadline budgets). The batch API ([`Runner::run_jobs`]) is
+/// unaffected — handles exist only for the single-job
+/// [`Runner::run_job`] path.
 #[derive(Debug, Clone, Default)]
 pub struct JobHandle {
-    token: CancelToken,
+    cancel: Arc<AtomicBool>,
 }
 
 impl JobHandle {
@@ -103,41 +71,14 @@ impl JobHandle {
         JobHandle::default()
     }
 
-    /// Requests cooperative cancellation of the job.
+    /// Requests cooperative cancellation of the job. Idempotent.
     pub fn cancel(&self) {
-        self.token.cancel();
+        self.cancel.store(true, Ordering::Relaxed);
     }
 
     /// `true` once cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.token.is_cancelled()
-    }
-
-    /// The underlying token.
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-}
-
-/// Watchdog limits the executor hands to each job closure.
-///
-/// A job that honors its budget (see [`Job::budgeted`]) converts a
-/// non-converging run into a clean [`JobTimeout`] instead of hanging a
-/// worker forever. Jobs built with [`Job::new`] ignore the budget.
-#[derive(Debug, Clone, Default)]
-pub struct JobBudget {
-    /// Maximum simulation events for the run.
-    pub max_events: Option<u64>,
-    /// Wall-clock deadline for the run.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag, polled alongside the limits.
-    pub cancel: Option<CancelToken>,
-}
-
-impl JobBudget {
-    /// `true` if no limit (and no cancellation hook) is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_events.is_none() && self.deadline.is_none() && self.cancel.is_none()
+        self.cancel.load(Ordering::Relaxed)
     }
 }
 
@@ -153,7 +94,7 @@ pub struct JobTimeout {
 }
 
 /// A job body: the run itself, given the executor's watchdog budget.
-pub type JobFn = Box<dyn FnOnce(&JobBudget) -> Result<JobOutput, JobTimeout> + Send>;
+pub type JobFn = Box<dyn FnOnce(&RunBudget) -> Result<JobOutput, JobTimeout> + Send>;
 
 /// One unit of work: an independent simulation run.
 pub struct Job {
@@ -174,29 +115,13 @@ pub struct Job {
 }
 
 impl Job {
-    /// Creates a job. The closure may return either bare
-    /// [`PaperMetrics`] or a [`JobOutput`] carrying counters. Jobs
-    /// built this way ignore the watchdog budget (they cannot time
-    /// out); use [`Job::budgeted`] for runs that honor it.
-    pub fn new<R: Into<JobOutput>>(
+    /// Creates a job. The closure receives the runner's watchdog
+    /// limits and reports [`JobTimeout`] when it stops early; a run
+    /// that cannot time out ignores them (`|_| Ok(metrics.into())`).
+    pub fn new(
         label: impl Into<String>,
         fingerprint: Option<String>,
-        run: impl FnOnce() -> R + Send + 'static,
-    ) -> Self {
-        Job {
-            label: label.into(),
-            fingerprint,
-            run: Box::new(move |_| Ok(run().into())),
-            payload: None,
-        }
-    }
-
-    /// Creates a budget-aware job: the closure receives the runner's
-    /// watchdog limits and reports [`JobTimeout`] when it stops early.
-    pub fn budgeted(
-        label: impl Into<String>,
-        fingerprint: Option<String>,
-        run: impl FnOnce(&JobBudget) -> Result<JobOutput, JobTimeout> + Send + 'static,
+        run: impl FnOnce(&RunBudget) -> Result<JobOutput, JobTimeout> + Send + 'static,
     ) -> Self {
         Job {
             label: label.into(),
@@ -311,10 +236,13 @@ struct JournalCrash {
     poisoned: bool,
 }
 
-/// Why an isolated job stopped without a result.
-enum IsolatedStop {
-    /// A clean watchdog stop (child verdict or supervisor wall kill).
+/// Why an executed job stopped without a result.
+enum ExecStop {
+    /// A clean watchdog stop: the job's own, a child's verdict, or a
+    /// supervisor kill at the deadline or on cancellation.
     Timeout(JobTimeout),
+    /// The in-process closure panicked.
+    Panic,
     /// Every worker attempt died; the fingerprint may be poisoned.
     Crashed {
         detail: String,
@@ -337,19 +265,6 @@ pub struct CompletedJob {
     pub cached: bool,
     /// Wall-clock time for this job (lookup + run + store).
     pub elapsed: Duration,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    jobs: u64,
-    cache_hits: u64,
-    executed: u64,
-    job_time: Duration,
-    wall_time: Duration,
-    counters: RunCounters,
-    worker_crashes: u64,
-    worker_retries: u64,
-    jobs_poisoned: u64,
 }
 
 struct BatchProgress {
@@ -379,7 +294,7 @@ pub struct Runner {
     /// workers forever. In-memory only: a process restart (which goes
     /// through journal recovery) grants crashed jobs a fresh chance.
     poisoned: Mutex<HashSet<String>>,
-    stats: Mutex<StatsInner>,
+    stats: Mutex<RunnerStats>,
 }
 
 impl std::fmt::Debug for Runner {
@@ -408,7 +323,7 @@ impl Runner {
             isolate: false,
             isolation: IsolationConfig::default(),
             poisoned: Mutex::new(HashSet::new()),
-            stats: Mutex::new(StatsInner::default()),
+            stats: Mutex::new(RunnerStats::default()),
         }
     }
 
@@ -536,9 +451,9 @@ impl Runner {
     /// Runs one job with a cancellation handle, outside any batch.
     ///
     /// The job goes through the same cache / stats / journal path as
-    /// [`run_jobs`](Self::run_jobs), but the handle's [`CancelToken`]
-    /// is threaded into the job's [`JobBudget`] so budget-aware jobs
-    /// stop cooperatively at their watchdog poll points. This is what a
+    /// [`run_jobs`](Self::run_jobs), but the handle's cancellation flag
+    /// is put into the job's [`RunBudget`] so the job stops
+    /// cooperatively at its watchdog poll points. This is what a
     /// long-running service uses per submission; the batch API keeps
     /// its run-to-completion semantics.
     ///
@@ -553,7 +468,7 @@ impl Runner {
             return Err(Error::Cancelled { label: job.label });
         }
         let started = Instant::now();
-        let result = self.run_inner(job, Some(handle.token()));
+        let result = self.run_inner(job, Some(&handle.cancel));
         self.stats.lock().expect("stats lock").wall_time += started.elapsed();
         result
     }
@@ -564,7 +479,7 @@ impl Runner {
         Ok(done.metrics)
     }
 
-    fn run_inner(&self, job: Job, cancel: Option<&CancelToken>) -> Result<CompletedJob, Error> {
+    fn run_inner(&self, job: Job, cancel: Option<&Arc<AtomicBool>>) -> Result<CompletedJob, Error> {
         let Job {
             label,
             fingerprint,
@@ -572,7 +487,7 @@ impl Runner {
             payload,
         } = job;
         let started = Instant::now();
-        let budget = JobBudget {
+        let budget = RunBudget {
             max_events: self.max_events,
             deadline: self.max_wall.map(|d| started + d),
             cancel: cancel.cloned(),
@@ -623,31 +538,11 @@ impl Runner {
         // recoverable by journal replay.
         self.journal_started(&label, &fingerprint);
 
-        enum ExecStop {
-            Timeout(JobTimeout),
-            Panic,
-            Crashed {
-                detail: String,
-                attempts: u32,
-                poisoned: bool,
-            },
-        }
         let outcome: Result<JobOutput, ExecStop> = match payload {
-            Some(payload) if self.isolate => self
-                .run_isolated(&label, &fingerprint, &payload, &budget)
-                .map_err(|stop| match stop {
-                    IsolatedStop::Timeout(timeout) => ExecStop::Timeout(timeout),
-                    IsolatedStop::Crashed {
-                        detail,
-                        attempts,
-                        poisoned,
-                    } => ExecStop::Crashed {
-                        detail,
-                        attempts,
-                        poisoned,
-                    },
-                }),
-            _ => match catch_unwind(AssertUnwindSafe(move || run(&budget))) {
+            Some(payload) if self.isolate => {
+                self.run_isolated(&label, &fingerprint, &payload, &budget)
+            }
+            _ => match catch_unwind(AssertUnwindSafe(|| run(&budget))) {
                 Ok(Ok(output)) => Ok(output),
                 Ok(Err(timeout)) => Err(ExecStop::Timeout(timeout)),
                 Err(_) => Err(ExecStop::Panic),
@@ -683,12 +578,7 @@ impl Runner {
                 attempts,
                 poisoned,
             }) => {
-                {
-                    let mut stats = self.stats.lock().expect("stats lock");
-                    stats.jobs += 1;
-                    stats.executed += 1;
-                    stats.job_time += elapsed;
-                }
+                self.count_executed(elapsed, None);
                 self.journal_crashed(&label, &fingerprint, &detail, attempts, poisoned);
                 return Err(Error::WorkerCrash {
                     label,
@@ -700,24 +590,16 @@ impl Runner {
             Err(ExecStop::Timeout(timeout)) => {
                 // A watchdog (or cancellation) stop is a real partial
                 // execution: count it, journal it, and surface the
-                // partial counters. The budget reports *where* it
-                // stopped; the token decides *why* — a cancelled run is
+                // partial counters. The stop reports *where* it
+                // stopped; the flag decides *why* — a cancelled run is
                 // classified as such even though it surfaces through
                 // the same early-stop path as a budget trip.
-                let cancelled = cancel.is_some_and(CancelToken::is_cancelled);
+                let cancelled = budget.is_cancelled();
                 let counters = timeout.counters.map(|mut c| {
                     c.wall_ms = elapsed.as_millis() as u64;
                     c
                 });
-                {
-                    let mut stats = self.stats.lock().expect("stats lock");
-                    stats.jobs += 1;
-                    stats.executed += 1;
-                    stats.job_time += elapsed;
-                    if let Some(c) = &counters {
-                        stats.counters.merge(c);
-                    }
-                }
+                self.count_executed(elapsed, counters.as_deref());
                 self.journal_record(
                     &label,
                     &fingerprint,
@@ -744,15 +626,7 @@ impl Runner {
             c.wall_ms = elapsed.as_millis() as u64;
             c
         });
-        {
-            let mut stats = self.stats.lock().expect("stats lock");
-            stats.jobs += 1;
-            stats.executed += 1;
-            stats.job_time += elapsed;
-            if let Some(c) = &counters {
-                stats.counters.merge(c);
-            }
-        }
+        self.count_executed(elapsed, counters.as_ref());
         self.journal_record(&label, &fingerprint, false, false, false, elapsed, counters);
         Ok(CompletedJob {
             label,
@@ -763,6 +637,17 @@ impl Runner {
         })
     }
 
+    /// Counts one executed job (finished or stopped) in the stats.
+    fn count_executed(&self, elapsed: Duration, counters: Option<&RunCounters>) {
+        let mut stats = self.stats.lock().expect("stats lock");
+        stats.jobs += 1;
+        stats.executed += 1;
+        stats.job_time += elapsed;
+        if let Some(c) = counters {
+            stats.counters.merge(c);
+        }
+    }
+
     /// Runs one job in supervised child processes: retry crashed
     /// attempts with exponential backoff, then poison the fingerprint.
     fn run_isolated(
@@ -770,30 +655,24 @@ impl Runner {
         label: &str,
         fingerprint: &Option<String>,
         payload: &WorkerPayload,
-        budget: &JobBudget,
-    ) -> Result<JobOutput, IsolatedStop> {
+        budget: &RunBudget,
+    ) -> Result<JobOutput, ExecStop> {
         let attempts_max = self.isolation.retries.saturating_add(1);
         let fp_str = fingerprint.clone().unwrap_or_default();
         let mut attempt: u32 = 1;
         loop {
-            match crate::supervisor::run_attempt(
-                &self.isolation,
-                payload,
-                budget.max_events,
-                budget.deadline,
-                budget.cancel.as_ref(),
-            ) {
+            match crate::supervisor::run_attempt(&self.isolation, payload, budget) {
                 Ok(output) => return Ok(output),
                 Err(AttemptFailure::Cancelled) => {
-                    // Classified by the caller via the cancel token,
+                    // Classified by the caller via the cancel flag,
                     // exactly like an in-process budget stop.
-                    return Err(IsolatedStop::Timeout(JobTimeout {
+                    return Err(ExecStop::Timeout(JobTimeout {
                         phase: "worker",
                         counters: None,
                     }));
                 }
                 Err(AttemptFailure::Timeout(phase)) => {
-                    return Err(IsolatedStop::Timeout(JobTimeout {
+                    return Err(ExecStop::Timeout(JobTimeout {
                         phase,
                         counters: None,
                     }));
@@ -827,7 +706,7 @@ impl Runner {
                                 .expect("poison lock")
                                 .insert(key.clone());
                         }
-                        return Err(IsolatedStop::Crashed {
+                        return Err(ExecStop::Crashed {
                             detail,
                             attempts: attempt,
                             poisoned: true,
@@ -995,18 +874,7 @@ impl Runner {
 
     /// A snapshot of the cumulative statistics.
     pub fn stats(&self) -> RunnerStats {
-        let inner = self.stats.lock().expect("stats lock");
-        RunnerStats {
-            jobs: inner.jobs,
-            cache_hits: inner.cache_hits,
-            executed: inner.executed,
-            job_time: inner.job_time,
-            wall_time: inner.wall_time,
-            counters: inner.counters,
-            worker_crashes: inner.worker_crashes,
-            worker_retries: inner.worker_retries,
-            jobs_poisoned: inner.jobs_poisoned,
-        }
+        *self.stats.lock().expect("stats lock")
     }
 
     /// Writes the cumulative statistics and aggregated run counters as
@@ -1126,7 +994,7 @@ mod tests {
 
     fn jobs_0_to(n: u64) -> Vec<Job> {
         (0..n)
-            .map(|i| Job::new(format!("job {i}"), None, move || metrics_for(i)))
+            .map(|i| Job::new(format!("job {i}"), None, move |_| Ok(metrics_for(i).into())))
             .collect()
     }
 
@@ -1134,8 +1002,8 @@ mod tests {
     fn budgeted_job_timeout_surfaces_as_error_timeout() {
         let runner = RunnerConfig::new().jobs(2).max_events(10).build().unwrap();
         let jobs = vec![
-            Job::new("fine", None, || metrics_for(1)),
-            Job::budgeted("stuck", None, |budget: &JobBudget| {
+            Job::new("fine", None, |_| Ok(metrics_for(1).into())),
+            Job::new("stuck", None, |budget: &RunBudget| {
                 // A cooperative job checks its budget and stops early
                 // instead of spinning forever.
                 assert_eq!(budget.max_events, Some(10));
@@ -1166,8 +1034,9 @@ mod tests {
     #[test]
     fn unbudgeted_runner_passes_unlimited_budget() {
         let runner = Runner::new(1);
-        let jobs = vec![Job::budgeted("free", None, |budget: &JobBudget| {
-            assert!(budget.is_unlimited());
+        let jobs = vec![Job::new("free", None, |budget: &RunBudget| {
+            assert!(budget.max_events.is_none() && budget.deadline.is_none());
+            assert!(budget.cancel.is_none(), "a batch job has no handle");
             Ok(JobOutput::from(metrics_for(3)))
         })];
         let out = runner.run_jobs(jobs).unwrap();
@@ -1188,7 +1057,7 @@ mod tests {
             .journal(&path)
             .build()
             .unwrap();
-        let jobs = vec![Job::budgeted("late", None, |_: &JobBudget| {
+        let jobs = vec![Job::new("late", None, |_| {
             Err(JobTimeout {
                 phase: "warmup",
                 counters: None,
@@ -1260,9 +1129,7 @@ mod tests {
         for workers in [1, 4] {
             let runner = Runner::new(workers);
             let mut jobs = jobs_0_to(3);
-            jobs.push(Job::new("the bad one", None, || -> PaperMetrics {
-                panic!("boom")
-            }));
+            jobs.push(Job::new("the bad one", None, |_| panic!("boom")));
             jobs.extend(jobs_0_to(2));
             let err = runner.run_jobs(jobs).unwrap_err();
             match err {
@@ -1283,8 +1150,8 @@ mod tests {
         let runner = Runner::new(2).try_with_journal_path(&path).unwrap();
         let jobs: Vec<Job> = (0..3u64)
             .map(|i| {
-                Job::new(format!("counted {i}"), None, move || {
-                    JobOutput::with_counters(
+                Job::new(format!("counted {i}"), None, move |_| {
+                    Ok(JobOutput::with_counters(
                         metrics_for(i),
                         RunCounters {
                             events: 10 + i,
@@ -1292,7 +1159,7 @@ mod tests {
                             max_queue_depth: 5 * (i + 1),
                             ..Default::default()
                         },
-                    )
+                    ))
                 })
             })
             .collect();
@@ -1344,8 +1211,8 @@ mod tests {
         let make_jobs = || {
             (0..6u64)
                 .map(|i| {
-                    Job::new(format!("job {i}"), Some(format!("fp-{i}")), move || {
-                        metrics_for(i)
+                    Job::new(format!("job {i}"), Some(format!("fp-{i}")), move |_| {
+                        Ok(metrics_for(i).into())
                     })
                 })
                 .collect::<Vec<_>>()
@@ -1355,11 +1222,9 @@ mod tests {
         // must serve every job.
         let second_jobs: Vec<Job> = (0..6u64)
             .map(|i| {
-                Job::new(
-                    format!("job {i}"),
-                    Some(format!("fp-{i}")),
-                    move || -> PaperMetrics { panic!("job {i} must be served from cache") },
-                )
+                Job::new(format!("job {i}"), Some(format!("fp-{i}")), move |_| {
+                    panic!("job {i} must be served from cache")
+                })
             })
             .collect();
         let second = runner.run_jobs(second_jobs).unwrap();
@@ -1411,11 +1276,9 @@ mod tests {
     }
 
     fn payload_job(label: &str, fingerprint: &str) -> Job {
-        Job::new(
-            label.to_string(),
-            Some(fingerprint.to_string()),
-            || -> PaperMetrics { panic!("must run in the worker, not in-process") },
-        )
+        Job::new(label.to_string(), Some(fingerprint.to_string()), |_| {
+            panic!("must run in the worker, not in-process")
+        })
         .with_worker_payload(Some(WorkerPayload {
             scenario: "{}".into(),
             seed: 7,
@@ -1530,6 +1393,31 @@ mod tests {
         assert_eq!(s.worker_retries, 1);
         assert_eq!(s.jobs_poisoned, 0);
         let _ = std::fs::remove_file(&marker);
+    }
+
+    #[test]
+    fn cancelled_handle_kills_the_isolated_worker() {
+        let runner = Runner::new(1)
+            .with_isolation(true)
+            .with_isolation_config(sh_worker("exec sleep 30"));
+        let handle = JobHandle::new();
+        let started = Instant::now();
+        let result = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                handle.cancel();
+            });
+            runner.run_job(payload_job("sleeper", "fp-sleeper"), &handle)
+        });
+        match result {
+            Err(Error::Cancelled { label }) => assert_eq!(label, "sleeper"),
+            other => panic!("expected Error::Cancelled, got {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "cancelled after {took:?}");
+        let s = runner.stats();
+        assert_eq!(s.worker_crashes, 0, "a cancellation kill is not a crash");
+        assert_eq!((s.jobs, s.executed), (1, 1));
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //!   so aggregated output is bit-identical no matter how many workers
 //!   ran (`1` = serial). A panicking job surfaces as
 //!   [`Error::WorkerPanic`] instead of tearing the process down.
+//! * **Watchdog** — every job closure receives the simulator's
+//!   [`RunBudget`](bgpsim_sim::RunBudget): the configured event cap and
+//!   wall deadline, plus the [`JobHandle`]'s cancel flag on the
+//!   [`Runner::run_job`] path. The same value bounds an isolated
+//!   attempt in the [`supervisor`]. A run that trips it surfaces as
+//!   [`Error::Timeout`] or [`Error::Cancelled`].
 //! * **Run cache** ([`RunCache`]) — results are stored under a content
 //!   hash of the full scenario spec (topology, event, config, seed,
 //!   schema version), making repeated and interrupted sweeps
@@ -48,8 +54,10 @@
 //! # fn some_simulation(i: u64) -> bgpsim_metrics::PaperMetrics { unimplemented!() }
 //!
 //! let runner = RunnerConfig::new().jobs(4).build().expect("runner setup");
+//! // Each job gets the runner's watchdog budget (`bgpsim_sim::RunBudget`);
+//! // a run that cannot time out ignores it.
 //! let jobs = (0..16u64)
-//!     .map(|i| Job::new(format!("run {i}"), None, move || some_simulation(i)))
+//!     .map(|i| Job::new(format!("run {i}"), None, move |_| Ok(some_simulation(i).into())))
 //!     .collect();
 //! let metrics = runner.run_jobs(jobs).expect("no job panicked"); // ordered like `jobs`
 //! assert_eq!(metrics.len(), 16);
@@ -70,8 +78,7 @@ pub use cache::{RunCache, SCHEMA_VERSION};
 pub use config::{global, init_global, RunnerConfig};
 pub use error::Error;
 pub use executor::{
-    CancelToken, CompletedJob, Job, JobBudget, JobFn, JobHandle, JobOutput, JobTimeout,
-    ProgressMode, Runner, RunnerStats,
+    CompletedJob, Job, JobFn, JobHandle, JobOutput, JobTimeout, ProgressMode, Runner, RunnerStats,
 };
 pub use recovery::{recover_journal, RecoveryReport};
 pub use supervisor::{IsolationConfig, WorkerPayload, WorkerRequest};

@@ -29,11 +29,12 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bgpsim_metrics::PaperMetrics;
+use bgpsim_sim::RunBudget;
 use bgpsim_trace::{failpoint, RunCounters};
 use serde::Value;
 
 use crate::cache::CachedMetrics;
-use crate::executor::{CancelToken, JobOutput};
+use crate::executor::JobOutput;
 
 /// What a job carries so the executor *can* run it in a child process:
 /// the canonical scenario JSON (the portable spec form) and its seed.
@@ -292,12 +293,12 @@ fn drain_thread<R: Read + Send + 'static>(
 const LINGER_BACKOFF: Duration = Duration::from_micros(100);
 
 /// Runs one isolated attempt: spawn, feed, supervise, reap, decode.
+/// The child enforces `budget`'s event cap itself; the deadline and
+/// the cancel flag are enforced here, from outside it.
 pub(crate) fn run_attempt(
     config: &IsolationConfig,
     payload: &WorkerPayload,
-    max_events: Option<u64>,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
+    budget: &RunBudget,
 ) -> Result<JobOutput, AttemptFailure> {
     // Parent-side spawn failpoint: any action is a synthetic crash
     // before a process exists, exercising the retry/poison machinery
@@ -339,7 +340,7 @@ pub(crate) fn run_attempt(
     // Feed the request and close stdin. Write errors are expected when
     // the child dies before reading; the reaper below classifies that.
     if let Some(mut stdin) = child.stdin.take() {
-        let _ = stdin.write_all(encode_request(payload, max_events).as_bytes());
+        let _ = stdin.write_all(encode_request(payload, budget.max_events).as_bytes());
         let _ = stdin.write_all(b"\n");
     }
     // Drain both pipes off-thread so a chatty child cannot deadlock
@@ -372,12 +373,12 @@ pub(crate) fn run_attempt(
                 break Reaped::WaitFailed(e.to_string());
             }
         }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        if budget.is_cancelled() {
             let _ = child.kill();
             let _ = child.wait();
             break Reaped::Cancelled;
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        if budget.deadline.is_some_and(|d| Instant::now() >= d) {
             let _ = child.kill();
             let _ = child.wait();
             break Reaped::Deadline;
@@ -538,70 +539,6 @@ mod tests {
         assert!(decode_response("{}\n").is_err());
     }
 
-    #[test]
-    fn attempt_against_sh_worker_succeeds() {
-        let verdict = encode_success(&sample_metrics(), None);
-        let config = IsolationConfig {
-            worker_cmd: Some(vec![
-                "/bin/sh".into(),
-                "-c".into(),
-                format!("cat >/dev/null; printf '%s\\n' '{verdict}'"),
-            ]),
-            ..Default::default()
-        };
-        let payload = WorkerPayload {
-            scenario: "{}".into(),
-            seed: 1,
-        };
-        let output = run_attempt(&config, &payload, None, None, None).unwrap();
-        assert_eq!(output.metrics, sample_metrics());
-    }
-
-    #[test]
-    fn attempt_reaps_crashing_worker_with_stderr_excerpt() {
-        let config = IsolationConfig {
-            worker_cmd: Some(vec![
-                "/bin/sh".into(),
-                "-c".into(),
-                "echo kaboom >&2; exit 42".into(),
-            ]),
-            ..Default::default()
-        };
-        let payload = WorkerPayload {
-            scenario: "{}".into(),
-            seed: 1,
-        };
-        match run_attempt(&config, &payload, None, None, None) {
-            Err(AttemptFailure::Crash(detail)) => {
-                assert!(detail.contains("42"), "detail: {detail}");
-                assert!(detail.contains("kaboom"), "detail: {detail}");
-            }
-            other => panic!("expected crash, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn attempt_kills_worker_at_wall_deadline() {
-        let config = IsolationConfig {
-            worker_cmd: Some(vec!["/bin/sh".into(), "-c".into(), "sleep 30".into()]),
-            ..Default::default()
-        };
-        let payload = WorkerPayload {
-            scenario: "{}".into(),
-            seed: 1,
-        };
-        let deadline = Instant::now() + Duration::from_millis(50);
-        let started = Instant::now();
-        match run_attempt(&config, &payload, None, Some(deadline), None) {
-            Err(AttemptFailure::Timeout("wall")) => {}
-            other => panic!("expected wall timeout, got {other:?}"),
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "supervisor must kill the worker, not wait for it"
-        );
-    }
-
     fn sh_worker(script: String, poll: Duration) -> IsolationConfig {
         IsolationConfig {
             worker_cmd: Some(vec!["/bin/sh".into(), "-c".into(), script]),
@@ -617,6 +554,55 @@ mod tests {
         }
     }
 
+    fn cancellable() -> RunBudget {
+        RunBudget {
+            cancel: Some(Default::default()),
+            ..RunBudget::unlimited()
+        }
+    }
+
+    fn cancel(budget: &RunBudget) {
+        let flag = budget.cancel.as_ref().expect("a cancellable budget");
+        flag.store(true, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    #[test]
+    fn attempt_against_sh_worker_succeeds() {
+        let verdict = encode_success(&sample_metrics(), None);
+        let script = format!("cat >/dev/null; printf '%s\\n' '{verdict}'");
+        let config = sh_worker(script, IsolationConfig::default().poll);
+        let output = run_attempt(&config, &payload(), &RunBudget::unlimited()).unwrap();
+        assert_eq!(output.metrics, sample_metrics());
+    }
+
+    #[test]
+    fn attempt_reaps_crashing_worker_with_stderr_excerpt() {
+        let config = sh_worker("echo kaboom >&2; exit 42".into(), Duration::from_millis(15));
+        match run_attempt(&config, &payload(), &RunBudget::unlimited()) {
+            Err(AttemptFailure::Crash(detail)) => {
+                assert!(detail.contains("42"), "detail: {detail}");
+                assert!(detail.contains("kaboom"), "detail: {detail}");
+            }
+            other => panic!("expected crash, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn attempt_kills_worker_at_wall_deadline() {
+        let config = sh_worker("sleep 30".into(), Duration::from_millis(15));
+        let budget =
+            RunBudget::unlimited().with_deadline(Instant::now() + Duration::from_millis(50));
+        let started = Instant::now();
+        match run_attempt(&config, &payload(), &budget) {
+            Err(AttemptFailure::Timeout("wall")) => {}
+            other => panic!("expected wall timeout, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "supervisor must kill the worker, not wait for it"
+        );
+    }
+
     #[test]
     fn finished_worker_is_reaped_without_waiting_for_a_poll_tick() {
         let verdict = encode_success(&sample_metrics(), None);
@@ -627,7 +613,7 @@ mod tests {
         let fastest = (0..5)
             .map(|_| {
                 let started = Instant::now();
-                let output = run_attempt(&config, &payload(), None, None, None).unwrap();
+                let output = run_attempt(&config, &payload(), &RunBudget::unlimited()).unwrap();
                 assert_eq!(output.metrics, sample_metrics());
                 started.elapsed()
             })
@@ -647,8 +633,8 @@ mod tests {
             Duration::from_millis(15),
         );
         let started = Instant::now();
-        let deadline = started + Duration::from_millis(150);
-        match run_attempt(&config, &payload(), None, Some(deadline), None) {
+        let budget = RunBudget::unlimited().with_deadline(started + Duration::from_millis(150));
+        match run_attempt(&config, &payload(), &budget) {
             Err(AttemptFailure::Timeout("wall")) => {}
             other => panic!("expected wall timeout, got {other:?}"),
         }
@@ -670,22 +656,23 @@ mod tests {
             format!("sleep 0.4 & echo '{verdict}'"),
             Duration::from_millis(15),
         );
-        let deadline = Instant::now() + Duration::from_millis(150);
-        let output = run_attempt(&config, &payload(), None, Some(deadline), None).unwrap();
+        let budget =
+            RunBudget::unlimited().with_deadline(Instant::now() + Duration::from_millis(150));
+        let output = run_attempt(&config, &payload(), &budget).unwrap();
         assert_eq!(output.metrics, sample_metrics());
     }
 
     #[test]
     fn cancellation_fires_while_waiting_for_eof() {
         let config = sh_worker("exec sleep 30".into(), Duration::from_millis(15));
-        let token = CancelToken::new();
+        let budget = cancellable();
         let started = Instant::now();
         let outcome = std::thread::scope(|scope| {
             scope.spawn(|| {
                 std::thread::sleep(Duration::from_millis(60));
-                token.cancel();
+                cancel(&budget);
             });
-            run_attempt(&config, &payload(), None, None, Some(&token))
+            run_attempt(&config, &payload(), &budget)
         });
         match outcome {
             Err(AttemptFailure::Cancelled) => {}
@@ -710,7 +697,7 @@ mod tests {
             ..sh_worker(script.into(), Duration::from_millis(15))
         };
         let started = Instant::now();
-        match run_attempt(&config, &payload(), None, None, None) {
+        match run_attempt(&config, &payload(), &RunBudget::unlimited()) {
             Err(AttemptFailure::Crash(detail)) => {
                 assert!(detail.contains("exceeded the 10000 KiB limit"), "{detail}");
             }
@@ -725,17 +712,10 @@ mod tests {
 
     #[test]
     fn attempt_honors_cancellation() {
-        let config = IsolationConfig {
-            worker_cmd: Some(vec!["/bin/sh".into(), "-c".into(), "sleep 30".into()]),
-            ..Default::default()
-        };
-        let payload = WorkerPayload {
-            scenario: "{}".into(),
-            seed: 1,
-        };
-        let token = CancelToken::new();
-        token.cancel();
-        match run_attempt(&config, &payload, None, None, Some(&token)) {
+        let config = sh_worker("sleep 30".into(), Duration::from_millis(15));
+        let budget = cancellable();
+        cancel(&budget);
+        match run_attempt(&config, &payload(), &budget) {
             Err(AttemptFailure::Cancelled) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }

@@ -141,8 +141,12 @@ impl JobEntry {
     }
 
     /// Hands the job to the registry's retention queue. Called by the
-    /// one transition that made the job terminal, after the job lock
-    /// is released.
+    /// one transition that made the job terminal, while it still holds
+    /// the job lock: no reader sees the terminal status before the job
+    /// is queued for eviction, so a client that reads a finished job
+    /// and submits again can never have its next job retired first.
+    /// The lock order is job → registry; nothing holds the registry
+    /// lock while taking a job lock.
     fn retire(&self) {
         if let Some(registry) = self.registry.upgrade() {
             registry.retire(self.id);
@@ -181,30 +185,24 @@ impl JobEntry {
         while inner.revealed < inner.slots.len() && inner.slots[inner.revealed].is_some() {
             inner.revealed += 1;
         }
-        let finished = inner.done_runs == self.total_runs && !inner.status.is_terminal();
-        if finished {
+        if inner.done_runs == self.total_runs && !inner.status.is_terminal() {
             inner.status = JobStatus::Done;
+            self.retire();
         }
         drop(inner);
         self.progress.notify_all();
-        if finished {
-            self.retire();
-        }
     }
 
     /// Moves the job to a terminal failure/cancellation state.
     pub fn finish_with(&self, status: JobStatus) {
         debug_assert!(status.is_terminal());
         let mut inner = self.inner.lock().expect("job lock");
-        let finished = !inner.status.is_terminal();
-        if finished {
+        if !inner.status.is_terminal() {
             inner.status = status;
+            self.retire();
         }
         drop(inner);
         self.progress.notify_all();
-        if finished {
-            self.retire();
-        }
     }
 
     /// Requests cancellation. Returns `false` when the job was already
@@ -215,12 +213,12 @@ impl JobEntry {
             return false;
         }
         inner.status = JobStatus::Cancelled;
+        self.retire();
         drop(inner);
         // The flag stops queued runs at pickup and a mid-run scenario
         // at its next watchdog poll point.
         self.handle.cancel();
         self.progress.notify_all();
-        self.retire();
         true
     }
 
@@ -509,6 +507,35 @@ mod tests {
             job.complete_run(0, "line".into(), false, 0);
             assert_eq!(waiter.join().unwrap(), 0);
         });
+    }
+
+    #[test]
+    fn no_reader_sees_a_terminal_job_before_it_is_retired() {
+        let registry = JobRegistry::new();
+        let job = &registry.create("x", "a".into(), 1, 1);
+        let retained = registry.state.retained.lock().expect("registry lock");
+        let (terminal_tx, terminal_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| job.complete_run(0, "line".into(), false, 0));
+            scope.spawn(move || {
+                while !job.snapshot().status.is_terminal() {
+                    std::thread::yield_now();
+                }
+                terminal_tx.send(()).expect("the test thread is listening");
+            });
+            // The completion cannot retire the job while the registry
+            // lock is held here, so no reader may see it terminal yet.
+            let early = terminal_rx.recv_timeout(Duration::from_millis(50));
+            drop(retained);
+            assert!(
+                early.is_err(),
+                "a reader saw the job terminal while its retirement waited"
+            );
+            terminal_rx
+                .recv()
+                .expect("terminal once the registry is free");
+        });
+        assert_eq!(registry.active_count(), 0);
     }
 
     #[test]

@@ -286,7 +286,7 @@ enum Routed {
         status: u16,
         body: String,
         retry_after: bool,
-        /// Scenario runs admitted by this request (for `serve_request`
+        /// Runs admitted by this request (for `serve_request`
         /// trace reconciliation).
         runs: u64,
     },

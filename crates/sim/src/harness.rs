@@ -25,16 +25,18 @@ use crate::network::{RunOutcome, SimNetwork};
 use crate::params::SimParams;
 use crate::record::RunRecord;
 
-/// Default per-phase event budget — far above any legitimate
+/// Per-phase event budget of every run — far above any legitimate
 /// convergence at the paper's scales, so hitting it means divergence.
 pub const DEFAULT_EVENT_BUDGET: u64 = 200_000_000;
 
 /// Watchdog limits for a budgeted run (see
-/// [`ConvergenceExperiment::run_budgeted`]). The default has no limits
-/// beyond the experiment's own per-phase event budget.
+/// [`ConvergenceExperiment::run_budgeted`]): the one budget value a
+/// run carries from whoever submitted it — a runner job, an isolated
+/// worker, a daemon client — to the event loop. The default has no
+/// limits beyond [`DEFAULT_EVENT_BUDGET`] per phase.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
-    /// Maximum total engine events across both phases.
+    /// Maximum total simulation events across both phases.
     pub max_events: Option<u64>,
     /// Wall-clock deadline, checked between event chunks.
     pub deadline: Option<Instant>,
@@ -62,6 +64,13 @@ impl RunBudget {
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
+    }
+
+    /// `true` once the cancel flag, if any, has been set.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
     }
 }
 
@@ -112,8 +121,6 @@ pub struct ConvergenceExperiment {
     pub params: SimParams,
     /// Seed for all randomness in the run.
     pub seed: u64,
-    /// Per-phase event budget.
-    pub event_budget: u64,
     /// Trace handle for the run (`None` = use the process-wide sink).
     pub tracer: Option<bgpsim_trace::TraceHandle>,
     /// Optional churn plan. When set, it replaces the single `failure`
@@ -133,7 +140,6 @@ impl ConvergenceExperiment {
             config: BgpConfig::default(),
             params: SimParams::default(),
             seed: 0,
-            event_budget: DEFAULT_EVENT_BUDGET,
             tracer: None,
             faults: None,
         }
@@ -207,7 +213,7 @@ impl ConvergenceExperiment {
             net = net.with_tracer(tracer.clone());
         }
         net.originate(self.origin, self.prefix);
-        let mut net = self.drive(net, limit, "warmup")?;
+        let mut net = Self::drive(net, limit, "warmup")?;
         // The tail — the fault plan when one is attached, else the
         // single failure — lands one second past quiescence: a short
         // beat keeps the failure time strictly after the last warm-up
@@ -221,16 +227,14 @@ impl ConvergenceExperiment {
             }
             None => net.schedule_failure(SimDuration::from_secs(1), self.failure),
         }
-        self.drive(net, limit, "convergence")
-            .map(SimNetwork::into_record)
+        Self::drive(net, limit, "convergence").map(SimNetwork::into_record)
     }
 
-    /// Drives `net` to quiescence in chunks, honoring the per-phase
-    /// event budget and the watchdog `limit`. Chunked execution is
+    /// Drives `net` to quiescence in chunks, honoring
+    /// [`DEFAULT_EVENT_BUDGET`] per phase and the watchdog `limit`. Chunked execution is
     /// observationally identical to an uninterrupted drain. When a
     /// budget trips first, the partial record comes back as the error.
     fn drive(
-        &self,
         mut net: SimNetwork,
         limit: &RunBudget,
         phase: &'static str,
@@ -239,20 +243,17 @@ impl ConvergenceExperiment {
         loop {
             let total = net.events_dispatched();
             let spent = total - phase_start;
-            let tripped = spent >= self.event_budget
+            let tripped = spent >= DEFAULT_EVENT_BUDGET
                 || limit.max_events.is_some_and(|max| total >= max)
                 || limit.deadline.is_some_and(|d| Instant::now() >= d)
-                || limit
-                    .cancel
-                    .as_ref()
-                    .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+                || limit.is_cancelled();
             if tripped {
                 return Err(Box::new(BudgetExceeded {
                     phase,
                     record: net.into_record(),
                 }));
             }
-            let mut step = BUDGET_CHUNK.min(self.event_budget - spent);
+            let mut step = BUDGET_CHUNK.min(DEFAULT_EVENT_BUDGET - spent);
             if let Some(max) = limit.max_events {
                 step = step.min(max - total);
             }
@@ -280,19 +281,21 @@ mod tests {
     use bgpsim_topology::generators;
     use std::time::Duration;
 
+    /// `T_down` of the prefix node 0 originates, on an `n`-clique.
+    fn tdown_on_clique(n: usize) -> ConvergenceExperiment {
+        let origin = NodeId::new(0);
+        let failure = FailureEvent::WithdrawPrefix {
+            origin,
+            prefix: Prefix::new(0),
+        };
+        ConvergenceExperiment::new(generators::clique(n), origin, failure)
+    }
+
     #[test]
     fn tdown_experiment_produces_convergence_metrics() {
-        let g = generators::clique(5);
-        let exp = ConvergenceExperiment::new(
-            g,
-            NodeId::new(0),
-            FailureEvent::WithdrawPrefix {
-                origin: NodeId::new(0),
-                prefix: Prefix::new(0),
-            },
-        )
-        .with_config(BgpConfig::default().with_jitter(Jitter::NONE))
-        .with_seed(3);
+        let exp = tdown_on_clique(5)
+            .with_config(BgpConfig::default().with_jitter(Jitter::NONE))
+            .with_seed(3);
         let rec = exp.run();
         assert!(rec.failure_at.is_some());
         let conv = rec.convergence_time().expect("convergence happened");
@@ -325,18 +328,7 @@ mod tests {
 
     #[test]
     fn budgeted_run_matches_unbudgeted() {
-        let make = || {
-            let g = generators::clique(5);
-            ConvergenceExperiment::new(
-                g,
-                NodeId::new(0),
-                FailureEvent::WithdrawPrefix {
-                    origin: NodeId::new(0),
-                    prefix: Prefix::new(0),
-                },
-            )
-            .with_seed(4)
-        };
+        let make = || tdown_on_clique(5).with_seed(4);
         let plain = make().run();
         let budgeted = make()
             .run_budgeted(&RunBudget::unlimited().with_max_events(10_000_000))
@@ -348,16 +340,7 @@ mod tests {
 
     #[test]
     fn tiny_event_budget_returns_partial_record() {
-        let g = generators::clique(6);
-        let exp = ConvergenceExperiment::new(
-            g,
-            NodeId::new(0),
-            FailureEvent::WithdrawPrefix {
-                origin: NodeId::new(0),
-                prefix: Prefix::new(0),
-            },
-        )
-        .with_seed(2);
+        let exp = tdown_on_clique(6).with_seed(2);
         let err = exp
             .run_budgeted(&RunBudget::unlimited().with_max_events(10))
             .expect_err("10 events cannot complete warm-up of a 6-clique");
@@ -371,16 +354,7 @@ mod tests {
 
     #[test]
     fn run_that_converges_on_its_last_allowed_event_is_not_over_budget() {
-        let g = generators::clique(5);
-        let exp = ConvergenceExperiment::new(
-            g,
-            NodeId::new(0),
-            FailureEvent::WithdrawPrefix {
-                origin: NodeId::new(0),
-                prefix: Prefix::new(0),
-            },
-        )
-        .with_seed(2);
+        let exp = tdown_on_clique(5).with_seed(2);
         let full = exp.run();
         let exact = RunBudget::unlimited().with_max_events(full.events_dispatched);
         assert_eq!(exp.run_budgeted(&exact).expect("converged"), full);
@@ -391,16 +365,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_stops_at_first_check() {
-        let g = generators::clique(5);
-        let exp = ConvergenceExperiment::new(
-            g,
-            NodeId::new(0),
-            FailureEvent::WithdrawPrefix {
-                origin: NodeId::new(0),
-                prefix: Prefix::new(0),
-            },
-        )
-        .with_seed(2);
+        let exp = tdown_on_clique(5).with_seed(2);
         // Warm-up fits inside the event allowance; the already-expired
         // deadline then trips at the first convergence-phase check.
         let warmup_events = {
@@ -420,19 +385,9 @@ mod tests {
 
     #[test]
     fn fault_plan_single_withdraw_matches_plain_tdown() {
-        let g = generators::clique(5);
-        let failure = FailureEvent::WithdrawPrefix {
-            origin: NodeId::new(0),
-            prefix: Prefix::new(0),
-        };
-        let plain = ConvergenceExperiment::new(g.clone(), NodeId::new(0), failure)
-            .with_seed(6)
-            .run();
+        let plain = tdown_on_clique(5).with_seed(6).run();
         let plan = FaultPlan::new().withdraw(SimDuration::ZERO, NodeId::new(0), Prefix::new(0));
-        let faulted = ConvergenceExperiment::new(g, NodeId::new(0), failure)
-            .with_seed(6)
-            .with_faults(plan)
-            .run();
+        let faulted = tdown_on_clique(5).with_seed(6).with_faults(plan).run();
         assert_eq!(plain.sends, faulted.sends);
         assert_eq!(plain.failure_at, faulted.failure_at);
         assert_eq!(plain.quiescent_at, faulted.quiescent_at);
@@ -474,16 +429,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid fault plan")]
     fn invalid_fault_plan_panics_in_run() {
-        let g = generators::clique(3);
-        let exp = ConvergenceExperiment::new(
-            g,
-            NodeId::new(0),
-            FailureEvent::WithdrawPrefix {
-                origin: NodeId::new(0),
-                prefix: Prefix::new(0),
-            },
-        )
-        .with_faults(FaultPlan::new());
+        let exp = tdown_on_clique(3).with_faults(FaultPlan::new());
         let _ = exp.run();
     }
 

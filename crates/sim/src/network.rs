@@ -2,7 +2,8 @@
 //!
 //! [`SimNetwork`] owns one BGP [`Router`] per AS, a pair of directed
 //! [`Link`]s per topology edge, and a serial message [`Processor`] per
-//! node, and drives them all from a single deterministic event loop.
+//! node, and drives them all from a single deterministic event loop
+//! over one [`EventQueue`].
 //! Every forwarding-table change is recorded into a time-indexed
 //! [`NetworkFib`] so the data plane can be replayed exactly (see
 //! `bgpsim-dataplane`); live event-driven packets are also supported
@@ -12,10 +13,9 @@ use bgpsim_core::decision::{RoutePolicy, ShortestPath};
 use bgpsim_core::{BgpConfig, FibEntry, Prefix, Router, RouterOutput};
 use bgpsim_dataplane::{NetworkFib, Packet, PacketFate};
 use bgpsim_faults::{FaultError, FaultKind, FaultPlan};
-use bgpsim_netsim::engine::Engine;
 use bgpsim_netsim::link::Link;
 use bgpsim_netsim::process::Processor;
-use bgpsim_netsim::queue::EventId;
+use bgpsim_netsim::queue::{EventId, EventQueue};
 use bgpsim_netsim::rng::SimRng;
 use bgpsim_netsim::time::{SimDuration, SimTime};
 use bgpsim_topology::{Graph, NodeId};
@@ -79,7 +79,15 @@ pub enum RunOutcome {
 /// ```
 #[derive(Debug)]
 pub struct SimNetwork<P: RoutePolicy = ShortestPath> {
-    engine: Engine<NetEvent>,
+    /// Pending events; only [`Self::enqueue`] adds to it and only
+    /// [`Self::run_while`] pops it.
+    queue: EventQueue<NetEvent>,
+    /// The simulation clock: the time of the event being dispatched,
+    /// or of the last one (or a `run_for` horizon) between dispatches.
+    now: SimTime,
+    /// High-water mark of the queue's live events, reported as
+    /// [`RunRecord::max_queue_depth`].
+    max_pending: u64,
     routers: Vec<Router<P>>,
     /// Directed links as per-source adjacency lists sorted by target id.
     /// Nodes have few neighbors, so a binary search beats hashing or a
@@ -175,7 +183,9 @@ impl<P: RoutePolicy> SimNetwork<P> {
             .map(|i| rng_root.fork(LANE_STREAM_TAG | i as u64))
             .collect();
         SimNetwork {
-            engine: Engine::new(),
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
+            max_pending: 0,
             routers,
             links,
             processors: vec![Processor::new(); n],
@@ -210,7 +220,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
 
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.now
     }
 
     /// Number of nodes.
@@ -259,13 +269,34 @@ impl<P: RoutePolicy> SimNetwork<P> {
         (u64::from(lane) << ORDER_CTR_BITS) | ctr
     }
 
+    /// What every way of scheduling shares: refuse the past, then
+    /// queue the event and raise the queue's high-water mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the clock: scheduling into the
+    /// past would violate causality.
+    #[inline]
+    fn enqueue(
+        &mut self,
+        at: SimTime,
+        schedule: impl FnOnce(&mut EventQueue<NetEvent>) -> EventId,
+    ) -> EventId {
+        if at < self.now {
+            past_event(at, self.now);
+        }
+        let id = schedule(&mut self.queue);
+        self.max_pending = self.max_pending.max(self.queue.len() as u64);
+        id
+    }
+
     /// Schedules `ev` at `at` under the current lane's next order key.
     fn schedule_event(&mut self, at: SimTime, ev: NetEvent) -> EventId {
         let order = self.next_order();
-        self.engine.schedule_at_ordered(at, order, ev)
+        self.enqueue(at, |queue| queue.schedule_ordered(at, order, ev))
     }
 
-    /// [`schedule_event`](Self::schedule_event) on one of the engine's
+    /// [`schedule_event`](Self::schedule_event) on one of the queue's
     /// FIFO lanes: lane `i` carries node `i`'s `MessageProcessed`
     /// events (its serial processor completes in admission order), lane
     /// `node_count` every `MessageArrival` (the link delay is one
@@ -273,13 +304,13 @@ impl<P: RoutePolicy> SimNetwork<P> {
     /// therefore its place in the run are the same as without a lane.
     fn schedule_fifo(&mut self, lane: usize, at: SimTime, ev: NetEvent) {
         let order = self.next_order();
-        self.engine.schedule_at_lane(lane, at, order, ev);
+        self.enqueue(at, |queue| queue.schedule_lane(lane, at, order, ev));
     }
 
     /// Makes `origin` start originating `prefix` at the current time.
     pub fn originate(&mut self, origin: NodeId, prefix: Prefix) {
         self.sched_lane = self.harness_lane();
-        let now = self.engine.now();
+        let now = self.now;
         let out = self.routers[origin.index()].originate(
             prefix,
             now,
@@ -296,7 +327,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
 
     /// Schedules `failure` to fire `delay` after the current time.
     pub fn schedule_failure(&mut self, delay: SimDuration, failure: FailureEvent) {
-        let at = self.engine.now() + delay;
+        let at = self.now + delay;
         self.schedule_failure_at(at, failure);
     }
 
@@ -317,7 +348,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
 
     /// Injects `failure` at the current time.
     pub fn inject_failure(&mut self, failure: FailureEvent) {
-        let now = self.engine.now();
+        let now = self.now;
         for half in self.split_failure(failure) {
             // Mirror dispatch: each half acts under its own node's
             // lane, exactly as if it had been scheduled and popped.
@@ -327,7 +358,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
         self.sched_lane = self.harness_lane();
     }
 
-    /// Total engine events dispatched so far (monotone over the run).
+    /// Total events dispatched so far (monotone over the run).
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
     }
@@ -363,10 +394,10 @@ impl<P: RoutePolicy> SimNetwork<P> {
                     return Err(FaultError::UnknownLink { a, b });
                 }
             }
-            if anchor + ev.at < self.engine.now() {
+            if anchor + ev.at < self.now {
                 return Err(FaultError::EventInPast {
                     at: anchor + ev.at,
-                    now: self.engine.now(),
+                    now: self.now,
                 });
             }
         }
@@ -422,8 +453,8 @@ impl<P: RoutePolicy> SimNetwork<P> {
         );
     }
 
-    /// Pops one event (advancing the clock), dispatches it, and does
-    /// the per-dispatch bookkeeping shared by every run loop.
+    /// Dispatches one popped event and does the per-dispatch
+    /// bookkeeping.
     fn step(&mut self, now: SimTime, ev: NetEvent) {
         self.events_dispatched += 1;
         self.sched_lane = ev.node().as_u32();
@@ -436,41 +467,43 @@ impl<P: RoutePolicy> SimNetwork<P> {
     /// drains with its last allowed event is quiescent, not over
     /// budget; a budget of zero dispatches nothing.
     pub fn run_to_quiescence(&mut self, budget: u64) -> RunOutcome {
-        self.run_while(budget, |engine| !engine.is_quiescent())
+        self.run_while(budget, |queue| !queue.is_empty())
     }
 
     /// Runs the event loop for `duration` of simulated time (or until
     /// `budget` events, counted as in
     /// [`run_to_quiescence`](Self::run_to_quiescence)), leaving later
-    /// events pending. The clock ends exactly at the horizon unless a
-    /// pending event forbids it — use this to observe transient state
+    /// events pending. Once every event up to the horizon has run, the
+    /// clock ends exactly on it — use this to observe transient state
     /// (e.g. a forwarding loop still live behind a pending MRAI expiry)
     /// that `run_to_quiescence` would fast-forward through.
     pub fn run_for(&mut self, duration: SimDuration, budget: u64) -> RunOutcome {
-        let horizon = self.engine.now() + duration;
-        let outcome = self.run_while(budget, |engine| {
-            engine.next_event_time().is_some_and(|t| t <= horizon)
+        let horizon = self.now + duration;
+        let outcome = self.run_while(budget, |queue| {
+            queue.peek_time().is_some_and(|t| t <= horizon)
         });
         if outcome == RunOutcome::Quiescent {
-            self.engine.advance_to(horizon);
+            self.now = horizon;
         }
         outcome
     }
 
-    /// Dispatches events while `due` says the next one should run,
-    /// testing the budget before each.
+    /// The event loop: pops events (advancing the clock) while `due`
+    /// says the next one should run, testing the budget before each.
     fn run_while(
         &mut self,
         budget: u64,
-        mut due: impl FnMut(&mut Engine<NetEvent>) -> bool,
+        mut due: impl FnMut(&mut EventQueue<NetEvent>) -> bool,
     ) -> RunOutcome {
         let mut remaining = budget;
-        while due(&mut self.engine) {
+        while due(&mut self.queue) {
             if remaining == 0 {
                 return RunOutcome::BudgetExhausted;
             }
             remaining -= 1;
-            let (now, ev) = self.engine.pop().expect("a due event is pending");
+            let (now, _, ev) = self.queue.pop().expect("a due event is pending");
+            debug_assert!(now >= self.now, "event queue returned a past event");
+            self.now = now;
             self.step(now, ev);
         }
         RunOutcome::Quiescent
@@ -487,14 +520,14 @@ impl<P: RoutePolicy> SimNetwork<P> {
         RunRecord {
             node_count: self.routers.len(),
             failure_at: self.failure_at,
-            quiescent_at: self.engine.now(),
+            quiescent_at: self.now,
             sends: self.sends,
             fib: self.fib,
             path_changes: self.path_changes,
             live_fates: self.live_fates,
             router_stats: self.routers.iter().map(|r| r.stats()).collect(),
             events_dispatched: self.events_dispatched,
-            max_queue_depth: self.engine.stats().max_pending,
+            max_queue_depth: self.max_pending,
             faults_injected: self.faults_injected,
             session_resets: self.session_resets,
             messages_lost,
@@ -507,7 +540,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
             seed: self.seed,
             t: now.as_nanos(),
             class: ev.class(),
-            queue_depth: self.engine.pending() as u64,
+            queue_depth: self.queue.len() as u64,
         });
     }
 
@@ -739,7 +772,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
         if let Some(i) = idx {
             let slot = self.mrai_pending[node.index()][i];
             if slot.at <= now {
-                self.engine.cancel(slot.event);
+                self.queue.cancel(slot.event);
             }
         }
         let event = self.schedule_event(at, NetEvent::MraiExpiry { node, peer, prefix });
@@ -795,6 +828,14 @@ impl<P: RoutePolicy> SimNetwork<P> {
             }
         }
     }
+}
+
+/// The panic of [`SimNetwork::enqueue`], out of line so the schedule
+/// path stays small.
+#[cold]
+#[inline(never)]
+fn past_event(at: SimTime, now: SimTime) -> ! {
+    panic!("cannot schedule into the past: {at} < now {now}")
 }
 
 /// Convenience message types re-exported for host code.
@@ -1033,6 +1074,59 @@ mod tests {
         for i in 1..5 {
             assert_eq!(net.fib().current(n(i), p()), Some(FibEntry::Via(n(0))));
         }
+    }
+
+    #[test]
+    fn run_for_lands_on_its_horizon_and_resumes_from_it() {
+        let g = generators::chain(3);
+        let mut net = SimNetwork::new(&g, cfg(), SimParams::default(), 4);
+        net.originate(n(0), p());
+        net.run_to_quiescence(1_000_000);
+        let start = net.now();
+        let secs = SimDuration::from_secs;
+        for (id, sent) in [(1, 1), (2, 4)] {
+            net.inject_packet(Packet {
+                id,
+                src: n(2),
+                prefix: p(),
+                ttl: 128,
+                sent_at: start + secs(sent),
+            });
+        }
+        let delivered = |net: &SimNetwork| net.live_fates.iter().map(|f| f.0).collect::<Vec<_>>();
+        assert_eq!(net.run_for(secs(2), 1_000), RunOutcome::Quiescent);
+        assert_eq!(net.now(), start + secs(2), "the clock lands on the horizon");
+        assert_eq!(delivered(&net), vec![1]);
+        assert_eq!(
+            net.queue.peek_time(),
+            Some(start + secs(4)),
+            "the later packet stays pending"
+        );
+        // The second slice starts at the first horizon. Its own horizon
+        // is the instant packet 2 leaves node 2: that hop runs, the next
+        // one (a link delay later) waits.
+        assert_eq!(net.run_for(secs(2), 1_000), RunOutcome::Quiescent);
+        assert_eq!(net.now(), start + secs(4));
+        assert_eq!(delivered(&net), vec![1]);
+        assert_eq!(
+            net.queue.peek_time(),
+            Some(start + secs(4) + SimParams::default().link_delay)
+        );
+        assert_eq!(net.run_for(secs(2), 1_000), RunOutcome::Quiescent);
+        assert_eq!(net.now(), start + secs(6));
+        assert_eq!(delivered(&net), vec![1, 2]);
+        assert!(net.queue.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduling_a_failure_into_the_past_panics() {
+        let g = generators::chain(3);
+        let mut net = SimNetwork::new(&g, cfg(), SimParams::default(), 1);
+        net.originate(n(0), p());
+        net.run_to_quiescence(1_000_000);
+        assert!(net.now() > SimTime::ZERO);
+        net.schedule_failure_at(SimTime::ZERO, FailureEvent::LinkDown { a: n(0), b: n(1) });
     }
 
     #[test]

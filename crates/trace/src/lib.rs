@@ -232,7 +232,7 @@ pub enum TraceEvent {
         status: u16,
         /// Wall-clock handling time, microseconds.
         wall_us: u64,
-        /// Scenario runs admitted by this request.
+        /// Runs (scenario × seed) admitted by this request.
         runs: u64,
     },
     /// The experiment service refused a submission at admission

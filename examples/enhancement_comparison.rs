@@ -43,7 +43,7 @@ fn main() {
         let mut ratio = 0.0;
         let mut msgs = 0.0;
         for &seed in &seeds {
-            let result = Scenario::new(spec.clone(), event)
+            let result = ScenarioSpec::new(spec.clone(), event)
                 .with_config(BgpConfig::default().with_enhancements(enh))
                 .with_seed(seed)
                 .run();

@@ -17,7 +17,7 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(7);
 
-    let result = Scenario::new(
+    let result = ScenarioSpec::new(
         TopologySpec::InternetLike { n, topo_seed: seed },
         EventKind::TDown,
     )

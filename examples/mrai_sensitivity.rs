@@ -33,7 +33,7 @@ fn main() {
         let mut ratio = 0.0;
         for &seed in &seeds {
             let cfg = BgpConfig::default().with_mrai(SimDuration::from_secs(mrai));
-            let m = Scenario::new(TopologySpec::Clique(10), EventKind::TDown)
+            let m = ScenarioSpec::new(TopologySpec::Clique(10), EventKind::TDown)
                 .with_config(cfg)
                 .with_seed(seed)
                 .run()

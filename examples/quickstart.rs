@@ -12,7 +12,7 @@ use bgpsim::prelude::*;
 fn main() {
     // The paper's standard setup: full-mesh topology, destination at
     // node 0, MRAI 30 s with SSFNet jitter, 10 pkt/s per source.
-    let result = Scenario::new(TopologySpec::Clique(15), EventKind::TDown)
+    let result = ScenarioSpec::new(TopologySpec::Clique(15), EventKind::TDown)
         .with_seed(2004)
         .run();
 

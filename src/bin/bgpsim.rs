@@ -131,12 +131,12 @@ fn serve(opts: &ServeOptions) {
 }
 
 /// The scenario a plain CLI invocation describes.
-fn scenario_of(opts: &CliOptions) -> Scenario {
+fn scenario_of(opts: &CliOptions) -> ScenarioSpec {
     let config = BgpConfig::default()
         .with_mrai(SimDuration::from_secs(opts.mrai_secs))
         .with_jitter(opts.jitter)
         .with_enhancements(opts.enhancements);
-    Scenario::new(opts.topology.clone(), opts.event)
+    ScenarioSpec::new(opts.topology.clone(), opts.event)
         .with_config(config)
         .with_seed(opts.seed)
 }

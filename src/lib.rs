@@ -30,7 +30,7 @@
 //! ```
 //! use bgpsim::prelude::*;
 //!
-//! let result = Scenario::new(TopologySpec::Clique(10), EventKind::TDown)
+//! let result = ScenarioSpec::new(TopologySpec::Clique(10), EventKind::TDown)
 //!     .with_seed(42)
 //!     .run();
 //! let m = &result.measurement.metrics;
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use bgpsim_core::prelude::*;
     pub use bgpsim_dataplane::prelude::*;
     pub use bgpsim_experiments::figures::Scale;
-    pub use bgpsim_experiments::scenario::{EventKind, Scenario, ScenarioResult, TopologySpec};
+    pub use bgpsim_experiments::scenario::{EventKind, ScenarioResult, ScenarioSpec, TopologySpec};
     pub use bgpsim_metrics::prelude::*;
     pub use bgpsim_netsim::prelude::*;
     pub use bgpsim_sim::prelude::*;

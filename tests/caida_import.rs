@@ -103,7 +103,7 @@ fn caida_tdown_still_loops_under_shortest_path() {
     // filtering): a T_down at the stub triggers path exploration.
     let (graph, _) = sample();
     let node_count = graph.node_count() as u64;
-    let result = Scenario::new(
+    let result = ScenarioSpec::new(
         TopologySpec::Custom {
             graph,
             destination: node_of(64496),

@@ -25,8 +25,8 @@ fn identical_seeds_identical_runs() {
             EventKind::TDown,
         ),
     ] {
-        let a = Scenario::new(spec.clone(), event).with_seed(77).run();
-        let b = Scenario::new(spec.clone(), event).with_seed(77).run();
+        let a = ScenarioSpec::new(spec.clone(), event).with_seed(77).run();
+        let b = ScenarioSpec::new(spec.clone(), event).with_seed(77).run();
         assert_eq!(fingerprint(&a), fingerprint(&b), "{}", spec.label());
         assert_eq!(a.record.sends, b.record.sends);
         assert_eq!(a.measurement.census, b.measurement.census);
@@ -35,10 +35,10 @@ fn identical_seeds_identical_runs() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = Scenario::new(TopologySpec::Clique(8), EventKind::TDown)
+    let a = ScenarioSpec::new(TopologySpec::Clique(8), EventKind::TDown)
         .with_seed(1)
         .run();
-    let b = Scenario::new(TopologySpec::Clique(8), EventKind::TDown)
+    let b = ScenarioSpec::new(TopologySpec::Clique(8), EventKind::TDown)
         .with_seed(2)
         .run();
     // Jitter and processing delays differ, so send timelines must too.
@@ -65,7 +65,7 @@ fn topology_seed_controls_internet_graph_only() {
 
 #[test]
 fn metrics_and_export_are_stable() {
-    let result = Scenario::new(TopologySpec::Clique(6), EventKind::TDown)
+    let result = ScenarioSpec::new(TopologySpec::Clique(6), EventKind::TDown)
         .with_seed(5)
         .run();
     let m = &result.measurement.metrics;

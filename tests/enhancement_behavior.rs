@@ -10,7 +10,7 @@ fn run_variant(
     enh: Enhancements,
     seed: u64,
 ) -> ScenarioResult {
-    Scenario::new(spec, event)
+    ScenarioSpec::new(spec, event)
         .with_config(BgpConfig::default().with_enhancements(enh))
         .with_seed(seed)
         .run()

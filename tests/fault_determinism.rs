@@ -52,7 +52,7 @@ proptest! {
     ) {
         let g = connected_gnp(n, p, seed);
         let dest = NodeId::new((seed % n as u64) as u32);
-        let base = Scenario::new(
+        let base = ScenarioSpec::new(
             TopologySpec::Custom { graph: g, destination: dest },
             EventKind::TDown,
         )
@@ -76,7 +76,7 @@ proptest! {
         seed in 0u64..200,
         mrai in 1u64..15,
     ) {
-        let base = Scenario::new(TopologySpec::BClique(n), EventKind::TLong)
+        let base = ScenarioSpec::new(TopologySpec::BClique(n), EventKind::TLong)
             .with_config(BgpConfig::default().with_mrai(SimDuration::from_secs(mrai)))
             .with_seed(seed);
         let plain = base.clone().run();
@@ -102,7 +102,7 @@ proptest! {
         jitter_steps in 0u8..5,
         loss_steps in 0u8..6,
     ) {
-        let scenario = Scenario::new(TopologySpec::BClique(n), EventKind::Flap)
+        let scenario = ScenarioSpec::new(TopologySpec::BClique(n), EventKind::Flap)
             .with_flap(FlapProfile {
                 period: SimDuration::from_secs(period),
                 count,

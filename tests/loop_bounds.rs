@@ -17,7 +17,7 @@ fn loop_lifetimes_respect_worst_case_bound() {
         (TopologySpec::BClique(8), EventKind::TLong, 3),
     ] {
         let degree = 16.0; // generous upper bound for these topologies
-        let result = Scenario::new(spec.clone(), event).with_seed(seed).run();
+        let result = ScenarioSpec::new(spec.clone(), event).with_seed(seed).run();
         for rec in &result.measurement.census {
             let Some(d) = rec.duration() else { continue };
             let m = rec.size() as f64;
@@ -39,10 +39,10 @@ fn loop_lifetimes_respect_worst_case_bound() {
 #[test]
 fn without_mrai_loops_are_short() {
     let cfg = BgpConfig::default().with_mrai(SimDuration::ZERO);
-    let with_mrai = Scenario::new(TopologySpec::Clique(10), EventKind::TDown)
+    let with_mrai = ScenarioSpec::new(TopologySpec::Clique(10), EventKind::TDown)
         .with_seed(7)
         .run();
-    let without = Scenario::new(TopologySpec::Clique(10), EventKind::TDown)
+    let without = ScenarioSpec::new(TopologySpec::Clique(10), EventKind::TDown)
         .with_config(cfg)
         .with_seed(7)
         .run();
@@ -105,7 +105,7 @@ fn figure1_loop_is_short_lived() {
 #[test]
 fn loop_sizes_grow_with_clique_size() {
     let max_size = |n: usize| {
-        Scenario::new(TopologySpec::Clique(n), EventKind::TDown)
+        ScenarioSpec::new(TopologySpec::Clique(n), EventKind::TDown)
             .with_seed(5)
             .run()
             .measurement

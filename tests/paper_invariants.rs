@@ -16,7 +16,7 @@ use bgpsim::netsim::time::SimDuration;
 use bgpsim::prelude::*;
 
 fn tdown(g: Graph, dest: NodeId, seed: u64) -> ScenarioResult {
-    Scenario::new(
+    ScenarioSpec::new(
         TopologySpec::Custom {
             graph: g,
             destination: dest,
@@ -46,7 +46,7 @@ fn tdown_removes_every_route() {
 #[test]
 fn tlong_final_routes_match_bfs_oracle() {
     for n in [3usize, 5, 7] {
-        let result = Scenario::new(TopologySpec::BClique(n), EventKind::TLong)
+        let result = ScenarioSpec::new(TopologySpec::BClique(n), EventKind::TLong)
             .with_seed(n as u64)
             .run();
         let (g, layout) = generators::bclique(n);
@@ -170,7 +170,7 @@ fn event_kind_changes_nothing_before_the_failure() {
     ] {
         for seed in 1..=2 {
             let before_failure = |event: EventKind| {
-                let record = Scenario::new(topology.clone(), event)
+                let record = ScenarioSpec::new(topology.clone(), event)
                     .with_seed(seed)
                     .run()
                     .record;
@@ -194,7 +194,7 @@ fn event_kind_changes_nothing_before_the_failure() {
 #[test]
 fn no_loops_remain_after_convergence() {
     for seed in 1..=4 {
-        let result = Scenario::new(
+        let result = ScenarioSpec::new(
             TopologySpec::InternetLike {
                 n: 48,
                 topo_seed: seed,
@@ -225,7 +225,7 @@ fn looping_window_within_convergence_window() {
         (TopologySpec::Clique(10), EventKind::TDown),
         (TopologySpec::BClique(6), EventKind::TLong),
     ] {
-        let result = Scenario::new(spec, event).with_seed(5).run();
+        let result = ScenarioSpec::new(spec, event).with_seed(5).run();
         let m = &result.measurement.metrics;
         let conv = m.convergence_secs();
         let lop = m.looping_secs();
@@ -240,7 +240,7 @@ fn looping_window_within_convergence_window() {
 
 #[test]
 fn withdrawal_counts_are_consistent() {
-    let result = Scenario::new(TopologySpec::Clique(8), EventKind::TDown)
+    let result = ScenarioSpec::new(TopologySpec::Clique(8), EventKind::TDown)
         .with_seed(3)
         .run();
     let total = result.record.total_stats();
@@ -256,7 +256,7 @@ fn tdown_last_message_is_a_withdrawal() {
     // Paper footnote 2: the final update in T_down is a withdrawal
     // (not delayed by MRAI), which is why the looping/convergence gap
     // is tiny for T_down.
-    let result = Scenario::new(TopologySpec::Clique(10), EventKind::TDown)
+    let result = ScenarioSpec::new(TopologySpec::Clique(10), EventKind::TDown)
         .with_seed(9)
         .run();
     let fail = result.record.failure_at.expect("failure");
@@ -273,7 +273,7 @@ fn tdown_last_message_is_a_withdrawal() {
 fn longer_mrai_slows_convergence() {
     let run = |mrai: u64| {
         let cfg = BgpConfig::default().with_mrai(SimDuration::from_secs(mrai));
-        Scenario::new(TopologySpec::Clique(8), EventKind::TDown)
+        ScenarioSpec::new(TopologySpec::Clique(8), EventKind::TDown)
             .with_config(cfg)
             .with_seed(4)
             .run()
@@ -298,7 +298,7 @@ fn mrai_suppresses_update_messages() {
     // we deliberately do not compare times here.)
     let run = |mrai: u64| {
         let cfg = BgpConfig::default().with_mrai(SimDuration::from_secs(mrai));
-        let r = Scenario::new(TopologySpec::Clique(8), EventKind::TDown)
+        let r = ScenarioSpec::new(TopologySpec::Clique(8), EventKind::TDown)
             .with_config(cfg)
             .with_seed(4)
             .run();

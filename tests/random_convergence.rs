@@ -49,7 +49,7 @@ proptest! {
             .with_mrai(SimDuration::from_secs(mrai))
             .with_enhancements(enhancement_from_bits(enh_bits));
         let run = || {
-            Scenario::new(
+            ScenarioSpec::new(
                 TopologySpec::Custom { graph: g.clone(), destination: dest },
                 EventKind::TDown,
             )

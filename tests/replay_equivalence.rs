@@ -160,8 +160,8 @@ fn converged_network_delivers_everything() {
 }
 
 /// Three 45 s flaps of the B-Clique-4 `T_long` link.
-fn flap_train_scenario() -> Scenario {
-    Scenario::new(TopologySpec::BClique(4), EventKind::Flap)
+fn flap_train_scenario() -> ScenarioSpec {
+    ScenarioSpec::new(TopologySpec::BClique(4), EventKind::Flap)
         .with_flap(FlapProfile {
             period: SimDuration::from_secs(45),
             count: 3,
@@ -217,7 +217,7 @@ fn measure_run_agrees_with_naive_oracle() {
         },
     ] {
         for event in [EventKind::TDown, EventKind::TLong] {
-            scenarios.push(Scenario::new(topology.clone(), event).with_seed(1));
+            scenarios.push(ScenarioSpec::new(topology.clone(), event).with_seed(1));
         }
     }
     scenarios.push(flap_train_scenario());
@@ -231,7 +231,7 @@ fn measure_run_agrees_with_naive_oracle() {
     ] {
         let config = config_with_mrai(mrai, Enhancements::standard());
         scenarios.push(
-            Scenario::new(topology, event)
+            ScenarioSpec::new(topology, event)
                 .with_config(config)
                 .with_seed(1),
         );
