@@ -38,8 +38,6 @@ const KNOWN_KINDS: &[&str] = &[
     "job_retry",
     "recovery_replay",
     "failpoint_hit",
-    "circuit_breaker",
-    "quarantine_evict",
 ];
 
 #[derive(Default)]
@@ -243,26 +241,6 @@ fn check_line(
             if hit == 0 {
                 return Err(err("failpoint_hit counters are 1-based".into()));
             }
-        }
-        "circuit_breaker" => {
-            let state = raw
-                .get("state")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| err("circuit_breaker missing \"state\"".into()))?;
-            if !["closed", "open", "half_open"].contains(&state) {
-                return Err(err(format!("circuit_breaker in unknown state {state:?}")));
-            }
-            raw.get("crashes")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| err("circuit_breaker missing numeric \"crashes\"".into()))?;
-        }
-        "quarantine_evict" => {
-            raw.get("path")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| err("quarantine_evict missing \"path\"".into()))?;
-            raw.get("bytes")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| err("quarantine_evict missing numeric \"bytes\"".into()))?;
         }
         "measure_summary" => {
             let field = |name: &str| {

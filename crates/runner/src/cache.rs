@@ -124,15 +124,7 @@ pub struct RunCache {
 struct CacheInner {
     dir: PathBuf,
     schema: u32,
-    /// Size cap for the quarantine directory, bytes. When a fresh
-    /// quarantine pushes the directory above the cap, the oldest
-    /// parked entries are evicted first.
-    quarantine_cap: u64,
 }
-
-/// Default quarantine size cap: 16 MiB of parked corrupt entries
-/// (see [`RunCache::with_quarantine_cap`]).
-pub const DEFAULT_QUARANTINE_CAP: u64 = 16 * 1024 * 1024;
 
 impl RunCache {
     /// Opens (creating if needed) a cache directory at the current
@@ -159,25 +151,8 @@ impl RunCache {
             source,
         })?;
         Ok(RunCache {
-            inner: std::sync::Arc::new(CacheInner {
-                dir,
-                schema,
-                quarantine_cap: DEFAULT_QUARANTINE_CAP,
-            }),
+            inner: std::sync::Arc::new(CacheInner { dir, schema }),
         })
-    }
-
-    /// Returns the cache with an explicit quarantine size cap (bytes);
-    /// `0` disables the cap.
-    #[must_use]
-    pub fn with_quarantine_cap(self, cap: u64) -> Self {
-        RunCache {
-            inner: std::sync::Arc::new(CacheInner {
-                dir: self.inner.dir.clone(),
-                schema: self.inner.schema,
-                quarantine_cap: cap,
-            }),
-        }
     }
 
     /// The cache directory.
@@ -216,7 +191,10 @@ impl RunCache {
     /// moved into `<dir>/quarantine/` so it cannot be silently reread
     /// on every sweep, and reported once via a `cache_quarantine` trace
     /// event and a stderr note. Quarantine is best-effort — if the move
-    /// fails the entry is left in place and still reads as a miss.
+    /// fails the entry is left in place and still reads as a miss. The
+    /// parked file keeps its cache-key name, so a later corruption of
+    /// the same key replaces it: the quarantine holds at most one file
+    /// per key of the live cache.
     pub fn lookup(&self, spec: &str) -> Option<PaperMetrics> {
         match self.try_lookup(spec) {
             Ok(found) => found,
@@ -261,53 +239,6 @@ impl RunCache {
                 path.display()
             ),
         }
-        self.quarantine_gc();
-    }
-
-    /// Evicts the oldest parked entries until the quarantine directory
-    /// fits under its size cap. Best-effort: unreadable metadata or a
-    /// failed removal is skipped, never an error. Returns the number of
-    /// entries evicted; each eviction emits a `quarantine_evict` trace
-    /// event.
-    pub fn quarantine_gc(&self) -> u64 {
-        let cap = self.inner.quarantine_cap;
-        if cap == 0 {
-            return 0;
-        }
-        let Ok(entries) = std::fs::read_dir(self.quarantine_dir()) else {
-            return 0;
-        };
-        // (mtime, size, path), oldest first; ties broken by name so the
-        // eviction order is deterministic.
-        let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-            .flatten()
-            .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                meta.is_file().then(|| {
-                    let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                    (mtime, meta.len(), e.path())
-                })
-            })
-            .collect();
-        files.sort();
-        let mut total: u64 = files.iter().map(|(_, size, _)| size).sum();
-        let mut evicted = 0;
-        for (_, size, path) in files {
-            if total <= cap {
-                break;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(size);
-                evicted += 1;
-                bgpsim_trace::TraceHandle::global().emit(|| {
-                    bgpsim_trace::TraceEvent::QuarantineEvict {
-                        path: path.display().to_string(),
-                        bytes: size,
-                    }
-                });
-            }
-        }
-        evicted
     }
 
     /// Removes stale atomic-write temp files (`*.tmp.<pid>.<seq>`)
@@ -554,34 +485,22 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_gc_enforces_size_cap() {
-        let dir = temp_cache_dir("quarantine-gc");
-        let cache = RunCache::new(&dir).unwrap().with_quarantine_cap(64);
-        // Quarantine three corrupt entries of ~40 bytes each; the cap
-        // only fits one, so the GC (run as part of quarantine) evicts
-        // the oldest two.
-        for spec in ["a", "b", "c"] {
-            cache.store(spec, &sample_metrics()).unwrap();
-            std::fs::write(
-                cache.entry_path(spec),
-                format!("{{ corrupt {spec} {:40}", ""),
-            )
-            .unwrap();
-            assert!(cache.lookup(spec).is_none());
+    fn quarantine_holds_one_file_per_key() {
+        let dir = temp_cache_dir("quarantine-bounded");
+        let cache = RunCache::new(&dir).unwrap();
+        let path = cache.entry_path("spec");
+        for damage in [&b"{ first corruption"[..], b"{ second"] {
+            cache.store("spec", &sample_metrics()).unwrap();
+            std::fs::write(&path, damage).unwrap();
+            assert!(cache.lookup("spec").is_none());
         }
-        let remaining: Vec<_> = std::fs::read_dir(cache.quarantine_dir())
+        let parked: Vec<_> = std::fs::read_dir(cache.quarantine_dir())
             .unwrap()
             .flatten()
+            .map(|e| e.path())
             .collect();
-        let total: u64 = remaining.iter().map(|e| e.metadata().unwrap().len()).sum();
-        assert!(
-            total <= 64,
-            "quarantine dir must fit the cap after GC, got {total} bytes"
-        );
-        assert!(remaining.len() < 3, "oldest entries must be evicted");
-        // A cap of zero disables the GC entirely.
-        let unbounded = RunCache::new(&dir).unwrap().with_quarantine_cap(0);
-        assert_eq!(unbounded.quarantine_gc(), 0);
+        assert_eq!(parked.len(), 1, "{parked:?}");
+        assert_eq!(std::fs::read(&parked[0]).unwrap(), b"{ second");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -552,15 +552,9 @@ impl Runner {
         let output = match outcome {
             Ok(output) => {
                 if let (Some(cache), Some(key)) = (&self.cache, &fingerprint) {
-                    // Transient store failures (shared FS) are retried
-                    // with backoff; a persistent one costs only the
-                    // cache entry, not the result.
-                    let stored = crate::retry::with_backoff(
-                        crate::retry::IO_ATTEMPTS,
-                        crate::retry::IO_BACKOFF,
-                        || cache.store(key, &output.metrics),
-                    );
-                    if let Err(e) = stored {
+                    // A failed store costs only the cache entry, not
+                    // the result: the next request for it re-executes.
+                    if let Err(e) = cache.store(key, &output.metrics) {
                         eprintln!("bgpsim-runner: failed to cache {label:?}: {e} (continuing)");
                     }
                 }
@@ -947,16 +941,14 @@ impl Runner {
 }
 
 fn open_journal(path: &Path) -> Result<std::fs::File, Error> {
-    crate::retry::with_backoff(crate::retry::IO_ATTEMPTS, crate::retry::IO_BACKOFF, || {
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-    })
-    .map_err(|source| Error::Journal {
-        path: path.to_path_buf(),
-        source,
-    })
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|source| Error::Journal {
+            path: path.to_path_buf(),
+            source,
+        })
 }
 
 /// Per-run counter totals merged into the benchmark baseline.

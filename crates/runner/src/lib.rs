@@ -71,7 +71,6 @@ pub mod config;
 pub mod error;
 pub mod executor;
 pub mod recovery;
-mod retry;
 pub mod supervisor;
 
 pub use cache::{RunCache, SCHEMA_VERSION};

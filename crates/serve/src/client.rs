@@ -1,9 +1,9 @@
 //! A minimal blocking HTTP/1.1 client for the daemon's API.
 //!
-//! Used by `bgpsim-loadtest` and the integration tests; supports
-//! exactly what the server emits — fixed `Content-Length` bodies and
-//! chunked transfer-encoding — over one-shot (`Connection: close`)
-//! requests.
+//! The daemon's integration tests drive it through this client. It
+//! supports exactly what the server emits — fixed `Content-Length`
+//! bodies and chunked transfer-encoding — over one-shot
+//! (`Connection: close`) requests.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -81,8 +81,6 @@ pub struct JobEntry {
     pub handle: JobHandle,
     inner: Mutex<JobInner>,
     progress: Condvar,
-    /// Guards the one-time release of the client's active-job slot.
-    released: std::sync::atomic::AtomicBool,
     /// The registry to tell when this job turns terminal.
     registry: Weak<RegistryState>,
 }
@@ -135,7 +133,6 @@ impl JobEntry {
                 status: JobStatus::Queued,
             }),
             progress: Condvar::new(),
-            released: std::sync::atomic::AtomicBool::new(false),
             registry,
         }
     }
@@ -151,15 +148,6 @@ impl JobEntry {
         if let Some(registry) = self.registry.upgrade() {
             registry.retire(self.id);
         }
-    }
-
-    /// Claims the one-time right to release this job's admission slot.
-    /// Returns `true` exactly once per job, no matter how many paths
-    /// (final run, failure, cancellation) race to the terminal state.
-    pub fn take_release(&self) -> bool {
-        !self
-            .released
-            .swap(true, std::sync::atomic::Ordering::SeqCst)
     }
 
     /// Marks the first run as started.

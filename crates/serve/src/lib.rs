@@ -11,24 +11,21 @@
 //! | `GET /v1/jobs/{id}/results` | stream results as chunked JSONL |
 //! | `DELETE /v1/jobs/{id}` | cancel |
 //! | `GET /v1/healthz` | liveness |
-//! | `GET /v1/stats` | cache hit-rate, queue depth, per-client counters |
+//! | `GET /v1/stats` | cache hit-rate, queue depth, worker crash counters |
 //! | `POST /v1/drain` | stop admission, finish in-flight work |
 //!
-//! Every submission routes through one process-wide [`Runner`]
-//! (`bgpsim_runner::Runner`) and therefore one shared run cache:
+//! Every submission routes through one process-wide
+//! [`Runner`](bgpsim_runner::Runner) and therefore one shared run cache:
 //! concurrent clients submitting overlapping specs warm each other.
-//! Admission control (bounded queue, per-client quotas, drain) sits in
-//! front; watchdog budgets and cooperative cancellation bound what was
-//! admitted.
+//! Admission (a bounded run queue and drain) sits in front; watchdog
+//! budgets and cooperative cancellation bound what was admitted.
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod client;
 pub mod http;
 pub mod jobs;
 pub mod server;
 
-pub use admission::{Admission, AdmissionLimits, CircuitBreaker, ClientStats, RejectReason};
 pub use jobs::{JobEntry, JobRegistry, JobSnapshot, JobStatus};
 pub use server::{ServeConfig, Server};

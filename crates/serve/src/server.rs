@@ -4,10 +4,10 @@
 //! Threading model — three kinds of threads over one shared state:
 //!
 //! * the **accept loop** takes connections off the listener and spawns
-//!   a handler thread per connection (bounded by a connection cap;
+//!   a handler thread per connection (at most `MAX_CONNECTIONS`, 64;
 //!   overflow is answered 503 and closed);
-//! * **connection handlers** parse requests, run admission, and serve
-//!   responses — submissions only *enqueue* work;
+//! * **connection handlers** parse requests, admit submissions, and
+//!   serve responses — submissions only *enqueue* work;
 //! * **executor workers** (a fixed pool) pull individual scenario runs
 //!   off the pending queue and push them through the shared
 //!   [`Runner`], so every run goes through the one process-wide run
@@ -34,9 +34,11 @@ use bgpsim_runner::{Error as RunnerError, Runner};
 use bgpsim_trace::{TraceEvent, TraceHandle};
 use serde::value::Value;
 
-use crate::admission::{Admission, AdmissionLimits, CircuitBreaker};
 use crate::http::{read_request, write_response, ChunkedBody, ParseError, Request};
 use crate::jobs::{JobEntry, JobRegistry, JobStatus};
+
+/// Concurrent-connection cap; a connection over it is answered 503.
+const MAX_CONNECTIONS: usize = 64;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -46,15 +48,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Executor worker threads draining the run queue.
     pub exec_workers: usize,
-    /// Admission limits (queue depth, per-client quotas).
-    pub limits: AdmissionLimits,
-    /// Concurrent-connection cap; overflow is answered 503.
-    pub max_connections: usize,
-    /// Consecutive worker crashes before the circuit breaker opens and
-    /// submissions are shed with 503 `circuit_open` (0 disables).
-    pub breaker_threshold: u32,
-    /// How long an open breaker sheds load before admitting a probe.
-    pub breaker_cooldown: Duration,
+    /// Cap on queued (admitted, not yet started) runs; a submission
+    /// that would overflow it is refused with 429 + `Retry-After`.
+    pub max_queued_runs: usize,
 }
 
 impl Default for ServeConfig {
@@ -62,10 +58,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:8355".into(),
             exec_workers: 2,
-            limits: AdmissionLimits::default(),
-            max_connections: 64,
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(5),
+            max_queued_runs: 1024,
         }
     }
 }
@@ -83,15 +76,48 @@ struct QueuedRun {
 struct Shared {
     runner: Arc<Runner>,
     registry: JobRegistry,
-    admission: Admission,
-    breaker: CircuitBreaker,
+    /// Admitted runs no executor has picked up yet; its length is the
+    /// queue depth that `max_queued_runs` caps.
     queue: Mutex<VecDeque<QueuedRun>>,
     queue_cond: Condvar,
+    max_queued_runs: usize,
+    /// Set (under the queue lock) once a drain begins: every later
+    /// submission is refused.
+    draining: AtomicBool,
     stop: AtomicBool,
-    conns: AtomicUsize,
-    max_conns: usize,
+    conns: Arc<AtomicUsize>,
     jobs_submitted: AtomicU64,
     requests: AtomicU64,
+}
+
+impl Shared {
+    /// Stops admission. The flag flips under the queue lock, so a
+    /// submission is either refused or already registered by the time
+    /// this returns, and a drain that waits for idle waits for it too.
+    fn start_drain(&self) {
+        let _queue = self.queue.lock().expect("queue lock");
+        self.draining.store(true, Ordering::SeqCst);
+    }
+}
+
+/// One of the daemon's [`MAX_CONNECTIONS`] slots, moved into the
+/// connection's handler thread. Dropping it gives the slot back,
+/// whether the handler returned, panicked, or never ran because its
+/// thread could not be spawned.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl ConnSlot {
+    /// Takes a slot, or `None` when all of them are in use.
+    fn claim(conns: &Arc<AtomicUsize>) -> Option<ConnSlot> {
+        let slot = ConnSlot(Arc::clone(conns));
+        (conns.fetch_add(1, Ordering::SeqCst) < MAX_CONNECTIONS).then_some(slot)
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A running daemon. Dropping it without [`shutdown`](Self::shutdown)
@@ -117,13 +143,12 @@ impl Server {
         let shared = Arc::new(Shared {
             runner,
             registry: JobRegistry::new(),
-            admission: Admission::new(config.limits.clone()),
-            breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
+            max_queued_runs: config.max_queued_runs,
+            draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            conns: AtomicUsize::new(0),
-            max_conns: config.max_connections.max(1),
+            conns: Arc::default(),
             jobs_submitted: AtomicU64::new(0),
             requests: AtomicU64::new(0),
         });
@@ -160,7 +185,7 @@ impl Server {
     /// `true` once a drain has been requested (via `POST /v1/drain` or
     /// [`drain`](Self::drain)).
     pub fn is_draining(&self) -> bool {
-        self.shared.admission.is_draining()
+        self.shared.draining.load(Ordering::SeqCst)
     }
 
     /// Stops admission and blocks until every admitted run has
@@ -168,7 +193,7 @@ impl Server {
     /// submissions are refused with 503 from the moment this is
     /// called; status/results/stats requests keep working.
     pub fn drain(&self) {
-        self.shared.admission.start_drain();
+        self.shared.start_drain();
         // Runs still queued once every job is terminal belong to
         // cancelled or failed jobs; the executors discard them at pickup.
         self.shared.registry.wait_idle();
@@ -200,9 +225,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
-        if shared.conns.load(Ordering::SeqCst) >= shared.max_conns {
-            let mut stream = stream;
+        let Ok(mut stream) = stream else { continue };
+        let Some(slot) = ConnSlot::claim(&shared.conns) else {
             let _ = write_response(
                 &mut stream,
                 503,
@@ -211,14 +235,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 false,
             );
             continue;
-        }
-        shared.conns.fetch_add(1, Ordering::SeqCst);
+        };
         let shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name("bgpsim-serve-conn".into())
             .spawn(move || {
+                let _slot = slot;
                 handle_connection(&shared, stream);
-                shared.conns.fetch_sub(1, Ordering::SeqCst);
             });
     }
 }
@@ -312,7 +335,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Routed {
         ("GET", "/v1/stats") => Routed::plain(200, stats_body(shared)),
         ("POST", "/v1/jobs") => submit_job(shared, request),
         ("POST", "/v1/drain") => {
-            shared.admission.start_drain();
+            shared.start_drain();
             Routed::plain(202, "{\"draining\":true}".into())
         }
         _ => {
@@ -339,9 +362,6 @@ fn route_job(shared: &Arc<Shared>, request: &Request, rest: &str) -> Routed {
         ("GET", None) => Routed::plain(200, status_body(&entry)),
         ("DELETE", None) => {
             let cancelled = entry.cancel();
-            if cancelled {
-                release_job(shared, &entry);
-            }
             Routed::plain(200, format!("{{\"id\":{id},\"cancelled\":{cancelled}}}"))
         }
         ("GET", Some("results")) => Routed::ResultStream(entry),
@@ -350,55 +370,48 @@ fn route_job(shared: &Arc<Shared>, request: &Request, rest: &str) -> Routed {
 }
 
 fn submit_job(shared: &Arc<Shared>, request: &Request) -> Routed {
-    let client = request.client().to_string();
+    let client = request.client();
     let body = String::from_utf8_lossy(&request.body);
     let spec = match JobSpec::parse(&body) {
         Ok(spec) => spec,
         Err(err) => return Routed::plain(400, error_body(&err)),
     };
     let runs = spec.run_count();
-    // The breaker gates before quota accounting: a shed submission
-    // must not consume queue capacity it will never use.
-    if let Err(reason) = shared.breaker.allow() {
+    let nodes = spec.topology.build().0.node_count() as f64;
+    let mut queue = shared.queue.lock().expect("queue lock");
+    let refusal = if shared.draining.load(Ordering::SeqCst) {
+        Some((503, "draining"))
+    } else if queue.len() + runs > shared.max_queued_runs {
+        Some((429, "queue_full"))
+    } else {
+        None
+    };
+    if let Some((status, reason)) = refusal {
+        drop(queue);
         TraceHandle::global().emit(|| TraceEvent::AdmissionReject {
-            client: client.clone(),
-            reason: reason.name().into(),
+            client: client.to_string(),
+            reason: reason.into(),
         });
         return Routed::Plain {
-            status: reason.status(),
-            body: error_body(reason.name()),
-            retry_after: true,
-            runs: 0,
-        };
-    }
-    if let Err(reason) = shared.admission.admit(&client, runs) {
-        TraceHandle::global().emit(|| TraceEvent::AdmissionReject {
-            client: client.clone(),
-            reason: reason.name().into(),
-        });
-        return Routed::Plain {
-            status: reason.status(),
-            body: error_body(reason.name()),
-            retry_after: reason.status() == 429,
+            status,
+            body: error_body(reason),
+            retry_after: status == 429,
             runs: 0,
         };
     }
     let entry = shared
         .registry
-        .create(&client, spec.label(), runs, spec.version);
-    shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    let nodes = spec.topology.build().0.node_count() as f64;
-    {
-        let mut queue = shared.queue.lock().expect("queue lock");
-        for (index, scenario) in spec.scenarios().into_iter().enumerate() {
-            queue.push_back(QueuedRun {
-                entry: Arc::clone(&entry),
-                index,
-                scenario,
-                nodes,
-            });
-        }
+        .create(client, spec.label(), runs, spec.version);
+    for (index, scenario) in spec.scenarios().into_iter().enumerate() {
+        queue.push_back(QueuedRun {
+            entry: Arc::clone(&entry),
+            index,
+            scenario,
+            nodes,
+        });
     }
+    drop(queue);
+    shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
     shared.queue_cond.notify_all();
     Routed::Plain {
         status: 201,
@@ -448,7 +461,6 @@ fn executor_loop(shared: &Arc<Shared>) {
                 queue = guard;
             }
         };
-        shared.admission.run_started();
         if run.entry.handle.is_cancelled() {
             // The job was cancelled while this run sat in the queue;
             // its terminal state is already set.
@@ -458,44 +470,18 @@ fn executor_loop(shared: &Arc<Shared>) {
         let job = run.scenario.clone().into_job();
         match shared.runner.run_job(job, &run.entry.handle) {
             Ok(done) => {
-                shared.breaker.record_success();
                 let events = done.counters.map_or(0, |c| c.events);
-                shared.admission.charge_events(&run.entry.client, events);
                 let line = result_line(&run, &done.metrics);
                 run.entry.complete_run(run.index, line, done.cached, events);
-                if run.entry.snapshot().status.is_terminal() {
-                    release_job(shared, &run.entry);
-                }
             }
-            Err(RunnerError::Cancelled { .. }) => {
-                run.entry.finish_with(JobStatus::Cancelled);
-                release_job(shared, &run.entry);
-            }
+            Err(RunnerError::Cancelled { .. }) => run.entry.finish_with(JobStatus::Cancelled),
             Err(err) => {
-                // Crashed execution vehicles feed the circuit breaker;
-                // other failures (timeouts, cache errors) mean the
-                // machinery itself ran the job to a verdict, which
-                // counts as healthy and closes a probing breaker.
-                match &err {
-                    RunnerError::WorkerCrash { .. } | RunnerError::WorkerPanic { .. } => {
-                        shared.breaker.record_crash();
-                    }
-                    _ => shared.breaker.record_success(),
-                }
                 // One failed run fails the job; cancel its siblings so
                 // queued runs are discarded at pickup.
                 run.entry.handle.cancel();
                 run.entry.finish_with(JobStatus::Failed(err.to_string()));
-                release_job(shared, &run.entry);
             }
         }
-    }
-}
-
-/// Frees the client's active-job slot exactly once per job.
-fn release_job(shared: &Arc<Shared>, entry: &Arc<JobEntry>) {
-    if entry.take_release() {
-        shared.admission.job_finished(&entry.client);
     }
 }
 
@@ -551,10 +537,8 @@ fn error_body(message: &str) -> String {
 
 fn healthz_body(shared: &Arc<Shared>) -> String {
     format!(
-        "{{\"ok\":true,\"draining\":{},\"degraded\":{},\"breaker\":{}}}",
-        shared.admission.is_draining(),
-        !shared.breaker.is_closed(),
-        json_string(shared.breaker.state_name()),
+        "{{\"ok\":true,\"draining\":{}}}",
+        shared.draining.load(Ordering::SeqCst)
     )
 }
 
@@ -581,33 +565,16 @@ fn status_body(entry: &Arc<JobEntry>) -> String {
 
 fn stats_body(shared: &Arc<Shared>) -> String {
     let runner = shared.runner.stats();
-    let clients: Vec<String> = shared
-        .admission
-        .client_stats()
-        .into_iter()
-        .map(|(client, stats)| {
-            format!(
-                "{{\"client\":{},\"active_jobs\":{},\"admitted_jobs\":{},\"events_charged\":{},\"rejected\":{}}}",
-                json_string(&client),
-                stats.active_jobs,
-                stats.admitted_jobs,
-                stats.events_charged,
-                stats.rejected,
-            )
-        })
-        .collect();
     format!(
         "{{\"jobs_submitted\":{},\"jobs_active\":{},\"queue_depth\":{},\"draining\":{},\"requests\":{},\
          \"peak_rss_kb\":{},\
          \"runner\":{{\"jobs\":{},\"cache_hits\":{},\"executed\":{},\"hit_rate_percent\":{:.3},\
          \"sim_ms\":{:.3},\"measure_ms\":{:.3},\
-         \"worker_crashes\":{},\"worker_retries\":{},\"jobs_poisoned\":{}}},\
-         \"breaker\":{{\"state\":{},\"crashes\":{},\"trips\":{}}},\
-         \"clients\":[{}]}}",
+         \"worker_crashes\":{},\"worker_retries\":{},\"jobs_poisoned\":{}}}}}",
         shared.jobs_submitted.load(Ordering::Relaxed),
         shared.registry.active_count(),
-        shared.admission.queue_depth(),
-        shared.admission.is_draining(),
+        shared.queue.lock().expect("queue lock").len(),
+        shared.draining.load(Ordering::SeqCst),
         shared.requests.load(Ordering::Relaxed),
         bgpsim_trace::peak_rss_kb(),
         runner.jobs,
@@ -619,9 +586,48 @@ fn stats_body(shared: &Arc<Shared>) -> String {
         runner.worker_crashes,
         runner.worker_retries,
         runner.jobs_poisoned,
-        json_string(shared.breaker.state_name()),
-        shared.breaker.crashes(),
-        shared.breaker.trips(),
-        clients.join(","),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connection_slots_are_capped_and_given_back() {
+        let conns = Arc::default();
+        let slots: Vec<ConnSlot> = (0..MAX_CONNECTIONS)
+            .map(|_| ConnSlot::claim(&conns).expect("a free slot"))
+            .collect();
+        assert!(ConnSlot::claim(&conns).is_none(), "every slot is taken");
+        assert_eq!(conns.load(Ordering::SeqCst), MAX_CONNECTIONS);
+        drop(slots);
+        assert_eq!(conns.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_handler_that_never_runs_gives_its_slot_back() {
+        // What a failed thread spawn does with the handler closure:
+        // drops it without calling it.
+        let conns = Arc::default();
+        let slot = ConnSlot::claim(&conns).expect("a free slot");
+        let handler = move || {
+            let _slot = slot;
+        };
+        assert_eq!(conns.load(Ordering::SeqCst), 1);
+        drop(handler);
+        assert_eq!(conns.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_panicking_handler_gives_its_slot_back() {
+        let conns = Arc::default();
+        let slot = ConnSlot::claim(&conns).expect("a free slot");
+        let unwound = std::panic::catch_unwind(move || {
+            let _slot = slot;
+            panic!("handler panicked");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(conns.load(Ordering::SeqCst), 0);
+    }
 }

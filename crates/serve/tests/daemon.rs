@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bgpsim_runner::{IsolationConfig, Runner, RunnerConfig};
 use bgpsim_serve::client::{request, Response};
-use bgpsim_serve::{AdmissionLimits, ServeConfig, Server};
+use bgpsim_serve::{ServeConfig, Server};
 
 /// A unique scratch directory per test.
 fn scratch(tag: &str) -> PathBuf {
@@ -16,16 +16,17 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn boot(tag: &str, workers: usize, limits: AdmissionLimits) -> (Server, String, PathBuf) {
-    boot_with(tag, workers, limits, |runner| runner)
+fn boot(tag: &str, workers: usize) -> (Server, String, PathBuf) {
+    let max_queued_runs = ServeConfig::default().max_queued_runs;
+    boot_with(tag, workers, max_queued_runs, |runner| runner)
 }
 
-/// [`boot`], with the runner adjusted by `tune` before the daemon
-/// takes it.
+/// [`boot`], with a queue cap of `max_queued_runs` and the runner
+/// adjusted by `tune` before the daemon takes it.
 fn boot_with(
     tag: &str,
     workers: usize,
-    limits: AdmissionLimits,
+    max_queued_runs: usize,
     tune: impl FnOnce(Runner) -> Runner,
 ) -> (Server, String, PathBuf) {
     let dir = scratch(tag);
@@ -40,8 +41,7 @@ fn boot_with(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             exec_workers: workers,
-            limits,
-            ..ServeConfig::default()
+            max_queued_runs,
         },
         Arc::new(runner),
     )
@@ -80,7 +80,7 @@ const QUICK_SPEC: &str = r#"{"topology":"clique:5","event":"tdown","seeds":[7,8]
 
 #[test]
 fn concurrent_identical_submissions_share_the_cache_and_stream_identically() {
-    let (server, addr, _dir) = boot("concurrent", 2, AdmissionLimits::default());
+    let (server, addr, _dir) = boot("concurrent", 2);
 
     let streams: Vec<(u16, String)> = {
         let handles: Vec<_> = (0..4)
@@ -154,7 +154,7 @@ fn concurrent_identical_submissions_share_the_cache_and_stream_identically() {
 
 #[test]
 fn retired_execution_key_is_rejected_as_an_unknown_field() {
-    let (server, addr, _dir) = boot("retired-key", 1, AdmissionLimits::default());
+    let (server, addr, _dir) = boot("retired-key", 1);
     // The key JobSpec v1 carried until the second engine was removed,
     // spelled in halves so a tree-wide search for the name stays empty.
     let key = concat!("sh", "ards");
@@ -171,10 +171,10 @@ fn retired_execution_key_is_rejected_as_an_unknown_field() {
 
 #[test]
 fn undersized_topologies_are_refused_without_leaking_admission() {
-    let (server, addr, _dir) = boot("undersized", 1, AdmissionLimits::default());
+    let (server, addr, _dir) = boot("undersized", 1);
     // More than the daemon's 64 connection slots: a refused body must
     // give back its connection slot and never reach admission, or the
-    // client's active jobs and the queue depth leak.
+    // queue depth leaks.
     let spec = r#"{"topology":"bclique:1","event":"tdown"}"#;
     for _ in 0..70 {
         let resp = post(&addr, "/v1/jobs", "eve", spec);
@@ -193,8 +193,8 @@ fn v2_fork_submission_streams_identically_to_its_unforked_equivalents() {
     // Two isolated daemons (separate run caches), so the forked
     // submission actually executes its warm-up + forks rather than
     // reading results the unforked runs cached.
-    let (ref_server, ref_addr, _ref_dir) = boot("fork-ref", 2, AdmissionLimits::default());
-    let (server, addr, _dir) = boot("fork", 2, AdmissionLimits::default());
+    let (ref_server, ref_addr, _ref_dir) = boot("fork-ref", 2);
+    let (server, addr, _dir) = boot("fork", 2);
 
     // Unforked v1 submissions for the two tails, seed-major order.
     let tdown = r#"{"topology":"clique:6","event":"tdown","seeds":[5]}"#;
@@ -257,7 +257,8 @@ fn v2_fork_runs_are_supervised_like_any_other_run() {
     // succeed unless it bypasses the supervisor and executes in the
     // daemon process. Each tail kind leads one submission, because a
     // job fails at its first failed run and discards the rest.
-    let (server, addr, _dir) = boot_with("fork-crash", 1, AdmissionLimits::default(), |runner| {
+    let max_queued_runs = ServeConfig::default().max_queued_runs;
+    let (server, addr, _dir) = boot_with("fork-crash", 1, max_queued_runs, |runner| {
         runner
             .with_isolation(true)
             .with_isolation_config(IsolationConfig {
@@ -288,7 +289,7 @@ fn v2_fork_runs_are_supervised_like_any_other_run() {
 fn delete_cancels_a_queued_job() {
     // One executor worker: a heavy first job keeps the second queued
     // long enough to cancel it deterministically.
-    let (server, addr, _dir) = boot("cancel", 1, AdmissionLimits::default());
+    let (server, addr, _dir) = boot("cancel", 1);
 
     let heavy = r#"{"topology":"clique:16","event":"tdown","seeds":[1,2,3,4]}"#;
     let resp = post(&addr, "/v1/jobs", "alice", heavy);
@@ -328,55 +329,44 @@ fn delete_cancels_a_queued_job() {
 }
 
 #[test]
-fn quota_and_queue_rejections_are_429_with_retry_after() {
-    // A queue that holds one run: any 2-seed submission overflows it.
-    let limits = AdmissionLimits {
-        max_queued_runs: 1,
-        max_jobs_per_client: Some(64),
-        event_budget_per_client: None,
-    };
-    let (server, addr, _dir) = boot("backpressure", 1, limits);
+fn queue_overflow_is_429_and_the_queue_gives_capacity_back() {
+    // One executor and room for two queued runs. The first job's runs
+    // are slow enough that at least one of them is still queued when
+    // the second job arrives.
+    let (server, addr, _dir) = boot_with("backpressure", 1, 2, |runner| runner);
+    let heavy = r#"{"topology":"clique:40","event":"tdown","seeds":[1,2]}"#;
+    let resp = post(&addr, "/v1/jobs", "alice", heavy);
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let first = field(&resp.text(), "id").unwrap();
 
-    let resp = post(&addr, "/v1/jobs", "alice", QUICK_SPEC);
-    assert_eq!(resp.status, 429, "2 runs > queue cap of 1: {}", resp.text());
+    let resp = post(&addr, "/v1/jobs", "bob", QUICK_SPEC);
+    assert_eq!(
+        resp.status,
+        429,
+        "2 more runs overflow a cap of 2: {}",
+        resp.text()
+    );
     assert_eq!(resp.header("retry-after"), Some("1"));
     assert!(resp.text().contains("queue_full"), "{}", resp.text());
 
-    let stats = get(&addr, "/v1/stats");
-    assert!(stats.text().contains("\"rejected\":1"), "{}", stats.text());
-    server.shutdown();
-
-    // An event budget of 1: the first (executed) job exhausts it.
-    let limits = AdmissionLimits {
-        max_queued_runs: 1024,
-        max_jobs_per_client: Some(64),
-        event_budget_per_client: Some(1),
-    };
-    let (server, addr, _dir) = boot("eventbudget", 1, limits);
-    let resp = post(&addr, "/v1/jobs", "alice", QUICK_SPEC);
-    assert_eq!(resp.status, 201);
-    let id = field(&resp.text(), "id").unwrap();
-    // Streaming to the end guarantees the job is terminal and charged.
-    let stream = get(&addr, &format!("/v1/jobs/{id}/results"));
-    assert_eq!(stream.status, 200);
+    // Streaming the first job to its end empties the queue again.
+    let stream = get(&addr, &format!("/v1/jobs/{first}/results"));
     assert_eq!(stream.text().lines().count(), 2);
-
-    let resp = post(&addr, "/v1/jobs", "alice", QUICK_SPEC);
-    assert_eq!(resp.status, 429, "{}", resp.text());
-    assert!(
-        resp.text().contains("event_budget_quota"),
-        "{}",
-        resp.text()
-    );
-    // Another client has its own budget.
     let resp = post(&addr, "/v1/jobs", "bob", QUICK_SPEC);
     assert_eq!(resp.status, 201, "{}", resp.text());
+    let id = field(&resp.text(), "id").unwrap();
+    let stream = get(&addr, &format!("/v1/jobs/{id}/results"));
+    assert_eq!(stream.text().lines().count(), 2);
+
+    let stats = get(&addr, "/v1/stats").text();
+    assert_eq!(field(&stats, "queue_depth"), Some(0), "{stats}");
+    assert_eq!(field(&stats, "jobs_submitted"), Some(2), "{stats}");
     server.shutdown();
 }
 
 #[test]
 fn a_job_pushed_out_of_retention_answers_like_an_unknown_one() {
-    let (server, addr, _dir) = boot("retention", 1, AdmissionLimits::default());
+    let (server, addr, _dir) = boot("retention", 1);
     // The same spec over and over: one executes, the rest are cache
     // hits, each terminal before the next is submitted.
     let ids: Vec<u64> = (0..bgpsim_serve::jobs::RETAINED_TERMINAL_JOBS + 1)
@@ -412,7 +402,7 @@ fn a_job_pushed_out_of_retention_answers_like_an_unknown_one() {
 
 #[test]
 fn drain_refuses_new_work_and_leaves_a_clean_journal() {
-    let (server, addr, dir) = boot("drain", 2, AdmissionLimits::default());
+    let (server, addr, dir) = boot("drain", 2);
 
     for i in 0..3 {
         let spec = format!(

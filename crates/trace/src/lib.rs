@@ -204,15 +204,6 @@ pub enum TraceEvent {
         /// Why the entry was rejected.
         detail: String,
     },
-    /// The quarantine directory exceeded its size cap and the oldest
-    /// parked entry was evicted (infrastructure event; seed/t
-    /// serialize as zero).
-    QuarantineEvict {
-        /// The evicted file path.
-        path: String,
-        /// Bytes freed by the eviction.
-        bytes: u64,
-    },
     /// One HTTP request handled by the experiment service.
     ///
     /// Infrastructure event (no meaningful seed or simulation time;
@@ -240,9 +231,7 @@ pub enum TraceEvent {
     AdmissionReject {
         /// Client identity (API key, or `"anonymous"`).
         client: String,
-        /// Why admission was refused (e.g. `"queue_full"`,
-        /// `"concurrency_quota"`, `"event_budget_quota"`,
-        /// `"draining"`, `"circuit_open"`).
+        /// Why admission was refused: `"queue_full"` or `"draining"`.
         reason: String,
     },
     /// A process-isolated worker died without producing a result
@@ -305,14 +294,6 @@ pub enum TraceEvent {
         /// How many times this failpoint has matched so far (1-based).
         hit: u64,
     },
-    /// The serve crash-rate circuit breaker changed state.
-    /// Infrastructure event; seed/t serialize as zero.
-    CircuitBreaker {
-        /// The new state: `"open"`, `"half_open"`, or `"closed"`.
-        state: String,
-        /// Consecutive worker crashes observed at the transition.
-        crashes: u64,
-    },
 }
 
 impl TraceEvent {
@@ -331,14 +312,12 @@ impl TraceEvent {
             TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::SessionReset { .. } => "session_reset",
             TraceEvent::CacheQuarantine { .. } => "cache_quarantine",
-            TraceEvent::QuarantineEvict { .. } => "quarantine_evict",
             TraceEvent::ServeRequest { .. } => "serve_request",
             TraceEvent::AdmissionReject { .. } => "admission_reject",
             TraceEvent::WorkerCrash { .. } => "worker_crash",
             TraceEvent::JobRetry { .. } => "job_retry",
             TraceEvent::RecoveryReplay { .. } => "recovery_replay",
             TraceEvent::FailpointHit { .. } => "failpoint_hit",
-            TraceEvent::CircuitBreaker { .. } => "circuit_breaker",
         }
     }
 
@@ -357,14 +336,12 @@ impl TraceEvent {
             | TraceEvent::FaultInjected { seed, .. }
             | TraceEvent::SessionReset { seed, .. } => seed,
             TraceEvent::CacheQuarantine { .. }
-            | TraceEvent::QuarantineEvict { .. }
             | TraceEvent::ServeRequest { .. }
             | TraceEvent::AdmissionReject { .. }
             | TraceEvent::WorkerCrash { .. }
             | TraceEvent::JobRetry { .. }
             | TraceEvent::RecoveryReplay { .. }
-            | TraceEvent::FailpointHit { .. }
-            | TraceEvent::CircuitBreaker { .. } => 0,
+            | TraceEvent::FailpointHit { .. } => 0,
         }
     }
 }
@@ -536,12 +513,6 @@ impl serde::Serialize for TraceEvent {
                 put("client", Value::Str(client.clone()));
                 put("reason", Value::Str(reason.clone()));
             }
-            TraceEvent::QuarantineEvict { path, bytes } => {
-                put("seed", Value::UInt(0));
-                put("t", Value::UInt(0));
-                put("path", Value::Str(path.clone()));
-                put("bytes", Value::UInt(*bytes));
-            }
             TraceEvent::WorkerCrash {
                 label,
                 fingerprint,
@@ -595,12 +566,6 @@ impl serde::Serialize for TraceEvent {
                 put("site", Value::Str(site.clone()));
                 put("action", Value::Str(action.clone()));
                 put("hit", Value::UInt(*hit));
-            }
-            TraceEvent::CircuitBreaker { state, crashes } => {
-                put("seed", Value::UInt(0));
-                put("t", Value::UInt(0));
-                put("state", Value::Str(state.clone()));
-                put("crashes", Value::UInt(*crashes));
             }
         }
         Value::Object(fields)
@@ -1091,12 +1056,8 @@ mod tests {
                 runs: 3,
             },
             TraceEvent::AdmissionReject {
-                client: "loadtest-7".into(),
+                client: "client-7".into(),
                 reason: "queue_full".into(),
-            },
-            TraceEvent::QuarantineEvict {
-                path: "/tmp/cache/quarantine/deadbeef.json".into(),
-                bytes: 512,
             },
             TraceEvent::WorkerCrash {
                 label: "clique 5 seed 3".into(),
@@ -1124,10 +1085,6 @@ mod tests {
                 site: "cache_write".into(),
                 action: "torn".into(),
                 hit: 1,
-            },
-            TraceEvent::CircuitBreaker {
-                state: "open".into(),
-                crashes: 5,
             },
         ];
         for ev in events {

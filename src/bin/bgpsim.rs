@@ -14,7 +14,7 @@ use bgpsim::netsim::time::SimDuration;
 use bgpsim::prelude::*;
 use bgpsim::runner::{recover_journal, RunCache, RunnerConfig};
 
-use bgpsim::serve::{AdmissionLimits, ServeConfig, Server};
+use bgpsim::serve::{ServeConfig, Server};
 
 fn main() {
     // The hidden `bgpsim worker` mode (isolated-job child) never returns.
@@ -103,13 +103,7 @@ fn serve(opts: &ServeOptions) {
         ServeConfig {
             addr: opts.addr.clone(),
             exec_workers: opts.exec_workers,
-            limits: AdmissionLimits {
-                max_queued_runs: opts.max_queued_runs,
-                max_jobs_per_client: opts.max_jobs_per_client,
-                event_budget_per_client: opts.event_budget,
-            },
-            max_connections: 64,
-            ..ServeConfig::default()
+            max_queued_runs: opts.max_queued_runs,
         },
         std::sync::Arc::new(runner),
     ) {

@@ -114,10 +114,6 @@ pub struct ServeOptions {
     pub runner: RunnerConfig,
     /// Cap on queued (admitted, not yet started) runs.
     pub max_queued_runs: usize,
-    /// Per-client concurrent-job quota (`None` = unlimited).
-    pub max_jobs_per_client: Option<usize>,
-    /// Per-client cumulative event budget (`None` = unlimited).
-    pub event_budget: Option<u64>,
 }
 
 impl Default for ServeOptions {
@@ -127,8 +123,6 @@ impl Default for ServeOptions {
             exec_workers: 2,
             runner: RunnerConfig::new().isolate(true),
             max_queued_runs: 1024,
-            max_jobs_per_client: Some(64),
-            event_budget: None,
         }
     }
 }
@@ -147,10 +141,6 @@ OPTIONS:
   --journal <FILE>        per-job JSONL journal     (default: $BGPSIM_JOURNAL)
   --trace-out <FILE>      JSONL trace events        (default: $BGPSIM_TRACE)
   --max-queued-runs <N>   pending-run queue cap     (default 1024)
-  --max-jobs-per-client <N>
-                          concurrent jobs per API key (default 64; 0 = off)
-  --event-budget <N>      cumulative simulation-event budget per API key
-                          (default unlimited)
   --no-isolate            run jobs in-process instead of supervised child
                           workers (isolation is ON by default for the
                           daemon; --isolate restores the default)
@@ -209,15 +199,6 @@ where
                     return Err(CliError("--max-queued-runs must be at least 1".to_string()));
                 }
                 opts.max_queued_runs = n;
-            }
-            "--max-jobs-per-client" => {
-                let v = expect_value(&mut iter, arg)?;
-                let n = parse_num(v.as_ref(), arg)? as usize;
-                opts.max_jobs_per_client = if n == 0 { None } else { Some(n) };
-            }
-            "--event-budget" => {
-                let v = expect_value(&mut iter, arg)?;
-                opts.event_budget = Some(parse_num(v.as_ref(), arg)?);
             }
             "--isolate" => opts.runner = opts.runner.isolate(true),
             "--no-isolate" => opts.runner = opts.runner.isolate(false),
@@ -538,10 +519,6 @@ mod tests {
             "/tmp/trace.jsonl",
             "--max-queued-runs",
             "16",
-            "--max-jobs-per-client",
-            "3",
-            "--event-budget",
-            "100000",
             "--no-isolate",
         ])
         .unwrap();
@@ -557,8 +534,6 @@ mod tests {
             "--no-isolate opts out"
         );
         assert_eq!(opts.max_queued_runs, 16);
-        assert_eq!(opts.max_jobs_per_client, Some(3));
-        assert_eq!(opts.event_budget, Some(100_000));
     }
 
     #[test]
@@ -593,12 +568,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_zero_quota_means_unlimited_but_zero_workers_is_an_error() {
-        let opts = parse_serve_args(["--max-jobs-per-client", "0"]).unwrap();
-        assert_eq!(opts.max_jobs_per_client, None);
+    fn serve_rejects_zero_sizes_and_retired_flags() {
         assert!(parse_serve_args(["--exec-workers", "0"]).is_err());
         assert!(parse_serve_args(["--max-queued-runs", "0"]).is_err());
         assert!(parse_serve_args(["--bogus"]).is_err());
+        for retired in ["--max-jobs-per-client", "--event-budget"] {
+            let err = parse_serve_args([retired, "3"]).unwrap_err();
+            assert!(err.to_string().contains("unknown option"), "{err}");
+        }
     }
 
     #[test]

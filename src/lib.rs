@@ -19,7 +19,7 @@
 //! | [`metrics`] | `bgpsim-metrics` | the paper's metrics + loop census + export |
 //! | [`experiments`] | `bgpsim-experiments` | scenarios, sweeps, Figures 4–9 |
 //! | [`runner`] | `bgpsim-runner` | parallel executor, run cache, progress/journal, [`RunnerConfig`](bgpsim_runner::RunnerConfig) |
-//! | [`serve`] | `bgpsim-serve` | HTTP experiment daemon: admission control, quotas, streaming results |
+//! | [`serve`] | `bgpsim-serve` | HTTP experiment daemon: bounded run queue, shared run cache, streaming results |
 //! | [`trace`] | `bgpsim-trace` | structured run observability: trace events, sinks, counters |
 //!
 //! ## Quickstart

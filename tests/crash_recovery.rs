@@ -1,8 +1,8 @@
 //! Crash-tolerance end-to-end tests driving the real `bgpsim` binary:
 //! a SIGKILL mid-run leaves a recoverable journal and a byte-identical
 //! rerun; a crashing isolated worker fails only its own job; the
-//! daemon survives worker crashes and degrades through its circuit
-//! breaker instead of dying.
+//! daemon survives worker crashes, and a poisoned resubmission fails
+//! without spawning another worker.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -216,7 +216,7 @@ fn post(addr: &str, path: &str, body: &str) -> String {
 }
 
 #[test]
-fn daemon_survives_worker_crashes_and_opens_its_breaker() {
+fn daemon_survives_worker_crashes_and_fails_poisoned_resubmissions_fast() {
     let dir = scratch("daemon");
     let mut child = bgpsim(&dir)
         .args(["serve", "--addr", "127.0.0.1:0", "--exec-workers", "1"])
@@ -238,43 +238,54 @@ fn daemon_survives_worker_crashes_and_opens_its_breaker() {
         .expect("listen address in banner")
         .to_string();
 
-    // Three single-run submissions, each crashing its worker: the jobs
-    // fail one by one while the daemon keeps serving.
-    for id in 1..=3u64 {
+    // Submits a one-seed job and waits for it to fail; returns its
+    // final status.
+    let submit_and_fail = |seed: u64| {
         let resp = post(
             &addr,
             "/v1/jobs",
-            &format!(r#"{{"topology":"clique:4","event":"tdown","seeds":[{id}]}}"#),
+            &format!(r#"{{"topology":"clique:4","event":"tdown","seeds":[{seed}]}}"#),
         );
-        assert!(resp.contains("201"), "submission {id}: {resp}");
+        assert!(resp.contains("201"), "submission of seed {seed}: {resp}");
+        let id = resp
+            .split("\"id\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .expect("submission returns an id");
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
-            assert!(Instant::now() < deadline, "job {id} never reached failed");
+            assert!(
+                Instant::now() < deadline,
+                "seed {seed} never reached failed"
+            );
             let status = get(&addr, &format!("/v1/jobs/{id}"));
             if status.contains("\"status\":\"failed\"") {
-                break;
+                return status;
             }
             std::thread::sleep(Duration::from_millis(20));
         }
+    };
+
+    // Three single-run submissions, each crashing its worker: the jobs
+    // fail one by one while the daemon keeps serving.
+    for seed in 1..=3u64 {
+        submit_and_fail(seed);
         let health = get(&addr, "/v1/healthz");
-        assert!(health.contains("\"ok\":true"), "after crash {id}: {health}");
+        assert!(
+            health.contains("\"ok\":true"),
+            "after crash {seed}: {health}"
+        );
     }
 
-    // Three consecutive crashes trip the breaker: load is shed with
-    // 503 circuit_open and health reports the degradation.
-    let shed = post(
-        &addr,
-        "/v1/jobs",
-        r#"{"topology":"clique:4","event":"tdown","seeds":[2]}"#,
-    );
-    assert!(shed.contains("503"), "{shed}");
-    assert!(shed.contains("circuit_open"), "{shed}");
-    let health = get(&addr, "/v1/healthz");
-    assert!(health.contains("\"degraded\":true"), "{health}");
-    assert!(health.contains("\"breaker\":\"open\""), "{health}");
+    // Resubmitting a crashed spec is admitted and fails at once: its
+    // fingerprint is poisoned, so no worker is spawned for it.
+    let status = submit_and_fail(2);
+    assert!(status.contains("job is poisoned"), "{status}");
     let stats = get(&addr, "/v1/stats");
     assert!(stats.contains("\"worker_crashes\":3"), "{stats}");
-    assert!(stats.contains("\"trips\":1"), "{stats}");
+    assert!(stats.contains("\"jobs_poisoned\":3"), "{stats}");
+    let health = get(&addr, "/v1/healthz");
+    assert!(health.contains("\"ok\":true"), "{health}");
 
     // Still a clean, API-driven exit.
     let drained = post(&addr, "/v1/drain", "");
