@@ -18,8 +18,7 @@ use bgpsim_dataplane::loopscan::{emit_census, loop_census};
 use bgpsim_metrics::{measure_run, RunMeasurement};
 use bgpsim_netsim::rng::SimRng;
 use bgpsim_sim::{
-    BudgetExceeded, ConvergenceExperiment, FailureEvent, FaultPlan, FlapProfile, RunBudget,
-    RunRecord, SimParams,
+    ConvergenceExperiment, FailureEvent, FaultPlan, FlapProfile, RunBudget, RunRecord, SimParams,
 };
 use bgpsim_topology::{algo, generators, Graph, NodeId};
 use bgpsim_trace::{RunCounters, TraceEvent, TraceHandle};
@@ -351,11 +350,13 @@ impl ScenarioSpec {
     /// identical scenarios are served from the run cache when one is
     /// configured.
     ///
-    /// When the [global trace sink](bgpsim_trace::install) is enabled,
-    /// the job also emits the run's loop onset/offset events and a
-    /// final `run_summary` carrying its [`RunCounters`]. The counters
-    /// always flow into the runner's journal and aggregate stats, sink
-    /// or not.
+    /// The job keeps only the record's summary, not its send and
+    /// route-change logs: the metrics and counters it reports read
+    /// nothing else. When the [global trace sink](bgpsim_trace::install)
+    /// is enabled, the job also emits the run's loop onset/offset
+    /// events and a final `run_summary` carrying its [`RunCounters`].
+    /// The counters always flow into the runner's journal and aggregate
+    /// stats, sink or not.
     pub fn into_job(self) -> bgpsim_runner::Job {
         let label = format!(
             "{} {} seed {}",
@@ -372,10 +373,8 @@ impl ScenarioSpec {
             .to_canonical_json()
             .ok()
             .map(|scenario| bgpsim_runner::WorkerPayload { scenario, seed });
-        bgpsim_runner::Job::new(label, fingerprint, move |budget| {
-            job_outcome(self.run_budgeted(budget), seed)
-        })
-        .with_worker_payload(payload)
+        bgpsim_runner::Job::new(label, fingerprint, move |budget| self.run_job(budget))
+            .with_worker_payload(payload)
     }
 
     /// The destination AS this scenario actually uses, resolved on
@@ -421,11 +420,39 @@ impl ScenarioSpec {
     }
 
     /// Runs the scenario: warm-up, failure (or fault plan), measurement.
+    /// The record keeps every send and route change.
     pub fn run(&self) -> ScenarioResult {
         let (experiment, destination, failure) = self.build_experiment();
         let sim_started = Instant::now();
         let record = experiment.run();
         self.measured(destination, failure, record, sim_started)
+    }
+
+    /// The one job path, in-process and in an isolated worker alike:
+    /// the run under `budget`, keeping only the record's summary, as
+    /// the runner's job result. A finished run emits its trace
+    /// summaries and reports metrics plus counters; a watchdog-stopped
+    /// one reports the phase and its partial counters.
+    pub(crate) fn run_job(
+        &self,
+        budget: &RunBudget,
+    ) -> Result<bgpsim_runner::JobOutput, bgpsim_runner::JobTimeout> {
+        let (experiment, destination, failure) = self.build_experiment();
+        let sim_started = Instant::now();
+        match experiment.run_budgeted::<()>(budget) {
+            Ok(record) => {
+                let result = self.measured(destination, failure, record, sim_started);
+                result.emit_trace(self.seed);
+                Ok(bgpsim_runner::JobOutput::with_counters(
+                    result.measurement.metrics,
+                    result.counters(),
+                ))
+            }
+            Err(stopped) => Err(bgpsim_runner::JobTimeout {
+                phase: stopped.phase,
+                counters: Some(Box::new(partial_counters(&stopped.record))),
+            }),
+        }
     }
 
     /// The measurement half of both run entries: times the simulation
@@ -450,48 +477,11 @@ impl ScenarioSpec {
             measure_wall_ns,
         }
     }
-
-    /// [`run`](Self::run) under a watchdog budget: a run that exceeds
-    /// the event or wall-clock limit stops cleanly with its partial
-    /// record instead of running (or hanging) to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns the interrupted phase and partial [`RunRecord`] when the
-    /// budget is exhausted before quiescence.
-    pub fn run_budgeted(&self, limit: &RunBudget) -> Result<ScenarioResult, Box<BudgetExceeded>> {
-        let (experiment, destination, failure) = self.build_experiment();
-        let sim_started = Instant::now();
-        let record = experiment.run_budgeted(limit)?;
-        Ok(self.measured(destination, failure, record, sim_started))
-    }
-}
-
-/// Maps a budgeted run onto the runner's job result: a finished run
-/// emits its trace summaries and reports metrics plus counters, a
-/// watchdog-stopped one reports the phase and its partial counters.
-fn job_outcome(
-    outcome: Result<ScenarioResult, Box<BudgetExceeded>>,
-    seed: u64,
-) -> Result<bgpsim_runner::JobOutput, bgpsim_runner::JobTimeout> {
-    match outcome {
-        Ok(result) => {
-            result.emit_trace(seed);
-            let counters = result.counters();
-            Ok(bgpsim_runner::JobOutput::with_counters(
-                result.measurement.metrics,
-                counters,
-            ))
-        }
-        Err(stopped) => Err(bgpsim_runner::JobTimeout {
-            phase: stopped.phase,
-            counters: Some(Box::new(partial_counters(&stopped.record))),
-        }),
-    }
 }
 
 /// The half of a run's counters its record alone determines, given the
-/// `loops` count; timings and replay counts are zero.
+/// `loops` count; timings, replay counts and `peak_rss_kb` are zero
+/// (the peak is sampled where it is published, not per run).
 fn record_counters(record: &RunRecord, loops: u64) -> RunCounters {
     let stats = record.total_stats();
     RunCounters {
@@ -501,7 +491,6 @@ fn record_counters(record: &RunRecord, loops: u64) -> RunCounters {
         decisions: stats.decisions_run,
         loops,
         max_queue_depth: record.max_queue_depth,
-        peak_rss_kb: bgpsim_trace::peak_rss_kb(),
         ..RunCounters::default()
     }
 }
@@ -581,7 +570,10 @@ impl ScenarioResult {
         tracer.emit(|| TraceEvent::RunSummary {
             seed,
             t: self.record.convergence_end().map_or(0, |t| t.as_nanos()),
-            counters: self.counters(),
+            counters: RunCounters {
+                peak_rss_kb: bgpsim_trace::peak_rss_kb(),
+                ..self.counters()
+            },
         });
         tracer.emit(|| TraceEvent::MeasureSummary {
             seed,
@@ -685,17 +677,51 @@ mod tests {
 
     #[test]
     fn job_runs_the_scenario() {
-        let scenario = ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1);
-        let direct = scenario.clone().run().measurement.metrics;
-        let job = scenario.into_job();
-        assert!(job.fingerprint.is_some());
-        assert!(job.label.contains("clique-5"));
-        let out = (job.run)(&RunBudget::unlimited()).expect("unlimited budget");
-        assert_eq!(direct, out.metrics);
-        let counters = out.counters.expect("scenario jobs carry counters");
-        assert!(counters.events > 0);
-        assert!(counters.decisions > 0);
-        assert!(counters.loops > 0, "clique-5 T_down loops transiently");
+        // The job keeps only the record's summary; its metrics and
+        // counters must still be those of the full-record run, on
+        // every event class the sweeps submit.
+        let flap = FlapProfile {
+            period: bgpsim_netsim::time::SimDuration::from_secs(60),
+            count: 2,
+            jitter: 0.0,
+            loss: 0.0,
+        };
+        let scenarios = [
+            ScenarioSpec::new(TopologySpec::Clique(5), EventKind::TDown).with_seed(1),
+            ScenarioSpec::new(TopologySpec::BClique(4), EventKind::TLong).with_seed(2),
+            ScenarioSpec::new(
+                TopologySpec::InternetLike {
+                    n: 29,
+                    topo_seed: 1,
+                },
+                EventKind::TDown,
+            )
+            .with_seed(3),
+            ScenarioSpec::new(TopologySpec::BClique(4), EventKind::Flap)
+                .with_flap(flap)
+                .with_seed(4),
+        ];
+        for scenario in scenarios {
+            let direct = scenario.run();
+            assert!(!direct.record.sends.is_empty(), "run() keeps the full log");
+            let label = scenario.topology.label();
+            let job = scenario.into_job();
+            assert!(job.fingerprint.is_some());
+            assert!(job.label.contains(&label));
+            let out = (job.run)(&RunBudget::unlimited()).expect("unlimited budget");
+            assert_eq!(direct.measurement.metrics, out.metrics, "{label}");
+            let counters = out.counters.expect("scenario jobs carry counters");
+            assert!(counters.events > 0 && counters.decisions > 0);
+            assert!(counters.loops > 0, "{label} loops transiently");
+            // Equal but for the wall timings; the peak RSS is sampled
+            // where it is published, so both leave it at zero.
+            let untimed = |c: RunCounters| RunCounters {
+                sim_ns: 0,
+                measure_ns: 0,
+                ..c
+            };
+            assert_eq!(untimed(counters), untimed(direct.counters()), "{label}");
+        }
     }
 
     #[test]
@@ -728,17 +754,15 @@ mod tests {
         let job = bgpsim_runner::Job::new("self-cancelling", None, move |budget| {
             own.cancel();
             let stopped = scenario
-                .run_budgeted(budget)
+                .run_job(budget)
                 .expect_err("the cancel flag stops the run");
             assert_eq!(stopped.phase, "warmup");
             assert_eq!(
-                stopped.record.events_dispatched, 0,
+                stopped.counters.as_ref().expect("partial counters").events,
+                0,
                 "drive sees the flag at its first check"
             );
-            Err(bgpsim_runner::JobTimeout {
-                phase: stopped.phase,
-                counters: Some(Box::new(partial_counters(&stopped.record))),
-            })
+            Err(stopped)
         });
         match runner.run_job(job, &handle) {
             Err(bgpsim_runner::Error::Cancelled { label }) => assert_eq!(label, "self-cancelling"),

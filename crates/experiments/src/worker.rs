@@ -11,8 +11,9 @@
 use std::io::{Read, Write};
 
 use bgpsim_runner::supervisor::{decode_request, encode_failure, encode_success};
-use bgpsim_sim::RunBudget;
+use bgpsim_sim::{BudgetExceeded, RunBudget};
 use bgpsim_trace::failpoint::{self, FailpointAction};
+use bgpsim_trace::RunCounters;
 
 use crate::scenario::ScenarioSpec;
 
@@ -55,10 +56,15 @@ pub fn run() {
     if let Some(n) = request.max_events {
         limit = limit.with_max_events(n);
     }
-    match scenario.run_budgeted(&limit) {
-        Ok(result) => {
-            let counters = result.counters();
-            let line = encode_success(&result.measurement.metrics, Some(&counters));
+    match scenario.run_job(&limit) {
+        Ok(output) => {
+            // One VmHWM read per worker process: its peak is what the
+            // verdict publishes.
+            let counters = output.counters.map(|c| RunCounters {
+                peak_rss_kb: bgpsim_trace::peak_rss_kb(),
+                ..c
+            });
+            let line = encode_success(&output.metrics, counters.as_ref());
             if matches!(injected, Some(FailpointAction::Torn)) {
                 let half = &line.as_bytes()[..line.len() / 2];
                 let mut out = std::io::stdout();
@@ -69,7 +75,9 @@ pub fn run() {
             }
         }
         Err(stopped) => {
-            println!("{}", encode_failure(stopped.phase, &stopped.to_string()));
+            let counters = stopped.counters.expect("a stopped job keeps its counters");
+            let error = BudgetExceeded::describe(stopped.phase, counters.events);
+            println!("{}", encode_failure(stopped.phase, &error));
         }
     }
 }

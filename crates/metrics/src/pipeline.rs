@@ -29,7 +29,7 @@ use crate::loop_stats::{summarize, LoopCensusSummary};
 use crate::report::{convergence_window, metrics_from_tally, PaperMetrics};
 
 /// Everything measured about one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMeasurement {
     /// The paper's four metrics (plus supporting counts).
     pub metrics: PaperMetrics,

@@ -110,9 +110,6 @@ pub fn metrics_from_tally(
     } else {
         0.0
     };
-    let messages_after_failure = record
-        .failure_at
-        .map_or(0, |f| record.sends_since(f) as u64);
     PaperMetrics {
         convergence_time: record.convergence_time(),
         overall_looping_duration,
@@ -122,7 +119,7 @@ pub fn metrics_from_tally(
         delivered: tally.delivered,
         no_route: tally.no_route,
         packets_total: tally.packets(),
-        messages_after_failure,
+        messages_after_failure: record.sends_after_failure,
     }
 }
 
@@ -130,7 +127,6 @@ pub fn metrics_from_tally(
 mod tests {
     use super::*;
     use bgpsim_core::Prefix;
-    use bgpsim_sim::UpdateSend;
     use bgpsim_topology::NodeId;
 
     fn pkt(id: u64, sent_ms: u64) -> Packet {
@@ -146,13 +142,8 @@ mod tests {
     fn record_with_window(fail_s: u64, last_send_s: u64) -> RunRecord {
         RunRecord {
             failure_at: Some(SimTime::from_secs(fail_s)),
-            sends: vec![UpdateSend {
-                at: SimTime::from_secs(last_send_s),
-                from: NodeId::new(0),
-                to: NodeId::new(1),
-                withdraw: true,
-                message: bgpsim_core::BgpMessage::withdraw(Prefix::new(0)),
-            }],
+            last_send: Some(SimTime::from_secs(last_send_s)),
+            sends_after_failure: 1,
             ..Default::default()
         }
     }

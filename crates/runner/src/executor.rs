@@ -175,7 +175,9 @@ pub struct RunnerStats {
     pub wall_time: Duration,
     /// Aggregated hot-path counters over all *executed* jobs that
     /// reported them (cache hits contribute nothing — the run did not
-    /// happen).
+    /// happen). Its `peak_rss_kb` is this process's peak, sampled once
+    /// after each batch that executed a job in-process, or the largest
+    /// a worker process reported for isolated jobs.
     pub counters: RunCounters,
     /// Isolated worker processes that died without a result (each
     /// crash counts, including ones later recovered by a retry).
@@ -295,6 +297,9 @@ pub struct Runner {
     /// through journal recovery) grants crashed jobs a fresh chance.
     poisoned: Mutex<HashSet<String>>,
     stats: Mutex<RunnerStats>,
+    /// A job finished executing in this process since this process's
+    /// peak RSS was last booked; the next batch end books it.
+    ran_here: AtomicBool,
 }
 
 impl std::fmt::Debug for Runner {
@@ -321,6 +326,7 @@ impl Runner {
             max_events: None,
             max_wall: None,
             isolate: false,
+            ran_here: AtomicBool::new(false),
             isolation: IsolationConfig::default(),
             poisoned: Mutex::new(HashSet::new()),
             stats: Mutex::new(RunnerStats::default()),
@@ -432,7 +438,7 @@ impl Runner {
             });
         }
         self.finish_progress_line();
-        self.stats.lock().expect("stats lock").wall_time += batch_started.elapsed();
+        self.finish_batch(batch_started);
 
         let mut out = Vec::with_capacity(total);
         for slot in slots {
@@ -469,8 +475,24 @@ impl Runner {
         }
         let started = Instant::now();
         let result = self.run_inner(job, Some(&handle.cancel));
-        self.stats.lock().expect("stats lock").wall_time += started.elapsed();
+        self.finish_batch(started);
         result
+    }
+
+    /// Books a batch's wall time and, when a job executed in this
+    /// process since the last booking, this process's peak RSS: one
+    /// `VmHWM` read per batch, not one per job. The peak only grows,
+    /// so a read after a job finished covers that job, whichever
+    /// batch's end makes it.
+    fn finish_batch(&self, started: Instant) {
+        let peak_rss_kb = if self.ran_here.swap(false, Ordering::Relaxed) {
+            bgpsim_trace::peak_rss_kb()
+        } else {
+            0
+        };
+        let mut stats = self.stats.lock().expect("stats lock");
+        stats.wall_time += started.elapsed();
+        stats.counters.peak_rss_kb = stats.counters.peak_rss_kb.max(peak_rss_kb);
     }
 
     fn run_one(&self, job: Job, progress: &Mutex<BatchProgress>) -> Result<PaperMetrics, Error> {
@@ -538,6 +560,7 @@ impl Runner {
         // recoverable by journal replay.
         self.journal_started(&label, &fingerprint);
 
+        let here = !(self.isolate && payload.is_some());
         let outcome: Result<JobOutput, ExecStop> = match payload {
             Some(payload) if self.isolate => {
                 self.run_isolated(&label, &fingerprint, &payload, &budget)
@@ -549,6 +572,20 @@ impl Runner {
             },
         };
         let elapsed = started.elapsed();
+        if here {
+            self.ran_here.store(true, Ordering::Relaxed);
+        }
+        // The job measures simulation work; the executor owns the wall
+        // clock (cache store and bookkeeping included) and, for a
+        // `job_done` line, this process's peak RSS. A worker's
+        // counters already carry its own peak.
+        let finish = |mut c: RunCounters| {
+            c.wall_ms = elapsed.as_millis() as u64;
+            if here && self.journal.is_some() {
+                c.peak_rss_kb = bgpsim_trace::peak_rss_kb();
+            }
+            c
+        };
         let output = match outcome {
             Ok(output) => {
                 if let (Some(cache), Some(key)) = (&self.cache, &fingerprint) {
@@ -589,10 +626,7 @@ impl Runner {
                 // classified as such even though it surfaces through
                 // the same early-stop path as a budget trip.
                 let cancelled = budget.is_cancelled();
-                let counters = timeout.counters.map(|mut c| {
-                    c.wall_ms = elapsed.as_millis() as u64;
-                    c
-                });
+                let counters = timeout.counters.map(|c| Box::new(finish(*c)));
                 self.count_executed(elapsed, counters.as_deref());
                 self.journal_record(
                     &label,
@@ -614,12 +648,7 @@ impl Runner {
                 });
             }
         };
-        let counters = output.counters.map(|mut c| {
-            // The job measures simulation work; the executor owns the
-            // wall clock (includes cache store + bookkeeping).
-            c.wall_ms = elapsed.as_millis() as u64;
-            c
-        });
+        let counters = output.counters.map(finish);
         self.count_executed(elapsed, counters.as_ref());
         self.journal_record(&label, &fingerprint, false, false, false, elapsed, counters);
         Ok(CompletedJob {
@@ -1171,6 +1200,49 @@ mod tests {
             text.contains("\"events\":1") || text.contains("\"events\": 1"),
             "journal lines carry counters: {text}"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn peak_rss_is_sampled_per_batch_and_per_journaled_job() {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        // Jobs report no peak of their own: the executor samples it
+        // once per batch, and per job only for a `job_done` line.
+        let jobs = || -> Vec<Job> {
+            (0..3u64)
+                .map(|i| {
+                    Job::new(format!("peak {i}"), None, move |_| {
+                        Ok(JobOutput::with_counters(
+                            metrics_for(i),
+                            RunCounters::default(),
+                        ))
+                    })
+                })
+                .collect()
+        };
+        let plain = Runner::new(1);
+        plain.run_jobs(jobs()).unwrap();
+        let batch_peak = plain.stats().counters.peak_rss_kb;
+        let now = bgpsim_trace::peak_rss_kb();
+        assert!(batch_peak <= now && (now == 0 || batch_peak > 0));
+
+        let path = std::env::temp_dir().join(format!(
+            "bgpsim-runner-peak-test-{}-{}.jsonl",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let journaled = Runner::new(1).try_with_journal_path(&path).unwrap();
+        journaled.run_jobs(jobs()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let done: Vec<&str> = text.lines().filter(|l| l.contains("job_done")).collect();
+        assert_eq!(done.len(), 3, "journal: {text}");
+        for line in done {
+            assert_eq!(
+                line.contains("\"peak_rss_kb\":0,") || line.contains("\"peak_rss_kb\":0}"),
+                now == 0,
+                "line: {line}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -125,6 +125,32 @@ fn read_limited_line<R: BufRead>(
     }
 }
 
+/// The body length the `content-length` headers declare, if any.
+///
+/// RFC 9112 §6.3: the value is `1*DIGIT` (no sign, no list), and
+/// repeated headers must all declare the same length; anything else is
+/// a framing error the connection cannot recover from.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, ParseError> {
+    let mut declared = None;
+    for (_, value) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let len = match value.parse::<usize>() {
+            Ok(len) if value.bytes().all(|b| b.is_ascii_digit()) => len,
+            _ => {
+                return Err(ParseError::BadRequest(format!(
+                    "bad content-length {value:?}"
+                )))
+            }
+        };
+        if declared.is_some_and(|d| d != len) {
+            return Err(ParseError::BadRequest(
+                "conflicting content-length headers".into(),
+            ));
+        }
+        declared = Some(len);
+    }
+    Ok(declared)
+}
+
 /// Reads and parses one request.
 ///
 /// `Ok(None)` is a clean end of stream (the client closed between
@@ -215,12 +241,7 @@ pub fn read_request<R: BufRead>(
             "transfer-encoding {te:?} not supported for requests"
         ))));
     }
-    if let Some(len) = request.header("content-length") {
-        let Ok(len) = len.parse::<usize>() else {
-            return Err(Ok(ParseError::BadRequest(format!(
-                "bad content-length {len:?}"
-            ))));
-        };
+    if let Some(len) = content_length(&request.headers).map_err(Ok)? {
         if len > MAX_BODY {
             return Err(Ok(ParseError::BodyTooLarge));
         }
@@ -471,6 +492,30 @@ mod tests {
     }
 
     #[test]
+    fn signed_content_length_is_400() {
+        for value in ["+5", "-5", " +5"] {
+            let input = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert_eq!(parse_err(input.as_bytes()).status(), 400, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_400() {
+        let err =
+            parse_err(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello");
+        assert_eq!(err.status(), 400);
+        assert!(err.reason().contains("conflicting"), "{}", err.reason());
+    }
+
+    #[test]
+    fn repeated_equal_content_lengths_are_accepted() {
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
     fn truncated_body_is_400() {
         assert_eq!(
             parse_err(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").status(),
@@ -586,5 +631,139 @@ mod tests {
         assert!(text.contains("9\r\nline one\n\r\n"));
         assert!(text.contains("9\r\nline two\n\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::BufReader;
+
+    /// Parses every request in `input`, as a keep-alive connection
+    /// would, checking each accepted one: the outcome is always a
+    /// request, a clean end, or a typed error — never a panic.
+    fn parse_all(input: &[u8]) -> Result<(), TestCaseError> {
+        let mut reader = BufReader::new(input);
+        for _ in 0..8 {
+            match read_request(&mut reader) {
+                Ok(None) => return Ok(()),
+                Ok(Some(req)) => check_accepted(&req)?,
+                Err(Ok(e)) => {
+                    prop_assert!(matches!(e.status(), 400 | 413 | 431), "{e:?}");
+                    return Ok(());
+                }
+                Err(Err(e)) => return Err(TestCaseError::fail(format!("io error {e}"))),
+            }
+        }
+        Ok(())
+    }
+
+    fn check_accepted(req: &Request) -> Result<(), TestCaseError> {
+        prop_assert!(
+            !req.method.is_empty() && req.method.bytes().all(|b| b.is_ascii_uppercase()),
+            "method {:?}",
+            req.method
+        );
+        prop_assert!(req.headers.len() <= MAX_HEADERS);
+        let declared = match req.header("content-length") {
+            Some(v) => v.parse::<usize>().ok(),
+            None => Some(0),
+        };
+        prop_assert_eq!(declared, Some(req.body.len()));
+        Ok(())
+    }
+
+    /// A request line, well-formed for `method < 3` and `defect < 4`.
+    fn request_line(method: u8, defect: u8) -> Vec<u8> {
+        let method = ["GET", "POST", "DELETE", "get", "", "P0ST"][usize::from(method % 6)];
+        let line = match defect % 8 {
+            0 | 1 => format!("{method} /v1/jobs HTTP/1.1"),
+            2 => format!("{method} /v1/jobs HTTP/1.0"),
+            3 => format!("{method} /{} HTTP/1.1", "a".repeat(MAX_REQUEST_LINE - 20)),
+            4 => format!("{method} /{} HTTP/1.1", "a".repeat(MAX_REQUEST_LINE)),
+            5 => format!("{method}  /v1/jobs HTTP/1.1"),
+            6 => format!("{method} /v1/jobs"),
+            _ => format!("{method} /v1/jobs HTTP/2.0"),
+        };
+        line.into_bytes()
+    }
+
+    /// The `content-length` header lines of one framing variant, and
+    /// the length they declare.
+    fn length_headers(kind: u8, body_len: usize, near_cap: usize) -> (String, usize) {
+        let cap = MAX_BODY - 1 + near_cap;
+        match kind % 7 {
+            0 => (String::new(), 0),
+            1 => (format!("Content-Length: {body_len}\r\n"), body_len),
+            2 => (format!("Content-Length: {cap}\r\n"), cap),
+            3 => (format!("Content-Length: +{body_len}\r\n"), body_len),
+            4 => (
+                format!("Content-Length: {body_len}\r\nContent-Length: {body_len}\r\n"),
+                body_len,
+            ),
+            5 => (
+                format!(
+                    "Content-Length: {body_len}\r\nContent-Length: {}\r\n",
+                    body_len + 1
+                ),
+                body_len,
+            ),
+            _ => (format!("Content-Length: {body_len}x\r\n"), body_len),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
+            parse_all(&bytes)?;
+        }
+
+        #[test]
+        fn arbitrary_bytes_after_a_valid_prefix_never_panic(
+            tail in proptest::collection::vec(any::<u8>(), 0..300),
+            cut in 0usize..64,
+        ) {
+            let mut input = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{}{}".to_vec();
+            input.truncate(input.len().saturating_sub(cut));
+            input.extend(tail);
+            parse_all(&input)?;
+        }
+
+        #[test]
+        fn near_valid_requests_parse_or_fail_typed(
+            method in 0u8..4,
+            defect in 0u8..8,
+            few_headers in 0usize..8,
+            many_headers in any::<bool>(),
+            header_bytes in 0usize..MAX_HEADER_BYTES + 256,
+            small_headers in any::<bool>(),
+            length_kind in 0u8..7,
+            body_len in 0usize..64,
+            near_cap in 0usize..3,
+            truncate in 0usize..4,
+            bare_lf in any::<bool>(),
+        ) {
+            let eol: &[u8] = if bare_lf { b"\n" } else { b"\r\n" };
+            let mut input = request_line(method, defect);
+            input.extend_from_slice(eol);
+            // A header count around `MAX_HEADERS` (the framing header
+            // included) or a few, sharing about `header_bytes` or tiny.
+            let headers = if many_headers { MAX_HEADERS - 5 + few_headers } else { few_headers };
+            let value_len = if small_headers { 4 } else { header_bytes / headers.max(1) };
+            for i in 0..headers {
+                input.extend_from_slice(format!("x-h{i}: {}", "v".repeat(value_len)).as_bytes());
+                input.extend_from_slice(eol);
+            }
+            let (lengths, declared) = length_headers(length_kind, body_len, near_cap);
+            input.extend_from_slice(lengths.as_bytes());
+            input.extend_from_slice(eol);
+            // One case in four sends a body a byte short.
+            let short = usize::from(truncate == 0);
+            input.resize(input.len() + declared.saturating_sub(short), b'b');
+            parse_all(&input)?;
+        }
     }
 }

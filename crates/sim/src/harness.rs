@@ -10,11 +10,14 @@
 //!    quiescent again.
 //!
 //! [`ConvergenceExperiment`] packages those steps and returns the raw
-//! [`RunRecord`] for analysis.
+//! [`RunRecord`] for analysis: with both logs from
+//! [`run`](ConvergenceExperiment::run), with what the chosen
+//! [`Recorder`] keeps from [`run_budgeted`](ConvergenceExperiment::run_budgeted).
 
 use std::fmt;
 use std::time::Instant;
 
+use bgpsim_core::decision::ShortestPath;
 use bgpsim_core::{BgpConfig, Prefix};
 use bgpsim_faults::FaultPlan;
 use bgpsim_netsim::time::SimDuration;
@@ -23,7 +26,7 @@ use bgpsim_topology::{Graph, NodeId};
 use crate::failure::FailureEvent;
 use crate::network::{RunOutcome, SimNetwork};
 use crate::params::SimParams;
-use crate::record::RunRecord;
+use crate::record::{FullLog, Recorder, RunRecord};
 
 /// Per-phase event budget of every run — far above any legitimate
 /// convergence at the paper's scales, so hitting it means divergence.
@@ -87,13 +90,18 @@ pub struct BudgetExceeded {
     pub record: RunRecord,
 }
 
+impl BudgetExceeded {
+    /// How a stop in `phase` after `events` dispatches reads: this
+    /// error's `Display`, and the verdict of a job that kept only the
+    /// stop's counters.
+    pub fn describe(phase: &str, events: u64) -> String {
+        format!("{phase} exhausted its budget after {events} events")
+    }
+}
+
 impl fmt::Display for BudgetExceeded {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} exhausted its budget after {} events",
-            self.phase, self.record.events_dispatched
-        )
+        f.write_str(&Self::describe(self.phase, self.record.events_dispatched))
     }
 }
 
@@ -176,7 +184,8 @@ impl ConvergenceExperiment {
         self
     }
 
-    /// Runs warm-up then failure, returning the recorded run.
+    /// Runs warm-up then failure, returning the recorded run with its
+    /// full send and route-change logs.
     ///
     /// # Panics
     ///
@@ -185,30 +194,36 @@ impl ConvergenceExperiment {
     /// always converges), if `origin` is not in the graph, or if the
     /// attached fault plan is invalid.
     pub fn run(&self) -> RunRecord {
-        self.run_budgeted(&RunBudget::unlimited())
+        self.run_budgeted::<FullLog>(&RunBudget::unlimited())
             .unwrap_or_else(|e| budget_panic(&e))
     }
 
-    /// Runs warm-up then failure under watchdog `limit`s, returning the
-    /// partial record instead of hanging or panicking when a run does
-    /// not converge within budget.
+    /// Runs warm-up then failure under watchdog `limit`s, keeping the
+    /// logs recorder `R` keeps, and returning the partial record
+    /// instead of hanging or panicking when a run does not converge
+    /// within budget.
     ///
     /// Limits are checked every [`BUDGET_CHUNK`] events; chunked
     /// execution is observationally identical to one uninterrupted
     /// drain, so a run that finishes within budget yields exactly the
-    /// record [`ConvergenceExperiment::run`] would.
+    /// record [`ConvergenceExperiment::run`] would, minus the logs `R`
+    /// does not keep.
     ///
     /// # Panics
     ///
     /// Panics if `origin` is not in the graph or the fault plan is
     /// rejected (configuration errors, not runtime conditions).
-    pub fn run_budgeted(&self, limit: &RunBudget) -> Result<RunRecord, Box<BudgetExceeded>> {
+    pub fn run_budgeted<R: Recorder>(
+        &self,
+        limit: &RunBudget,
+    ) -> Result<RunRecord, Box<BudgetExceeded>> {
         assert!(
             self.graph.contains(self.origin),
             "origin {} not in graph",
             self.origin
         );
-        let mut net = SimNetwork::new(&self.graph, self.config, self.params, self.seed);
+        let mut net =
+            SimNetwork::<_, R>::with_recorder(&self.graph, self.config, self.params, self.seed);
         if let Some(tracer) = &self.tracer {
             net = net.with_tracer(tracer.clone());
         }
@@ -234,11 +249,11 @@ impl ConvergenceExperiment {
     /// [`DEFAULT_EVENT_BUDGET`] per phase and the watchdog `limit`. Chunked execution is
     /// observationally identical to an uninterrupted drain. When a
     /// budget trips first, the partial record comes back as the error.
-    fn drive(
-        mut net: SimNetwork,
+    fn drive<R: Recorder>(
+        mut net: SimNetwork<ShortestPath, R>,
         limit: &RunBudget,
         phase: &'static str,
-    ) -> Result<SimNetwork, Box<BudgetExceeded>> {
+    ) -> Result<SimNetwork<ShortestPath, R>, Box<BudgetExceeded>> {
         let phase_start = net.events_dispatched();
         loop {
             let total = net.events_dispatched();
@@ -331,7 +346,7 @@ mod tests {
         let make = || tdown_on_clique(5).with_seed(4);
         let plain = make().run();
         let budgeted = make()
-            .run_budgeted(&RunBudget::unlimited().with_max_events(10_000_000))
+            .run_budgeted::<FullLog>(&RunBudget::unlimited().with_max_events(10_000_000))
             .expect("well within budget");
         assert_eq!(plain.sends, budgeted.sends);
         assert_eq!(plain.quiescent_at, budgeted.quiescent_at);
@@ -342,7 +357,7 @@ mod tests {
     fn tiny_event_budget_returns_partial_record() {
         let exp = tdown_on_clique(6).with_seed(2);
         let err = exp
-            .run_budgeted(&RunBudget::unlimited().with_max_events(10))
+            .run_budgeted::<FullLog>(&RunBudget::unlimited().with_max_events(10))
             .expect_err("10 events cannot complete warm-up of a 6-clique");
         assert_eq!(err.phase, "warmup");
         assert!(err.record.events_dispatched >= 10);
@@ -357,9 +372,14 @@ mod tests {
         let exp = tdown_on_clique(5).with_seed(2);
         let full = exp.run();
         let exact = RunBudget::unlimited().with_max_events(full.events_dispatched);
-        assert_eq!(exp.run_budgeted(&exact).expect("converged"), full);
+        assert_eq!(
+            exp.run_budgeted::<FullLog>(&exact).expect("converged"),
+            full
+        );
         let short = RunBudget::unlimited().with_max_events(full.events_dispatched - 1);
-        let err = exp.run_budgeted(&short).expect_err("one event short");
+        let err = exp
+            .run_budgeted::<FullLog>(&short)
+            .expect_err("one event short");
         assert_eq!(err.record.events_dispatched, full.events_dispatched - 1);
     }
 
@@ -375,7 +395,7 @@ mod tests {
             full.events_dispatched
         };
         let err = exp
-            .run_budgeted(
+            .run_budgeted::<FullLog>(
                 &RunBudget::unlimited().with_deadline(Instant::now() - Duration::from_millis(1)),
             )
             .expect_err("expired deadline must stop the run");

@@ -10,7 +10,10 @@
 //! * [`harness::ConvergenceExperiment`] — the standard two-phase
 //!   (warm-up → failure) run used by every experiment;
 //! * [`record::RunRecord`] — the raw observations handed to
-//!   `bgpsim-metrics`.
+//!   `bgpsim-metrics`;
+//! * [`record::Recorder`] — what a run keeps of each send and route
+//!   change beyond the record's summary: everything ([`FullLog`], the
+//!   default) or nothing (`()`, the job path).
 //!
 //! ## Example
 //!
@@ -44,7 +47,7 @@ pub use failure::{FailureEvent, FailureHalf, HalfAction};
 pub use harness::{BudgetExceeded, ConvergenceExperiment, RunBudget};
 pub use network::{RunOutcome, SimNetwork};
 pub use params::SimParams;
-pub use record::{RunRecord, UpdateSend};
+pub use record::{FullLog, Recorder, RunRecord, UpdateSend};
 
 // Fault-plan types, re-exported so harness users don't need a direct
 // `bgpsim-faults` dependency.
@@ -58,6 +61,6 @@ pub mod prelude {
     };
     pub use crate::network::{RunOutcome, SimNetwork};
     pub use crate::params::SimParams;
-    pub use crate::record::{RunRecord, UpdateSend};
+    pub use crate::record::{FullLog, Recorder, RunRecord, UpdateSend};
     pub use bgpsim_faults::{FaultKind, FaultPlan, FlapProfile, FlapTrain};
 }

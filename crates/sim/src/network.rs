@@ -7,7 +7,8 @@
 //! Every forwarding-table change is recorded into a time-indexed
 //! [`NetworkFib`] so the data plane can be replayed exactly (see
 //! `bgpsim-dataplane`); live event-driven packets are also supported
-//! for cross-validation.
+//! for cross-validation. What is kept of each send and route change
+//! beyond the record's summary is up to the network's [`Recorder`].
 
 use bgpsim_core::decision::{RoutePolicy, ShortestPath};
 use bgpsim_core::{BgpConfig, FibEntry, Prefix, Router, RouterOutput};
@@ -24,7 +25,7 @@ use bgpsim_trace::{TraceEvent, TraceHandle};
 use crate::event::NetEvent;
 use crate::failure::{FailureEvent, FailureHalf, HalfAction};
 use crate::params::SimParams;
-use crate::record::{RunRecord, UpdateSend};
+use crate::record::{FullLog, Recorder, RunRecord, UpdateSend};
 
 /// Stream tag for per-node RNG lanes, disjoint from the fault-plan
 /// stream tags (`0x1055…`, `0xF1A9…`, …). Lane `i` draws from
@@ -59,7 +60,8 @@ pub enum RunOutcome {
 }
 
 /// A complete network simulation: topology + routers + links +
-/// processors + event loop.
+/// processors + event loop, keeping its send and route-change logs with
+/// the recorder `R` (the [`FullLog`] unless chosen otherwise).
 ///
 /// # Examples
 ///
@@ -78,7 +80,7 @@ pub enum RunOutcome {
 /// assert!(rec.fib.current(NodeId::new(1), Prefix::new(0)).is_some());
 /// ```
 #[derive(Debug)]
-pub struct SimNetwork<P: RoutePolicy = ShortestPath> {
+pub struct SimNetwork<P: RoutePolicy = ShortestPath, R: Recorder = FullLog> {
     /// Pending events; only [`Self::enqueue`] adds to it and only
     /// [`Self::run_while`] pops it.
     queue: EventQueue<NetEvent>,
@@ -111,8 +113,13 @@ pub struct SimNetwork<P: RoutePolicy = ShortestPath> {
     sched_lane: u32,
     params: SimParams,
     fib: NetworkFib,
-    sends: Vec<UpdateSend>,
-    path_changes: Vec<crate::record::PathChange>,
+    recorder: R,
+    /// The instant of the latest send, and how many sends were made at
+    /// it: what seeds `sends_after_failure` when the failure lands at
+    /// an instant that already saw sends.
+    last_send: Option<SimTime>,
+    sends_at_last: u64,
+    sends_after_failure: u64,
     live_fates: Vec<(u64, PacketFate)>,
     failure_at: Option<SimTime>,
     events_dispatched: u64,
@@ -135,13 +142,25 @@ pub struct SimNetwork<P: RoutePolicy = ShortestPath> {
 impl SimNetwork<ShortestPath> {
     /// Builds a simulation over `graph` with uniform router `config`,
     /// physical `params`, a deterministic `seed`, and the paper's
-    /// shortest-path policy at every node.
+    /// shortest-path policy at every node, keeping the full logs.
     ///
     /// # Panics
     ///
     /// Panics if the configuration or parameters are invalid.
     pub fn new(graph: &Graph, config: BgpConfig, params: SimParams, seed: u64) -> Self {
-        SimNetwork::with_policies(graph, config, params, seed, |_| ShortestPath)
+        SimNetwork::with_recorder(graph, config, params, seed)
+    }
+}
+
+impl<R: Recorder> SimNetwork<ShortestPath, R> {
+    /// [`new`](SimNetwork::new) with the recorder `R`: the same run,
+    /// keeping only what `R` keeps of its sends and route changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or parameters are invalid.
+    pub fn with_recorder(graph: &Graph, config: BgpConfig, params: SimParams, seed: u64) -> Self {
+        SimNetwork::build(graph, config, params, seed, |_| ShortestPath)
     }
 }
 
@@ -154,6 +173,26 @@ impl<P: RoutePolicy> SimNetwork<P> {
     ///
     /// Panics if the configuration or parameters are invalid.
     pub fn with_policies<F>(
+        graph: &Graph,
+        config: BgpConfig,
+        params: SimParams,
+        seed: u64,
+        policy_for: F,
+    ) -> Self
+    where
+        F: FnMut(NodeId) -> P,
+    {
+        SimNetwork::build(graph, config, params, seed, policy_for)
+    }
+
+    /// BGP message sends recorded so far.
+    pub fn sends(&self) -> &[UpdateSend] {
+        &self.recorder.sends
+    }
+}
+
+impl<P: RoutePolicy, R: Recorder> SimNetwork<P, R> {
+    fn build<F>(
         graph: &Graph,
         config: BgpConfig,
         params: SimParams,
@@ -195,8 +234,10 @@ impl<P: RoutePolicy> SimNetwork<P> {
             sched_lane: n as u32,
             params,
             fib: NetworkFib::new(n),
-            sends: Vec::new(),
-            path_changes: Vec::new(),
+            recorder: R::default(),
+            last_send: None,
+            sends_at_last: 0,
+            sends_after_failure: 0,
             live_fates: Vec::new(),
             failure_at: None,
             events_dispatched: 0,
@@ -240,11 +281,6 @@ impl<P: RoutePolicy> SimNetwork<P> {
     /// Read access to the recorded FIB history so far.
     pub fn fib(&self) -> &NetworkFib {
         &self.fib
-    }
-
-    /// BGP message sends recorded so far.
-    pub fn sends(&self) -> &[UpdateSend] {
-        &self.sends
     }
 
     /// When the (first) failure was injected, if any.
@@ -517,13 +553,15 @@ impl<P: RoutePolicy> SimNetwork<P> {
             .flatten()
             .map(|(_, link)| link.stats().lost)
             .sum();
-        RunRecord {
+        let mut record = RunRecord {
             node_count: self.routers.len(),
             failure_at: self.failure_at,
             quiescent_at: self.now,
-            sends: self.sends,
+            last_send: self.last_send,
+            sends_after_failure: self.sends_after_failure,
+            sends: Vec::new(),
+            path_changes: Vec::new(),
             fib: self.fib,
-            path_changes: self.path_changes,
             live_fates: self.live_fates,
             router_stats: self.routers.iter().map(|r| r.stats()).collect(),
             events_dispatched: self.events_dispatched,
@@ -531,7 +569,9 @@ impl<P: RoutePolicy> SimNetwork<P> {
             faults_injected: self.faults_injected,
             session_resets: self.session_resets,
             messages_lost,
-        }
+        };
+        self.recorder.finish(&mut record);
+        record
     }
 
     #[inline]
@@ -604,10 +644,14 @@ impl<P: RoutePolicy> SimNetwork<P> {
     /// `fault_injected` / `session_reset` trace lines — exactly once
     /// per injected failure; every half stamps `failure_at`, so the
     /// stamp lands at the failure instant regardless of which half of
-    /// it runs first.
+    /// it runs first. Sends already made at that instant (by events
+    /// dispatched before the failure) count as sent after it.
     fn apply_half(&mut self, half: FailureHalf, now: SimTime, from_plan: bool) {
         if self.failure_at.is_none() {
             self.failure_at = Some(now);
+            if self.last_send == Some(now) {
+                self.sends_after_failure = self.sends_at_last;
+            }
         }
         if let Some(origin) = half.origin_event {
             if from_plan {
@@ -689,21 +733,26 @@ impl<P: RoutePolicy> SimNetwork<P> {
     fn apply_output(&mut self, node: NodeId, out: RouterOutput, now: SimTime) {
         for (prefix, entry) in out.fib_changes {
             self.fib.record(node, prefix, now, entry);
-            let path = self.routers[node.index()]
-                .best(prefix)
-                .map(|r| r.path.clone());
+            let path = self.routers[node.index()].best(prefix).map(|r| &r.path);
             self.tracer.emit(|| TraceEvent::RibChange {
                 seed: self.seed,
                 t: now.as_nanos(),
                 node: node.as_u32(),
-                path: path.as_ref().map(|p| p.ids().collect()).unwrap_or_default(),
+                path: path.map(|p| p.ids().collect()).unwrap_or_default(),
             });
-            self.path_changes.push(crate::record::PathChange {
-                at: now,
-                node,
-                prefix,
-                path,
-            });
+            self.recorder.path_change(now, node, prefix, path);
+        }
+        let sent = out.sends.len() as u64;
+        if sent > 0 {
+            if self.last_send == Some(now) {
+                self.sends_at_last += sent;
+            } else {
+                self.last_send = Some(now);
+                self.sends_at_last = sent;
+            }
+            if self.failure_at.is_some() {
+                self.sends_after_failure += sent;
+            }
         }
         for (to, msg) in out.sends {
             self.tracer.emit(|| TraceEvent::UpdateTx {
@@ -714,13 +763,7 @@ impl<P: RoutePolicy> SimNetwork<P> {
                 withdraw: msg.is_withdraw(),
                 path_len: msg.path().map_or(0, |p| p.len() as u64),
             });
-            self.sends.push(UpdateSend {
-                at: now,
-                from: node,
-                to,
-                withdraw: msg.is_withdraw(),
-                message: msg.clone(),
-            });
+            self.recorder.send(now, node, to, &msg);
             let link = self
                 .link_mut(node, to)
                 .unwrap_or_else(|| panic!("no link {node} -> {to}"));
@@ -988,6 +1031,31 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
+    }
+
+    #[test]
+    fn sends_at_the_failure_instant_count_as_sent_after_it() {
+        // Origination at t = 0 announces to every peer; a withdrawal
+        // injected at that same instant must count those announcements
+        // too, exactly as a scan of the log for sends at or after the
+        // failure does.
+        let g = generators::clique(4);
+        let mut net = SimNetwork::new(&g, cfg(), SimParams::default(), 3);
+        net.originate(n(0), p());
+        let announced = net.sends().len();
+        assert!(announced > 0, "origination sends at t = 0");
+        net.inject_failure(FailureEvent::WithdrawPrefix {
+            origin: n(0),
+            prefix: p(),
+        });
+        assert_eq!(net.run_to_quiescence(10_000_000), RunOutcome::Quiescent);
+        let rec = net.into_record();
+        assert_eq!(rec.failure_at, Some(SimTime::ZERO));
+        let scanned = rec.sends.iter().filter(|s| s.at >= SimTime::ZERO).count();
+        assert_eq!(scanned, rec.sends.len());
+        assert!(scanned > announced, "the withdrawal sent more");
+        assert_eq!(rec.sends_after_failure, scanned as u64);
+        assert_eq!(rec.last_send, rec.sends.last().map(|s| s.at));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Raw observations from one simulation run.
+//! Raw observations from one simulation run, and the [`Recorder`]
+//! that decides how much of it is kept.
 
 use bgpsim_core::{AsPath, BgpMessage, Prefix, RouterStats};
 use bgpsim_dataplane::{NetworkFib, PacketFate};
@@ -33,10 +34,75 @@ pub struct PathChange {
     pub path: Option<AsPath>,
 }
 
+/// What a [`SimNetwork`](crate::SimNetwork) keeps of each BGP send and
+/// route change beyond the summary every [`RunRecord`] carries.
+///
+/// [`FullLog`] keeps both logs, for library users, tests and the human
+/// timeline; `()` keeps nothing, for jobs whose metrics read only the
+/// summary. The choice is a type parameter, never a runtime switch, so
+/// the simulation itself is identical under either.
+pub trait Recorder: Default {
+    /// Notes one message leaving `from` for `to` at `at`.
+    fn send(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: &BgpMessage);
+
+    /// Notes that `node`'s selected route for `prefix` became `path`
+    /// (`None` = route lost) at `at`.
+    fn path_change(&mut self, at: SimTime, node: NodeId, prefix: Prefix, path: Option<&AsPath>);
+
+    /// Hands the kept logs over into `record`.
+    fn finish(self, record: &mut RunRecord);
+}
+
+/// The recorder that keeps every send and every route change.
+#[derive(Debug, Clone, Default)]
+pub struct FullLog {
+    /// Every BGP message send, in chronological order.
+    pub sends: Vec<UpdateSend>,
+    /// Every route-selection change, in chronological order.
+    pub path_changes: Vec<PathChange>,
+}
+
+impl Recorder for FullLog {
+    fn send(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: &BgpMessage) {
+        self.sends.push(UpdateSend {
+            at,
+            from,
+            to,
+            withdraw: msg.is_withdraw(),
+            message: msg.clone(),
+        });
+    }
+
+    fn path_change(&mut self, at: SimTime, node: NodeId, prefix: Prefix, path: Option<&AsPath>) {
+        self.path_changes.push(PathChange {
+            at,
+            node,
+            prefix,
+            path: path.cloned(),
+        });
+    }
+
+    fn finish(self, record: &mut RunRecord) {
+        record.sends = self.sends;
+        record.path_changes = self.path_changes;
+    }
+}
+
+/// The summary-only recorder: the record's logs stay empty.
+impl Recorder for () {
+    fn send(&mut self, _: SimTime, _: NodeId, _: NodeId, _: &BgpMessage) {}
+
+    fn path_change(&mut self, _: SimTime, _: NodeId, _: Prefix, _: Option<&AsPath>) {}
+
+    fn finish(self, _: &mut RunRecord) {}
+}
+
 /// Everything observed during a simulation run, for offline analysis.
 ///
 /// `PartialEq` compares every recorded observation — two equal records
-/// describe byte-identical runs.
+/// describe byte-identical runs. `sends` and `path_changes` are filled
+/// only under the [`FullLog`] recorder; every other field, the summary
+/// the paper metrics read included, is filled under any recorder.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunRecord {
     /// Number of nodes in the simulated network.
@@ -45,10 +111,18 @@ pub struct RunRecord {
     pub failure_at: Option<SimTime>,
     /// When the event queue drained.
     pub quiescent_at: SimTime,
-    /// Every BGP message send, in chronological order.
+    /// When the last BGP message of the run was sent.
+    pub last_send: Option<SimTime>,
+    /// BGP messages sent at or after `failure_at` (0 without a
+    /// failure), including those sent at the failure instant by events
+    /// dispatched before the failure itself.
+    pub sends_after_failure: u64,
+    /// Every BGP message send, in chronological order ([`FullLog`]
+    /// only).
     pub sends: Vec<UpdateSend>,
     /// Every route-selection change, in chronological order — the
-    /// "route change traces" the paper proposes to analyze next.
+    /// "route change traces" the paper proposes to analyze next
+    /// ([`FullLog`] only).
     pub path_changes: Vec<PathChange>,
     /// The recorded forwarding-table history.
     pub fib: NetworkFib,
@@ -70,29 +144,20 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// The time of the last message sent at or after `since`.
-    pub fn last_send_at(&self, since: SimTime) -> Option<SimTime> {
-        self.sends.iter().rev().map(|s| s.at).find(|&t| t >= since)
-    }
-
-    /// Number of messages sent at or after `since`.
-    pub fn sends_since(&self, since: SimTime) -> usize {
-        self.sends.iter().filter(|s| s.at >= since).count()
-    }
-
     /// The paper's **convergence time**: from the failure to the last
     /// BGP update sent. `None` if no failure was injected or nothing
     /// was sent afterwards.
     pub fn convergence_time(&self) -> Option<SimDuration> {
         let fail = self.failure_at?;
-        let last = self.last_send_at(fail)?;
-        Some(last - fail)
+        Some(self.convergence_end()? - fail)
     }
 
-    /// The instant convergence completed (last send after the failure).
+    /// The instant convergence completed (last send at or after the
+    /// failure). Sends are made in time order, so that is the run's
+    /// last send if it did not precede the failure.
     pub fn convergence_end(&self) -> Option<SimTime> {
         let fail = self.failure_at?;
-        self.last_send_at(fail)
+        self.last_send.filter(|&t| t >= fail)
     }
 
     /// The paper's traffic-replay window (§4.2): from the failure
@@ -133,37 +198,21 @@ impl RunRecord {
 mod tests {
     use super::*;
 
-    fn send(at_ms: u64, withdraw: bool) -> UpdateSend {
-        let message = if withdraw {
-            BgpMessage::withdraw(Prefix::new(0))
-        } else {
-            BgpMessage::announce(Prefix::new(0), AsPath::from_ids([0, 9]))
-        };
-        UpdateSend {
-            at: SimTime::from_millis(at_ms),
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            withdraw,
-            message,
-        }
-    }
-
     #[test]
     fn convergence_time_from_failure_to_last_send() {
         let rec = RunRecord {
             failure_at: Some(SimTime::from_secs(10)),
-            sends: vec![send(5_000, false), send(11_000, false), send(42_000, true)],
+            last_send: Some(SimTime::from_secs(42)),
             ..Default::default()
         };
         assert_eq!(rec.convergence_time(), Some(SimDuration::from_secs(32)));
         assert_eq!(rec.convergence_end(), Some(SimTime::from_secs(42)));
-        assert_eq!(rec.sends_since(SimTime::from_secs(10)), 2);
     }
 
     #[test]
     fn no_failure_means_no_convergence_metric() {
         let rec = RunRecord {
-            sends: vec![send(1, false)],
+            last_send: Some(SimTime::from_millis(1)),
             ..Default::default()
         };
         assert_eq!(rec.convergence_time(), None);
@@ -173,10 +222,20 @@ mod tests {
     fn failure_with_no_reaction() {
         let rec = RunRecord {
             failure_at: Some(SimTime::from_secs(10)),
-            sends: vec![send(5_000, false)],
+            last_send: Some(SimTime::from_secs(5)),
             ..Default::default()
         };
         assert_eq!(rec.convergence_time(), None);
+    }
+
+    #[test]
+    fn a_send_at_the_failure_instant_ends_convergence() {
+        let rec = RunRecord {
+            failure_at: Some(SimTime::from_secs(10)),
+            last_send: Some(SimTime::from_secs(10)),
+            ..Default::default()
+        };
+        assert_eq!(rec.convergence_time(), Some(SimDuration::ZERO));
     }
 
     #[test]
